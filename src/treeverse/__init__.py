@@ -7,12 +7,14 @@ from .tree_core import (RootedTree, Forest, TreeError, build_tree, level,
                         to_parent_csv, from_parent_csv, parse_tree)
 from .graph_gen import (GeneratedDigraph, UndirectedGraph, generate,
                         legacy_generate, underlying, admissible_induced,
-                        count_edges_by_type, merged_tree, to_dot, to_json)
+                        count_edges_by_type, prefix_counts, merged_tree,
+                        to_dot, to_json)
 from .balanced_trees import (TypedTree, BalanceReport, perfect_binary,
                              typed_ternary, descendant_count, validate_balance)
 from .decomposition import (ComponentCollection, CollectionClass, classify,
                             find_bounded_components, find_feasible_or_critical)
-from .embedder import Embedding, embed, verify_embedding, host_graph_for, phi2_window
+from .embedder import (Embedding, EmbeddingBugError, embed, verify_embedding,
+                       host_graph_for, phi2_window)
 from .oracle import (CanonicalTreeSet, enumerate_free_trees, brute_embed,
                      is_universal, is_interval_universal, degree_witness,
                      free_tree_automorphisms, vertex_orbit_reps)

@@ -1,6 +1,9 @@
 """Edge-count bound tables and the reproduction of the legacy generator's
 failure on an 11-vertex prefix.
 
+Every edge count, for a whole graph or any preorder prefix, is read from one
+`graph_gen.prefix_counts` pass over the arcs.
+
 Counts are exact integers; bound values are floats with two hundred vertices
 of linear slack, so a 1e-6 guard on the bound side is immaterial and only
 documents the float/int comparison.
@@ -13,8 +16,7 @@ import math
 from dataclasses import dataclass, field, asdict
 
 from .balanced_trees import perfect_binary, typed_ternary
-from .graph_gen import (GeneratedDigraph, TAG_NAMES, generate,
-                        legacy_generate, underlying)
+from .graph_gen import generate, legacy_generate, prefix_counts, underlying
 
 FLOAT_GUARD = 1e-6
 
@@ -69,28 +71,6 @@ class BoundReport:
         return "\n".join(lines)
 
 
-def _prefix_edge_counts(digraph: GeneratedDigraph) -> list:
-    """cum[m] = undirected edge count of the prefix-induced subgraph, for all m."""
-    n = digraph.n
-    hist = [0] * (n + 1)
-    for (u, w) in {(min(a, b), max(a, b)) for a, b in digraph.arcs.keys()}:
-        hist[w + 1] += 1
-    cum = [0] * (n + 1)
-    for m in range(1, n + 1):
-        cum[m] = cum[m - 1] + hist[m]
-    return cum
-
-
-def _prefix_type_counts(digraph: GeneratedDigraph, m: int) -> dict:
-    counts = {name: 0 for name in TAG_NAMES.values()}
-    for (u, w), tags in digraph.arcs.items():
-        if u < m and w < m:
-            for bit, name in TAG_NAMES.items():
-                if tags & bit:
-                    counts[name] += 1
-    return counts
-
-
 def _prefix_spread(lo: int, hi: int, want: int) -> list:
     """At least `want` prefix sizes spanning (lo, hi], always including hi."""
     span = hi - lo
@@ -109,15 +89,15 @@ def bound_table_ternary(k_max: int, prefix_sweep: bool = False,
     rows = []
     for k in range(1, k_max + 1):
         dig = generate(typed_ternary(k).tree, 2)
-        cum = _prefix_edge_counts(dig)
+        counts = prefix_counts(dig)
         n = dig.n
         if prefix_sweep:
             sizes = _prefix_spread(3 ** (k - 1), n, prefixes_per_k)
         else:
             sizes = [n]
         for m in sizes:
-            rows.append(BoundRow("ternary-typed", k, m, cum[m],
-                                 _prefix_type_counts(dig, m), ternary_bound(m)))
+            rows.append(BoundRow("ternary-typed", k, m, counts.pairs[m],
+                                 counts.by_type(m), ternary_bound(m)))
     return BoundReport(rows)
 
 
@@ -129,14 +109,14 @@ def bound_table_binary(k_max: int, prefixes_per_k: int = 20) -> BoundReport:
     rows = []
     for k in range(0, k_max + 1):
         dig = generate(perfect_binary(k), 0)
-        cum = _prefix_edge_counts(dig)
+        counts = prefix_counts(dig)
         n = dig.n
-        rows.append(BoundRow("binary-full", k, n, cum[n],
-                             _prefix_type_counts(dig, n), binary_bound(n, k, True)))
+        rows.append(BoundRow("binary-full", k, n, counts.pairs[n],
+                             counts.by_type(n), binary_bound(n, k, True)))
         if k >= 1:
             for m in _prefix_spread(1, n, prefixes_per_k):
-                rows.append(BoundRow("binary-prefix", k, m, cum[m],
-                                     _prefix_type_counts(dig, m),
+                rows.append(BoundRow("binary-prefix", k, m, counts.pairs[m],
+                                     counts.by_type(m),
                                      binary_bound(m, k, False)))
     return BoundReport(rows)
 
@@ -199,8 +179,8 @@ def edge_gap_summary(k: int) -> GapReport:
     if not (1 <= k <= GAP_K_GUARD):
         raise ValueError(f"k must be in 1..{GAP_K_GUARD}")
     tree = typed_ternary(k).tree
-    e2 = underlying(generate(tree, 2)).edge_count
-    e0 = underlying(generate(tree, 0)).edge_count
+    e2 = prefix_counts(generate(tree, 2)).pairs[tree.n]
+    e0 = prefix_counts(generate(tree, 0)).pairs[tree.n]
     gap = e2 - e0
     bound = 32 * tree.n
     return GapReport(k, tree.n, e2, e0, gap, bound, gap <= bound)

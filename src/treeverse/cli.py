@@ -14,16 +14,25 @@ from pathlib import Path
 from . import analytics, graph_gen, oracle, tree_core
 from .balanced_trees import perfect_binary, typed_ternary, validate_balance
 from .embedder import embed
-from .graph_gen import generate, legacy_generate, underlying
+from .graph_gen import generate, underlying
 from .tree_core import Forest, RootedTree
 
 
+FAMILY_K_GUARDS = {"binary": analytics.BINARY_K_GUARD,
+                   "ternary-typed": analytics.TERNARY_K_GUARD}
+
+
 def _family_tree(family: str, k: int) -> RootedTree:
+    """The family tree of depth k, refused before it is built when k is above
+    the depth the bound tables stop at."""
+    if family not in FAMILY_K_GUARDS:
+        raise ValueError(f"unknown family {family!r}")
+    if k > FAMILY_K_GUARDS[family]:
+        raise ValueError(f"guard: --k {k} exceeds {FAMILY_K_GUARDS[family]} "
+                         f"for the {family} family")
     if family == "binary":
         return perfect_binary(k)
-    if family == "ternary-typed":
-        return typed_ternary(k).tree
-    raise ValueError(f"unknown family {family!r}")
+    return typed_ternary(k).tree
 
 
 def _load_tree(path: str) -> RootedTree:
@@ -41,7 +50,7 @@ def cmd_gen_tree(args) -> int:
 
 def cmd_gen_graph(args) -> int:
     if args.legacy:
-        dig = legacy_generate(args.k)
+        dig = generate(_family_tree("binary", args.k), 0, legacy=True)
     else:
         tree = (_load_tree(args.tree) if args.tree
                 else _family_tree(args.family, args.k))
@@ -99,12 +108,11 @@ def cmd_embed(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.family == "legacy":
-        dig = legacy_generate(args.k)
-    else:
-        dig = generate(_family_tree(args.family, args.k),
-                       2 if args.family == "ternary-typed" else 0)
-    graph = underlying(dig)
+    legacy = args.family == "legacy"
+    tree = _family_tree("binary" if legacy else args.family, args.k)
+    oracle.check_size(tree.n, args.interval, args.unsafe_large)
+    graph = underlying(generate(tree, 2 if args.family == "ternary-typed" else 0,
+                                legacy=legacy))
     if args.interval:
         ok, witness = oracle.is_interval_universal(
             graph, unsafe_large=args.unsafe_large, jobs=args.jobs)

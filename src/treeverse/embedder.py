@@ -18,7 +18,9 @@ adjacent to everything (the root and the last child of the root) or pinned
 at level <= 2, where the radius rule makes all pairs adjacent.
 
 Internal size bookkeeping is asserted loudly at every step; an assertion
-failure means a bug, never an input error.
+failure means a bug, never an input error.  The finished embedding is always
+re-checked by `verify_embedding`, which does not rely on `assert` and so also
+runs under `python -O`; a failure there raises `EmbeddingBugError`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ from .balanced_trees import validate_balance
 from .decomposition import classify, find_bounded_components, find_feasible_or_critical
 
 EMBED_RADIUS = 2
+
+
+class EmbeddingBugError(AssertionError):
+    """The embedder produced a map that fails its own contract: a bug."""
 
 
 @dataclass
@@ -57,7 +63,6 @@ class _Guest:
     """Adjacency view of the guest tree; recursion works on vertex subsets."""
 
     def __init__(self, tree: RootedTree):
-        self.tree = tree
         self.n = tree.n
         adj: list[set[int]] = [set() for _ in range(tree.n)]
         for u in range(1, tree.n):
@@ -72,24 +77,6 @@ class _Guest:
 
     def neighbors_in(self, u: int, piece: frozenset) -> list[int]:
         return sorted(v for v in self.adj[u] if v in piece)
-
-    def components(self, piece: frozenset) -> list[frozenset]:
-        out = []
-        seen: set[int] = set()
-        for u in sorted(piece):
-            if u in seen:
-                continue
-            comp = {u}
-            stack = [u]
-            while stack:
-                v = stack.pop()
-                for w in self.adj[v]:
-                    if w in piece and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            out.append(frozenset(comp))
-        return out
 
 
 def _min_level_positions(host: RootedTree, size: int) -> list[int]:
@@ -424,8 +411,9 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
 
     Returns an Embedding whose unused host vertices form a preorder prefix,
     with x1 on a minimum-level image vertex and, when `phi2_window` holds,
-    x2 at level <= 2.  Raises ValueError for invalid inputs and AssertionError
-    for internal bookkeeping bugs.
+    x2 at level <= 2.  Raises ValueError for invalid inputs and
+    EmbeddingBugError (an AssertionError) when the result fails
+    `verify_embedding`, which would be a bug.
     """
     if guest.n > host.n:
         raise ValueError(f"guest has {guest.n} vertices, host only {host.n}")
@@ -448,25 +436,21 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
 
     if host_graph is None:
         host_graph = host_graph_for(host)
-    for u in range(1, guest.n):
-        p = guest.parent[u]
-        assert host_graph.has_edge(mapping[u], mapping[p]), \
-            f"guest edge {p}-{u} not preserved"
-
-    image = set(mapping.values())
-    complement_ok = (set(range(host.n)) - image
-                     == set(range(host.n - guest.n)))
-    min_level = min(host.levels[h] for h in image)
+    # the complement and x1 flags hold whenever the check below passes
     applicable = phi2_window(host, guest.n)
-    return Embedding(
+    emb = Embedding(
         mapping=mapping,
         host_tree=host,
         host_graph=host_graph,
-        admissible_complement=complement_ok,
-        phi1_ok=host.levels[mapping[x1]] == min_level,
+        admissible_complement=True,
+        phi1_ok=True,
         phi2_applicable=applicable,
         phi2_ok=host.levels[mapping[x2]] <= 2,
     )
+    ok, problems = verify_embedding(emb, guest, x1, x2, applicable)
+    if not ok:
+        raise EmbeddingBugError("; ".join(problems))
+    return emb
 
 
 def verify_embedding(embedding: Embedding, guest: RootedTree, x1: int,

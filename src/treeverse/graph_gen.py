@@ -3,9 +3,13 @@
 A generated digraph adds, for every vertex u, arcs toward u's descendants,
 toward left-siblings and their subtrees, toward the subtree of the parent's
 nearest-left cousin, and (radius r only) toward shallow descendants of the
-r-th ancestor and of its nearest-left cousin.  The legacy generator replaces
-the cousin rule by a strictly weaker sibling rule; it is kept because its
-failure on an 11-vertex prefix is reproduced by the analytics module.
+r-th ancestor and of its nearest-left cousin.  The legacy construction is one
+setting of the same generator: with `legacy=True` the third rule fires only
+when the parent's nearest-left cousin is also its sibling.  It is kept because
+its failure on an 11-vertex prefix is reproduced by the analytics module.
+
+Edge counts of every preorder prefix, undirected and per rule tag, come from
+one pass over the arcs (`prefix_counts`).
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 from .tree_core import RootedTree, ith_ancestor, nearest_left_cousin
@@ -33,7 +38,6 @@ TAG_NAMES = {
     TAG_COUSIN_SUBTREE: "cousin_subtree",
     TAG_RADIUS: "radius",
 }
-RULE_TAGS = (TAG_DESCENDANT, TAG_LEFT_SIBLING, TAG_COUSIN_SUBTREE, TAG_RADIUS)
 
 
 class UndirectedGraph:
@@ -117,8 +121,15 @@ def _add(arcs: dict, u: int, w: int, tag: int) -> None:
     arcs[key] = arcs.get(key, 0) | tag
 
 
-def generate(tree: RootedTree, radius: int) -> GeneratedDigraph:
-    """Apply the four generation rules with the given radius to every vertex."""
+def generate(tree: RootedTree, radius: int,
+             legacy: bool = False) -> GeneratedDigraph:
+    """Apply the four generation rules with the given radius to every vertex.
+
+    With `legacy`, the third rule points at the parent's nearest-left
+    *sibling* instead of its nearest-left cousin, so vertices whose parent is
+    a leftmost child get nothing from it.  A left sibling, when there is one,
+    is always the nearest-left cousin.
+    """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     arcs: dict = {}
@@ -138,7 +149,7 @@ def generate(tree: RootedTree, radius: int) -> GeneratedDigraph:
                     _add(arcs, u, w, TAG_LEFT_SIBLING)
             # rule 3: the subtree of the parent's nearest-left cousin
             lc = nearest_left_cousin(tree, p)
-            if lc is not None:
+            if lc is not None and (not legacy or tree.parent[lc] == tree.parent[p]):
                 for w in tree.descendant_interval(lc):
                     _add(arcs, u, w, TAG_COUSIN_SUBTREE)
         # rule 4: descendants within `radius` levels below the (clamped)
@@ -156,38 +167,12 @@ def generate(tree: RootedTree, radius: int) -> GeneratedDigraph:
                     row = tree.level_order[lvl]
                     for i in range(bisect_left(row, lo), bisect_right(row, hi - 1)):
                         _add(arcs, u, row[i], TAG_RADIUS)
-    return GeneratedDigraph(tree, radius, arcs)
+    return GeneratedDigraph(tree, radius, arcs, legacy=legacy)
 
 
 def legacy_generate(k: int) -> GeneratedDigraph:
-    """Generator on the perfect binary tree that uses the weaker third rule.
-
-    The third rule points at the nearest-left *sibling* of the parent rather
-    than the nearest-left cousin, so vertices whose parent is a leftmost
-    child get nothing from it.
-    """
-    tree = perfect_binary(k)
-    arcs: dict = {}
-    for u in range(tree.n):
-        for c in tree.children[u]:
-            _add(arcs, u, c, TAG_TREE)
-        for w in range(u + 1, u + tree.sizes[u]):
-            _add(arcs, u, w, TAG_DESCENDANT)
-        p = tree.parent[u]
-        if p is not None:
-            for sib in tree.children[p]:
-                if sib >= u:
-                    break
-                for w in tree.descendant_interval(sib):
-                    _add(arcs, u, w, TAG_LEFT_SIBLING)
-            gp = tree.parent[p]
-            if gp is not None:
-                sibs = tree.children[gp]
-                i = sibs.index(p)
-                if i > 0:
-                    for w in tree.descendant_interval(sibs[i - 1]):
-                        _add(arcs, u, w, TAG_COUSIN_SUBTREE)
-    return GeneratedDigraph(tree, 0, arcs, legacy=True)
+    """The legacy (sibling-rule) radius-0 graph of the perfect binary tree."""
+    return generate(perfect_binary(k), 0, legacy=True)
 
 
 def underlying(digraph: GeneratedDigraph) -> UndirectedGraph:
@@ -202,16 +187,46 @@ def admissible_induced(digraph: GeneratedDigraph, m: int) -> UndirectedGraph:
     return underlying(digraph).induced_prefix(m)
 
 
+@dataclass
+class PrefixCounts:
+    """Edge counts of every preorder prefix: entry m of each column counts
+    what lies inside {0,..,m-1}.  `pairs` counts undirected pairs; `tags`
+    maps each tag name to its directed arc count (with multiplicity)."""
+
+    pairs: list
+    tags: dict
+
+    def by_type(self, m: int) -> dict:
+        return {name: col[m] for name, col in self.tags.items()}
+
+
+def prefix_counts(digraph: GeneratedDigraph) -> PrefixCounts:
+    """One pass over the arcs.  An arc lies in the prefixes of size
+    max(u, w) + 1 and up; a pair is counted once, on its (u < w) arc when
+    both orientations exist."""
+    n = digraph.n
+    arcs = digraph.arcs
+    pairs = [0] * (n + 1)
+    tags = {bit: [0] * (n + 1) for bit in TAG_NAMES}
+    for (u, w), mask in arcs.items():
+        m = (u if u > w else w) + 1
+        if u < w or (w, u) not in arcs:
+            pairs[m] += 1
+        for bit, col in tags.items():
+            if mask & bit:
+                col[m] += 1
+    return PrefixCounts(list(accumulate(pairs)),
+                        {TAG_NAMES[bit]: list(accumulate(col))
+                         for bit, col in tags.items()})
+
+
 def count_edges_by_type(digraph: GeneratedDigraph) -> dict:
     """Directed arc counts per rule tag (with multiplicity) and undirected total."""
-    counts = {name: 0 for name in TAG_NAMES.values()}
-    for tags in digraph.arcs.values():
-        for bit, name in TAG_NAMES.items():
-            if tags & bit:
-                counts[name] += 1
-    counts["undirected_total"] = underlying(digraph).edge_count
-    counts["arcs_total"] = len(digraph.arcs)
-    return counts
+    counts = prefix_counts(digraph)
+    out = counts.by_type(digraph.n)
+    out["undirected_total"] = counts.pairs[digraph.n]
+    out["arcs_total"] = len(digraph.arcs)
+    return out
 
 
 def merged_tree(tree: RootedTree, run: Sequence[int]) -> tuple[RootedTree, tuple[int, ...]]:

@@ -160,10 +160,6 @@ def enumerate_free_trees(n: int) -> CanonicalTreeSet:
     return CanonicalTreeSet(n, trees)
 
 
-def rooted_tree_count(n: int) -> int:
-    return len(_rooted_encodings(n))
-
-
 @lru_cache(maxsize=None)
 def _enc_automorphisms(enc: tuple) -> int:
     """Order of the automorphism group of a rooted tree given by encoding."""
@@ -270,12 +266,20 @@ def _first_failure(pairs, jobs: int):
     return None
 
 
+def check_size(n: int, interval: bool = False,
+               unsafe_large: bool = False) -> None:
+    """Refuse an n-vertex graph above the universality (or, with `interval`,
+    the interval-universality) guard unless `unsafe_large` is set."""
+    guard = INTERVAL_GUARD if interval else UNIVERSAL_GUARD
+    if n > guard and not unsafe_large:
+        raise ValueError(f"guard: n={n} exceeds {guard} "
+                         "(pass unsafe_large to override)")
+
+
 def is_universal(graph: UndirectedGraph, unsafe_large: bool = False,
                  jobs: Optional[int] = None) -> tuple[bool, Optional[RootedTree]]:
     """Whether every free tree on |graph| vertices embeds; first failure if not."""
-    if graph.n > UNIVERSAL_GUARD and not unsafe_large:
-        raise ValueError(f"guard: n={graph.n} exceeds {UNIVERSAL_GUARD} "
-                         "(pass unsafe_large to override)")
+    check_size(graph.n, unsafe_large=unsafe_large)
     trees = enumerate_free_trees(graph.n).trees
     bad = _first_failure([(t, graph) for t in trees],
                          jobs if jobs is not None else default_jobs())
@@ -290,9 +294,7 @@ def is_interval_universal(graph: UndirectedGraph, ordering: Optional[list] = Non
     """Whether every consecutive block of the ordering induces a universal
     graph for trees of the block's size.  Returns the first failing
     (offset, size, tree) witness otherwise."""
-    if graph.n > INTERVAL_GUARD and not unsafe_large:
-        raise ValueError(f"guard: n={graph.n} exceeds {INTERVAL_GUARD} "
-                         "(pass unsafe_large to override)")
+    check_size(graph.n, interval=True, unsafe_large=unsafe_large)
     order = list(ordering) if ordering is not None else list(range(graph.n))
     if sorted(order) != list(range(graph.n)):
         raise ValueError("ordering must be a permutation of the vertices")

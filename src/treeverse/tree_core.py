@@ -87,12 +87,6 @@ class RootedTree:
     def is_ancestor(self, a: int, u: int) -> bool:
         return a <= u < a + self.sizes[a]
 
-    def root_path(self, u: int) -> list[int]:
-        path = [u]
-        while self.parent[path[-1]] is not None:
-            path.append(self.parent[path[-1]])
-        return path
-
     # -- derived trees -------------------------------------------------
 
     def prefix(self, m: int) -> "RootedTree":

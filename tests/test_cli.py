@@ -115,3 +115,36 @@ def test_usage_error_exit_code(capsys):
 def test_domain_error_exit_code(capsys):
     code, _ = run(capsys, "gap", "--k", "99")
     assert code == 2
+
+
+def test_family_k_guards_refuse_before_building(capsys, monkeypatch):
+    import treeverse.cli as cli
+
+    code, out = run(capsys, "gen-tree", "--family", "binary", "--k", "11")
+    assert code == 0 and from_parens(out).n == 4095
+
+    def never(*args, **kwargs):
+        raise AssertionError("a tree above the guard was built")
+
+    monkeypatch.setattr(cli, "perfect_binary", never)
+    monkeypatch.setattr(cli, "typed_ternary", never)
+    for argv in (["gen-tree", "--family", "binary", "--k", "12"],
+                 ["gen-tree", "--family", "ternary-typed", "--k", "10"],
+                 ["gen-graph", "--legacy", "--k", "12"],
+                 ["verify", "--family", "legacy", "--k", "12"],
+                 ["balance", "--family", "binary", "--k", "12"]):
+        assert main(argv) == 2, argv
+        assert "guard" in capsys.readouterr().err
+
+
+def test_verify_checks_size_before_generating(capsys, monkeypatch):
+    import treeverse.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("graph generated above the oracle guard")
+
+    monkeypatch.setattr(cli, "generate", never)
+    for argv in (["verify", "--family", "binary", "--k", "3"],
+                 ["verify", "--family", "legacy", "--k", "3", "--interval"]):
+        assert main(argv) == 2, argv
+        assert "guard: n=15" in capsys.readouterr().err

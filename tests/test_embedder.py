@@ -1,6 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import treeverse
 
 from treeverse.balanced_trees import typed_ternary
 from treeverse.embedder import (Embedding, embed, host_graph_for, phi2_window,
@@ -203,3 +210,56 @@ def test_every_small_balanced_host_hosts_every_guest():
                                 check_balance=False)
                     ok, problems = verify_embedding(emb, guest, x1, x1)
                     assert ok, (host.children, guest.children, x1, problems)
+
+
+# Swaps two images of the top-level `_solve` result; the recursion calls
+# `_solve` through the module, so the depth counter keeps inner calls intact.
+SWAPPED_IMAGES = textwrap.dedent("""
+    import sys
+    from treeverse import embedder
+    from treeverse.balanced_trees import typed_ternary
+    from treeverse.tree_core import RootedTree
+
+    assert not __debug__ or sys.exit("not running under -O")
+    host = typed_ternary(4).tree
+    graph = embedder.host_graph_for(host)
+    n = 60
+    guest = RootedTree([[u + 1] if u + 1 < n else [] for u in range(n)])
+    solve, depth = embedder._solve, [0]
+
+    def breaks(m):
+        return any(not graph.has_edge(m[u - 1], m[u]) for u in range(1, n))
+
+    def swapped(*args):
+        depth[0] += 1
+        try:
+            mapping = solve(*args)
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0:
+            for b in range(1, n):
+                trial = dict(mapping)
+                trial[0], trial[b] = mapping[b], mapping[0]
+                if breaks(trial):
+                    return trial
+        return mapping
+
+    embedder._solve = swapped
+    try:
+        emb = embedder.embed(host, guest, 0, 0, host_graph=graph)
+    except embedder.EmbeddingBugError as exc:
+        print("raised:", exc)
+        sys.exit(0)
+    print("returned ok =", emb.ok)
+    sys.exit(1)
+""")
+
+
+def test_broken_mapping_raises_under_python_O():
+    """With asserts stripped, embed still refuses a map that breaks an edge."""
+    src = str(Path(treeverse.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", SWAPPED_IMAGES],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "raised:" in proc.stdout and "maps to non-edge" in proc.stdout

@@ -3,9 +3,10 @@ from itertools import combinations
 import pytest
 
 from treeverse.balanced_trees import perfect_binary, typed_ternary
-from treeverse.graph_gen import (admissible_induced, count_edges_by_type,
+from treeverse.graph_gen import (TAG_COUSIN_SUBTREE, TAG_NAMES,
+                                 admissible_induced, count_edges_by_type,
                                  generate, legacy_generate, merged_tree,
-                                 to_dot, to_json, underlying)
+                                 prefix_counts, to_dot, to_json, underlying)
 from treeverse.oracle import enumerate_free_trees
 from treeverse.tree_core import RootedTree, build_tree, nearest_left_cousin
 
@@ -85,6 +86,32 @@ def test_count_edges_by_type():
     assert b2["radius"] == 0
     for guest in enumerate_free_trees(7).trees:
         assert count_edges_by_type(generate(guest, 0))["radius"] == 0
+
+
+def test_prefix_counts_match_a_recount_at_every_prefix():
+    digraphs = [generate(t, r) for t in enumerate_free_trees(7).trees
+                for r in (0, 2)]
+    digraphs += [legacy_generate(k) for k in range(5)]
+    for d in digraphs:
+        counts = prefix_counts(d)
+        g = underlying(d)
+        for m in range(d.n + 1):
+            assert counts.pairs[m] == g.induced_prefix(m).edge_count
+            assert counts.by_type(m) == {
+                name: sum(1 for (u, w), tags in d.arcs.items()
+                          if tags & bit and u < m and w < m)
+                for bit, name in TAG_NAMES.items()}
+
+
+def test_legacy_setting_only_weakens_the_cousin_rule():
+    for k in range(5):
+        tree = perfect_binary(k)
+        legacy, corrected = generate(tree, 0, legacy=True), generate(tree, 0)
+        assert legacy.legacy and not corrected.legacy
+        assert set(legacy.arcs) <= set(corrected.arcs)
+        for arc, tags in corrected.arcs.items():
+            assert (legacy.arcs.get(arc, 0) | TAG_COUSIN_SUBTREE
+                    == tags | TAG_COUSIN_SUBTREE)
 
 
 def test_legacy_k2_equals_corrected():
