@@ -11,7 +11,8 @@ from .graph_gen import (GeneratedDigraph, UndirectedGraph, generate,
                         to_dot, to_json)
 from .balanced_trees import (TypedTree, BalanceReport, perfect_binary,
                              typed_ternary, descendant_count, validate_balance)
-from .decomposition import (ComponentCollection, CollectionClass, classify,
+from .decomposition import (ComponentCollection, CollectionClass,
+                            DecompositionBugError, classify,
                             find_bounded_components, find_feasible_or_critical)
 from .embedder import (Embedding, EmbeddingBugError, embed, verify_embedding,
                        host_graph_for, phi2_window)

@@ -49,12 +49,9 @@ def cmd_gen_tree(args) -> int:
 
 
 def cmd_gen_graph(args) -> int:
-    if args.legacy:
-        dig = generate(_family_tree("binary", args.k), 0, legacy=True)
-    else:
-        tree = (_load_tree(args.tree) if args.tree
-                else _family_tree(args.family, args.k))
-        dig = generate(tree, args.r)
+    tree = (_load_tree(args.tree) if args.tree
+            else _family_tree(args.family, args.k))
+    dig = generate(tree, args.r, legacy=args.legacy)
     if args.prefix is not None:
         sub = graph_gen.admissible_induced(dig, args.prefix)
         payload = {"n": sub.n, "r": dig.radius,

@@ -59,24 +59,9 @@ class Embedding:
                 and (self.phi2_ok or not self.phi2_applicable))
 
 
-class _Guest:
-    """Adjacency view of the guest tree; recursion works on vertex subsets."""
-
-    def __init__(self, tree: RootedTree):
-        self.n = tree.n
-        adj: list[set[int]] = [set() for _ in range(tree.n)]
-        for u in range(1, tree.n):
-            p = tree.parent[u]
-            adj[u].add(p)
-            adj[p].add(u)
-        self.adj = tuple(frozenset(s) for s in adj)
-        self.forest = Forest.from_tree(tree)
-
-    def degree_in(self, u: int, piece: frozenset) -> int:
-        return sum(1 for v in self.adj[u] if v in piece)
-
-    def neighbors_in(self, u: int, piece: frozenset) -> list[int]:
-        return sorted(v for v in self.adj[u] if v in piece)
+def _neighbors_in(guest: Forest, u: int, piece: frozenset) -> list[int]:
+    """Guest neighbors of u inside the piece, in increasing order."""
+    return sorted(v for v in guest.neighbors(u) if v in piece)
 
 
 def _min_level_positions(host: RootedTree, size: int) -> list[int]:
@@ -86,7 +71,7 @@ def _min_level_positions(host: RootedTree, size: int) -> list[int]:
     return [u for u in range(lo, host.n) if host.levels[u] == best]
 
 
-def _solve(host: RootedTree, piece: frozenset, guest: _Guest,
+def _solve(host: RootedTree, piece: frozenset, guest: Forest,
            anchor: Optional[int], low2: Optional[int]) -> dict:
     """Embed guest[piece] onto the preorder suffix of the host; see module doc."""
     n = host.n
@@ -105,7 +90,7 @@ def _solve(host: RootedTree, piece: frozenset, guest: _Guest,
     return mapping
 
 
-def _dispatch(host: RootedTree, piece: frozenset, guest: _Guest,
+def _dispatch(host: RootedTree, piece: frozenset, guest: Forest,
               anchor: Optional[int], low2: Optional[int]) -> dict:
     n, sigma = host.n, len(piece)
 
@@ -120,10 +105,11 @@ def _dispatch(host: RootedTree, piece: frozenset, guest: _Guest,
 
     if x == 1:
         return _solve_leaf_peel(host, piece, guest, anchor, low2)
-    if sigma < x:
+    # under a single-child root x = n-1, so sigma = n-1 also fits below it
+    if sigma < x or (t == 1 and sigma < n):
         return _solve_descend(host, piece, guest, anchor, low2)
     if t == 1:
-        return _solve_single_child(host, piece, guest, anchor, low2)
+        return _solve_single_child(host, piece, guest, anchor)
     if t == 2:
         if sigma <= n - 2:
             return _solve_pair_merge(host, piece, guest, anchor, low2)
@@ -149,7 +135,7 @@ def _solve_complete(host: RootedTree, piece: frozenset,
     return mapping
 
 
-def _solve_leaf_peel(host: RootedTree, piece: frozenset, guest: _Guest,
+def _solve_leaf_peel(host: RootedTree, piece: frozenset, guest: Forest,
                      anchor: Optional[int], low2: Optional[int]) -> dict:
     """Last root child is a leaf: set one vertex aside, embed the rest without
     that leaf, then place the special vertex on it (or swap onto the root)."""
@@ -169,22 +155,18 @@ def _solve_leaf_peel(host: RootedTree, piece: frozenset, guest: _Guest,
     return sub
 
 
-def _solve_descend(host: RootedTree, piece: frozenset, guest: _Guest,
+def _solve_descend(host: RootedTree, piece: frozenset, guest: Forest,
                    anchor: Optional[int], low2: Optional[int]) -> dict:
     vt = host.children[0][-1]
     sub = _solve(host.subtree(vt), piece, guest, anchor, low2)
     return {g: vt + h for g, h in sub.items()}
 
 
-def _solve_single_child(host: RootedTree, piece: frozenset, guest: _Guest,
-                        anchor: Optional[int], low2: Optional[int]) -> dict:
-    n, sigma = host.n, len(piece)
-    sub_host = host.subtree(1)
-    if sigma <= n - 1:
-        sub = _solve(sub_host, piece, guest, anchor, low2)
-        return {g: 1 + h for g, h in sub.items()}
+def _solve_single_child(host: RootedTree, piece: frozenset, guest: Forest,
+                        anchor: Optional[int]) -> dict:
+    """Single root child, full host: the special vertex takes the root."""
     special = anchor if anchor is not None else max(piece)
-    sub = _solve(sub_host, piece - {special}, guest, None, None)
+    sub = _solve(host.subtree(1), piece - {special}, guest, None, None)
     mapping = {g: 1 + h for g, h in sub.items()}
     mapping[special] = 0
     return mapping
@@ -198,7 +180,7 @@ def _pair_merged(host: RootedTree) -> tuple[RootedTree, tuple]:
     return merged_tree(host, run)
 
 
-def _solve_pair_merge(host: RootedTree, piece: frozenset, guest: _Guest,
+def _solve_pair_merge(host: RootedTree, piece: frozenset, guest: Forest,
                       anchor: Optional[int], low2: Optional[int]) -> dict:
     """Two root children, guest leaves at least two host vertices unused."""
     n, sigma = host.n, len(piece)
@@ -214,7 +196,7 @@ def _solve_pair_merge(host: RootedTree, piece: frozenset, guest: _Guest,
     return mapping
 
 
-def _solve_pair_full(host: RootedTree, piece: frozenset, guest: _Guest,
+def _solve_pair_full(host: RootedTree, piece: frozenset, guest: Forest,
                      anchor: Optional[int], low2: Optional[int]) -> dict:
     """Two root children, guest covers all or all-but-one of the host."""
     n, sigma = host.n, len(piece)
@@ -223,13 +205,13 @@ def _solve_pair_full(host: RootedTree, piece: frozenset, guest: _Guest,
     rest = piece - {special}
     # a leaf (or isolated vertex) of the remainder has a single neighbor
     # there, which the recursion pins at level <= 2 next to the leaf's image
-    leaves = [u for u in rest if guest.degree_in(u, rest) == 1]
+    leaves = [u for u in rest if len(_neighbors_in(guest, u, rest)) == 1]
     if leaves:
         w = max(leaves)
-        wp = guest.neighbors_in(w, rest)[0]
+        wp = _neighbors_in(guest, w, rest)[0]
     else:
-        w = max(rest, key=lambda u: (guest.degree_in(u, rest) == 0, u))
-        assert guest.degree_in(w, rest) == 0
+        w = max(rest, key=lambda u: (not _neighbors_in(guest, u, rest), u))
+        assert not _neighbors_in(guest, w, rest)
         pool = sorted(rest - {w})
         wp = pool[0] if pool else None
     rest = rest - {w}
@@ -241,7 +223,7 @@ def _solve_pair_full(host: RootedTree, piece: frozenset, guest: _Guest,
     return mapping
 
 
-def _solve_wide_small(host: RootedTree, piece: frozenset, guest: _Guest,
+def _solve_wide_small(host: RootedTree, piece: frozenset, guest: Forest,
                       anchor: Optional[int]) -> dict:
     """Three or more root children but the guest fits in the last two subtrees."""
     run = host.children[0][-2:]
@@ -251,12 +233,12 @@ def _solve_wide_small(host: RootedTree, piece: frozenset, guest: _Guest,
     return {g: iso[h] for g, h in sub.items()}
 
 
-def _feasible_collection(guest: _Guest, piece: frozenset, avoid: int,
+def _feasible_collection(guest: Forest, piece: frozenset, avoid: int,
                          x: int, y: int):
     """A collection avoiding `avoid` that is feasible, or critical with
     union at least x+y-1 (smaller critical unions are upgraded by treating
     pivot plus union as one feasible-style block)."""
-    forest = guest.forest.induced(piece)
+    forest = guest.induced(piece)
     if x > y:
         coll, cls = find_feasible_or_critical(forest, avoid, x, y)
         return coll, cls
@@ -266,7 +248,7 @@ def _feasible_collection(guest: _Guest, piece: frozenset, avoid: int,
     return coll, cls
 
 
-def _solve_wide_split(host: RootedTree, piece: frozenset, guest: _Guest,
+def _solve_wide_split(host: RootedTree, piece: frozenset, guest: Forest,
                       anchor: Optional[int]) -> dict:
     n, sigma = host.n, len(piece)
     root_children = host.children[0]
@@ -301,7 +283,7 @@ def _solve_wide_split(host: RootedTree, piece: frozenset, guest: _Guest,
     return _solve_critical_split(host, piece, guest, anchor, coll, x, y, z)
 
 
-def _solve_critical_split(host: RootedTree, piece: frozenset, guest: _Guest,
+def _solve_critical_split(host: RootedTree, piece: frozenset, guest: Forest,
                           anchor: Optional[int], coll, x: int, y: int,
                           z: int) -> dict:
     n, sigma = host.n, len(piece)
@@ -314,8 +296,8 @@ def _solve_critical_split(host: RootedTree, piece: frozenset, guest: _Guest,
     union = coll.union_size
     assert x + y - 1 <= union <= 2 * x - 3
 
-    n1 = guest.neighbors_in(w, c_one)
-    n2 = guest.neighbors_in(w, c_two)
+    n1 = _neighbors_in(guest, w, c_one)
+    n2 = _neighbors_in(guest, w, c_two)
     w1 = n1[0] if n1 else None
     w2 = n2[0] if n2 else None
 
@@ -328,7 +310,7 @@ def _solve_critical_split(host: RootedTree, piece: frozenset, guest: _Guest,
     # split the larger component around an inner pivot
     x_inner = len(whole) - (x + y) + 1
     assert 1 <= x_inner
-    inner = find_bounded_components(guest.forest.induced(c_one | {w}), w,
+    inner = find_bounded_components(guest.induced(c_one | {w}), w,
                                     x_inner)
     wp = inner.w
     assert wp != w
@@ -431,8 +413,8 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
     if sys.getrecursionlimit() < needed:
         sys.setrecursionlimit(needed)
 
-    gview = _Guest(guest)
-    mapping = _solve(host, frozenset(range(guest.n)), gview, x1, x2)
+    mapping = _solve(host, frozenset(range(guest.n)), Forest.from_tree(guest),
+                     x1, x2)
 
     if host_graph is None:
         host_graph = host_graph_for(host)

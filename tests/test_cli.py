@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from treeverse.balanced_trees import typed_ternary
 from treeverse.cli import main
+from treeverse.graph_gen import generate, to_json
 from treeverse.tree_core import from_parens, parse_tree
 
 
@@ -44,6 +46,21 @@ def test_gen_graph_legacy_prefix(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["n"] == 11
+
+
+def test_gen_graph_legacy_honours_family_radius_and_tree(tmp_path, capsys):
+    code, out = run(capsys, "gen-graph", "--legacy", "--k", "2", "--r", "2",
+                    "--family", "ternary-typed")
+    assert code == 0
+    assert out == to_json(generate(typed_ternary(2).tree, 2, legacy=True)) + "\n"
+
+    tree = tmp_path / "t.tree"
+    tree.write_text("((()())(()()))\n")
+    code, out = run(capsys, "gen-graph", "--legacy", "--tree", str(tree),
+                    "--r", "1")
+    assert code == 0
+    assert out == to_json(generate(parse_tree(tree.read_text()), 1,
+                                   legacy=True)) + "\n"
 
 
 def test_embed_command(tmp_path, capsys):

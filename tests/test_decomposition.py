@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from treeverse.decomposition import (ComponentCollection, classify,
                                      find_bounded_components,
                                      find_feasible_or_critical)
+import treeverse
 from treeverse.tree_core import Forest, RootedTree, build_tree
 
 
@@ -201,3 +207,62 @@ def test_critical_pair_when_ratio_bounded():
             found += 1
             assert len(coll.components) == 2
     assert found > 0
+
+
+def test_walks_are_linear_in_the_forest():
+    # one rooted pass per call: a path walked from one end must not rescan
+    # the whole forest at every step
+    calls = [0]
+
+    class CountingForest(Forest):
+        def neighbors(self, u):
+            calls[0] += 1
+            return super().neighbors(u)
+
+    base = Forest.from_tree(path_tree(1000))
+    f = CountingForest(base.vertices, base.parent, base.children, base.roots)
+    n = len(f)
+
+    coll = find_bounded_components(f, 0, 1)
+    assert calls[0] <= 2 * n
+    check_bounded(base, coll, 0, 1)
+
+    calls[0] = 0
+    coll, cls = find_feasible_or_critical(f, 0, 4, 2)
+    assert calls[0] <= 2 * n
+    check_feasible_or_critical(base, coll, cls, 0, 4, 2)
+
+
+MISCLASSIFIED = textwrap.dedent("""
+    import sys
+    from treeverse import decomposition
+    from treeverse.tree_core import Forest, from_parens
+
+    if __debug__:
+        sys.exit("asserts are still on")
+
+    decomposition.classify = lambda coll, x, y: decomposition.CollectionClass(
+        "plain", x, y)
+    # a star gives a feasible pick, three legs of length 3 a critical pair
+    for text in ("(" + "()" * 11 + ")", "(" + "((()))" * 3 + ")"):
+        forest = Forest.from_tree(from_parens(text))
+        try:
+            decomposition.find_feasible_or_critical(forest, 0, 5, 3)
+        except decomposition.DecompositionBugError as exc:
+            print("raised:", exc)
+            continue
+        print("returned a misclassified collection")
+        sys.exit(1)
+""")
+
+
+def test_misclassified_result_raises_under_python_O():
+    """With asserts stripped, the finders still refuse a collection that
+    their classifier rejects."""
+    src = str(Path(treeverse.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", MISCLASSIFIED],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("raised:") == 2
+    assert "classifies plain" in proc.stdout
