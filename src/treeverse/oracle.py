@@ -31,7 +31,8 @@ class CanonicalTreeSet:
 
 @lru_cache(maxsize=None)
 def _rooted_encodings(n: int) -> tuple:
-    """Canonical nested-tuple encodings of all rooted trees on n vertices.
+    """Canonical nested-tuple encodings of all rooted trees on n vertices,
+    in increasing order.
 
     A tree is encoded as the tuple of its children's encodings, sorted by
     (size desc, encoding); equal encodings mean isomorphic rooted trees.
@@ -39,24 +40,24 @@ def _rooted_encodings(n: int) -> tuple:
     if n == 1:
         return ((),)
     candidates = []
+    fits = [0] * n  # fits[r]: first candidate of size at most r
     for m in range(n - 1, 0, -1):
-        for enc in _rooted_encodings(m):
-            candidates.append((m, enc))
+        fits[m] = len(candidates)
+        candidates.extend((m, enc) for enc in _rooted_encodings(m))
     out: list[tuple] = []
 
     def rec(i: int, remaining: int, acc: list) -> None:
         if remaining == 0:
             out.append(tuple(acc))
             return
-        for j in range(i, len(candidates)):
+        for j in range(max(i, fits[remaining]), len(candidates)):
             m, enc = candidates[j]
-            if m <= remaining:
-                acc.append(enc)
-                rec(j, remaining - m, acc)  # the same candidate may repeat
-                acc.pop()
+            acc.append(enc)
+            rec(j, remaining - m, acc)  # the same candidate may repeat
+            acc.pop()
 
     rec(0, n - 1, [])
-    return tuple(out)
+    return tuple(sorted(out))
 
 
 def _enc_size(enc: tuple) -> int:
@@ -65,6 +66,11 @@ def _enc_size(enc: tuple) -> int:
 
 def _enc_sort_key(enc: tuple):
     return (-_enc_size(enc), enc)
+
+
+@lru_cache(maxsize=None)
+def _enc_height(enc: tuple) -> int:
+    return 1 + max(map(_enc_height, enc), default=-1)
 
 
 def _enc_to_tree(enc: tuple) -> RootedTree:
@@ -81,16 +87,14 @@ def _enc_to_tree(enc: tuple) -> RootedTree:
     return RootedTree(children)
 
 
-def _tree_to_enc(tree: RootedTree, root: int,
-                 blocked: Optional[int] = None) -> tuple:
-    """Canonical rooted encoding of the tree re-rooted at `root`, optionally
-    refusing to cross the edge toward `blocked`."""
+def _tree_to_enc(tree: RootedTree, root: int) -> tuple:
+    """Canonical rooted encoding of the tree re-rooted at `root`."""
 
     def rec(u: int, parent: Optional[int]) -> tuple:
         nbrs = list(tree.children[u])
         if tree.parent[u] is not None:
             nbrs.append(tree.parent[u])
-        subs = [rec(v, u) for v in nbrs if v != parent and v != blocked]
+        subs = [rec(v, u) for v in nbrs if v != parent]
         subs.sort(key=_enc_sort_key)
         return tuple(subs)
 
@@ -124,40 +128,39 @@ def _centers(tree: RootedTree) -> list[int]:
     return sorted(u for u in range(n) if not removed[u])
 
 
+def _center_key(enc: tuple) -> Optional[tuple]:
+    """Free key of the tree with this canonical encoding if its root is a
+    center, else None.  The root is the only center when its two tallest
+    branches are equal, and one of two when the tallest is one level taller;
+    the halves are then that branch and the rest, and only the root of the
+    smaller half gets the key."""
+    heights = [_enc_height(c) for c in enc]
+    h1, h2 = sorted(heights + [-1, -1], reverse=True)[:2]
+    if h1 == h2:
+        return ("c", enc)
+    if h1 != h2 + 1:
+        return None
+    i = heights.index(h1)
+    rest, tallest = enc[:i] + enc[i + 1:], enc[i]
+    return ("b", rest, tallest) if rest <= tallest else None
+
+
 def free_canonical_encoding(tree: RootedTree) -> tuple:
     """Key invariant under free-tree isomorphism: the encoding rooted at the
     center, or the sorted pair of half encodings for bicentral trees.  Keys
     are tagged so the two shapes never collide."""
-    centers = _centers(tree)
-    if len(centers) == 1:
-        return ("c", _tree_to_enc(tree, centers[0]))
-    a, b = centers
-    ha = _tree_to_enc(tree, a, blocked=b)
-    hb = _tree_to_enc(tree, b, blocked=a)
-    if hb < ha:
-        ha, hb = hb, ha
-    return ("b", ha, hb)
-
-
-def _key_to_rooted(key: tuple) -> tuple:
-    if key[0] == "c":
-        return key[1]
-    ha, hb = key[1], key[2]
-    # root at one center and hang the other half below it
-    return tuple(sorted(list(ha) + [hb], key=_enc_sort_key))
+    return next(key for c in _centers(tree)
+                if (key := _center_key(_tree_to_enc(tree, c))) is not None)
 
 
 def enumerate_free_trees(n: int) -> CanonicalTreeSet:
-    """Exactly one representative per isomorphism class of free n-vertex trees."""
+    """Exactly one representative per isomorphism class of free n-vertex trees,
+    rooted at a center, in order of free key."""
     if not (1 <= n <= ENUM_GUARD):
         raise ValueError(f"n must be in 1..{ENUM_GUARD}")
-    seen: dict[tuple, RootedTree] = {}
-    for enc in _rooted_encodings(n):
-        key = free_canonical_encoding(_enc_to_tree(enc))
-        if key not in seen:
-            seen[key] = _enc_to_tree(_key_to_rooted(key))
-    trees = tuple(seen[k] for k in sorted(seen))
-    return CanonicalTreeSet(n, trees)
+    keyed = sorted((key, enc) for enc in _rooted_encodings(n)
+                   if (key := _center_key(enc)) is not None)
+    return CanonicalTreeSet(n, tuple(_enc_to_tree(enc) for _, enc in keyed))
 
 
 @lru_cache(maxsize=None)
@@ -178,16 +181,11 @@ def _enc_automorphisms(enc: tuple) -> int:
 
 def free_tree_automorphisms(tree: RootedTree) -> int:
     """Order of the automorphism group of the underlying free tree."""
-    centers = _centers(tree)
-    if len(centers) == 1:
-        return _enc_automorphisms(_tree_to_enc(tree, centers[0]))
-    a, b = centers
-    ha = _tree_to_enc(tree, a, blocked=b)
-    hb = _tree_to_enc(tree, b, blocked=a)
-    aut = _enc_automorphisms(ha) * _enc_automorphisms(hb)
-    if ha == hb:
-        aut *= 2
-    return aut
+    key = free_canonical_encoding(tree)
+    if key[0] == "c":
+        return _enc_automorphisms(key[1])
+    _, ha, hb = key
+    return _enc_automorphisms(ha) * _enc_automorphisms(hb) * (1 + (ha == hb))
 
 
 def vertex_orbit_reps(tree: RootedTree) -> list[int]:

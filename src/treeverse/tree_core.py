@@ -221,7 +221,7 @@ class Forest:
 
     def induced(self, keep: Iterable[int]) -> "Forest":
         ks = set(keep)
-        if not ks <= set(self.vertices):
+        if any(u not in self.parent for u in ks):
             raise TreeError("induced set is not a subset of the forest")
         verts = tuple(sorted(ks))
         parent = {u: (self.parent[u] if self.parent[u] in ks else None)

@@ -5,15 +5,17 @@ import pytest
 
 from treeverse.balanced_trees import perfect_binary, typed_ternary
 from treeverse.graph_gen import UndirectedGraph, generate, underlying
-from treeverse.oracle import (brute_embed, degree_witness, enumerate_free_trees,
-                              free_canonical_encoding, free_tree_automorphisms,
-                              is_interval_universal, is_universal,
-                              vertex_orbit_reps)
+from treeverse.oracle import (ENUM_GUARD, _enc_to_tree, _rooted_encodings,
+                              _tree_to_enc, brute_embed, degree_witness,
+                              enumerate_free_trees, free_canonical_encoding,
+                              free_tree_automorphisms, is_interval_universal,
+                              is_universal, vertex_orbit_reps)
 from treeverse.tree_core import RootedTree, build_tree
 
-# free trees per vertex count, a well-known census
+# free trees per vertex count up to the enumeration guard (OEIS A000055)
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,
-                    9: 47, 10: 106, 11: 235, 12: 551}
+                    9: 47, 10: 106, 11: 235, 12: 551, 13: 1301, 14: 3159,
+                    15: 7741, 16: 19320}
 
 
 def path_tree(n):
@@ -33,8 +35,19 @@ def cycle_graph(n):
 
 
 def test_census_counts():
+    assert max(FREE_TREE_COUNTS) == ENUM_GUARD
     for n, count in FREE_TREE_COUNTS.items():
         assert len(enumerate_free_trees(n).trees) == count
+
+
+def test_rooted_encodings_are_canonical_and_increasing():
+    """Every encoding is its own tree's canonical encoding, so the free key
+    can be read off it without rebuilding the tree."""
+    for n in range(1, 13):
+        encs = _rooted_encodings(n)
+        assert all(a < b for a, b in zip(encs, encs[1:]))
+        for enc in encs:
+            assert _tree_to_enc(_enc_to_tree(enc), 0) == enc
 
 
 def test_census_guard():
@@ -97,6 +110,17 @@ def test_census_against_prufer_enumeration():
             tree = edges_to_rooted(prufer_to_edges(list(seq), n), n)
             keys.add(free_canonical_encoding(tree))
         assert len(keys) == FREE_TREE_COUNTS[n]
+
+
+def test_classes_match_networkx():
+    """Independent generator (Wright, Richmond, Odlyzko and McKay)."""
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 13):
+        theirs = {free_canonical_encoding(edges_to_rooted(g.edges, n))
+                  for g in nx.nonisomorphic_trees(n)}
+        ours = {free_canonical_encoding(t)
+                for t in enumerate_free_trees(n).trees}
+        assert theirs == ours
 
 
 def test_census_against_labeled_tree_total():

@@ -128,6 +128,14 @@ def test_forest_induced_splits():
     assert sorted(map(sorted, f.components())) == [[0, 1], [3, 4]]
 
 
+def test_forest_induced_refuses_vertices_outside_the_forest():
+    f = Forest.from_tree(path_tree(6)).induced({0, 1, 3, 4})
+    with pytest.raises(TreeError):
+        f.induced({0, 2})  # 2 is in the tree but not in this forest
+    with pytest.raises(TreeError):
+        Forest.from_tree(path_tree(6)).induced({5, 6})
+
+
 @given(random_trees())
 def test_descendant_interval_property(t):
     for u in range(t.n):
