@@ -1,10 +1,10 @@
 """Constructive admissible embedding of an arbitrary guest tree into the
 radius-2 generated graph of a balanced host tree.
 
-The solver recurses on (host depth, root child count).  Every recursive call
-embeds a guest piece onto exactly the preorder suffix of its host, so the
-unused host vertices always form an admissible prefix.  Two placement
-guarantees are threaded through the recursion:
+The solver works on (host depth, root child count).  Every step embeds a
+guest piece onto exactly the preorder suffix of its host, so the unused host
+vertices always form an admissible prefix.  Two placement guarantees hold at
+every step:
 
   anchor: the anchor vertex lands on a vertex of minimum level within the
           image (always honored);
@@ -12,24 +12,34 @@ guarantees are threaded through the recursion:
           within [size(last child), n-2] with size(last child) >= 2, the low2
           vertex lands at level at most 2.
 
-Pieces handed to recursive calls may be forests; edges between pieces are
-always incident to explicitly placed vertices whose images are either
-adjacent to everything (the root and the last child of the root) or pinned
-at level <= 2, where the radius rule makes all pairs adjacent.
+Pieces handed to sub-steps may be forests; edges between pieces are always
+incident to explicitly placed vertices whose images are either adjacent to
+everything (the root and the last child of the root) or pinned at level <= 2,
+where the radius rule makes all pairs adjacent.
 
-Internal size bookkeeping is asserted loudly at every step; an assertion
-failure means a bug, never an input error.  The finished embedding is always
-re-checked by `verify_embedding`, which does not rely on `assert` and so also
-runs under `python -O`; a failure there raises `EmbeddingBugError`.
+Sub-hosts are views, not copies: the last root subtree and every prefix are
+`TreeView`s of one tree, made in O(1).  Only a merge of adjacent subtrees
+builds a tree, and its `to_top` map sends its vertices to input-host ids.
+The steps run from one work stack of tasks (view, to_top, piece, anchor,
+low2).  A step writes the images it decides straight into one image map
+(guest vertex -> input-host vertex) and its inverse `occupant`, and pushes
+its sub-tasks.  When a full host needs the root for a vertex that a sub-task
+does not place there, the step first pushes a swap that runs after its
+sub-tasks.  Nothing recurses, so deep hosts neither exhaust the stack nor
+need the interpreter's recursion limit.
+
+The finished embedding is always re-checked by `verify_embedding`, which does
+not rely on `assert` and so also runs under `python -O`; a failure there
+raises `EmbeddingBugError`.  So does a step whose case analysis breaks before
+it places anything.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .tree_core import RootedTree, Forest
+from .tree_core import RootedTree, TreeView, Forest
 from .graph_gen import UndirectedGraph, generate, underlying, merged_tree
 from .balanced_trees import validate_balance
 from .decomposition import classify, find_bounded_components, find_feasible_or_critical
@@ -64,173 +74,20 @@ def _neighbors_in(guest: Forest, u: int, piece: frozenset) -> list[int]:
     return sorted(v for v in guest.neighbors(u) if v in piece)
 
 
-def _min_level_positions(host: RootedTree, size: int) -> list[int]:
-    """Host ids of minimum level within the preorder suffix of this size."""
-    lo = host.n - size
-    best = min(host.levels[u] for u in range(lo, host.n))
-    return [u for u in range(lo, host.n) if host.levels[u] == best]
-
-
 def _solve(host: RootedTree, piece: frozenset, guest: Forest,
            anchor: Optional[int], low2: Optional[int]) -> dict:
-    """Embed guest[piece] onto the preorder suffix of the host; see module doc."""
-    n = host.n
-    sigma = len(piece)
-    assert sigma <= n
-    if sigma == 0:
-        return {}
-    assert anchor is None or anchor in piece
-    assert low2 is None or low2 in piece
-
-    mapping = _dispatch(host, piece, guest, anchor, low2)
-
-    assert len(mapping) == sigma
-    assert set(mapping.values()) == set(range(n - sigma, n)), \
-        "image is not the host suffix"
-    return mapping
-
-
-def _dispatch(host: RootedTree, piece: frozenset, guest: Forest,
-              anchor: Optional[int], low2: Optional[int]) -> dict:
-    n, sigma = host.n, len(piece)
-
-    # depth <= 2 hosts generate complete graphs: any suffix assignment works
-    if host.depth <= EMBED_RADIUS:
-        return _solve_complete(host, piece, anchor)
-
-    root_children = host.children[0]
-    t = len(root_children)
-    vt = root_children[-1]
-    x = host.sizes[vt]
-
-    if x == 1:
-        return _solve_leaf_peel(host, piece, guest, anchor, low2)
-    # under a single-child root x = n-1, so sigma = n-1 also fits below it
-    if sigma < x or (t == 1 and sigma < n):
-        return _solve_descend(host, piece, guest, anchor, low2)
-    if t == 1:
-        return _solve_single_child(host, piece, guest, anchor)
-    if t == 2:
-        if sigma <= n - 2:
-            return _solve_pair_merge(host, piece, guest, anchor, low2)
-        return _solve_pair_full(host, piece, guest, anchor, low2)
-    if sigma <= x + host.sizes[root_children[-2]] - 1:
-        return _solve_wide_small(host, piece, guest, anchor)
-    return _solve_wide_split(host, piece, guest, anchor)
-
-
-def _solve_complete(host: RootedTree, piece: frozenset,
-                    anchor: Optional[int]) -> dict:
-    sigma = len(piece)
-    positions = list(range(host.n - sigma, host.n))
-    mapping: dict = {}
-    rest = sorted(piece)
-    if anchor is not None:
-        best = min(_min_level_positions(host, sigma))
-        mapping[anchor] = best
-        positions.remove(best)
-        rest.remove(anchor)
-    for g, h in zip(rest, positions):
-        mapping[g] = h
-    return mapping
-
-
-def _solve_leaf_peel(host: RootedTree, piece: frozenset, guest: Forest,
-                     anchor: Optional[int], low2: Optional[int]) -> dict:
-    """Last root child is a leaf: set one vertex aside, embed the rest without
-    that leaf, then place the special vertex on it (or swap onto the root)."""
-    n, sigma = host.n, len(piece)
-    vt = n - 1
-    special = anchor if anchor is not None else max(piece)
-    rest = piece - {special}
-    sub = _solve(host.prefix(n - 1), rest, guest, None, None)
-    if sigma < n:
-        sub[special] = vt
-        return sub
-    # full host: the root is taken, so swap its occupant onto the leaf; both
-    # target vertices are adjacent to everything
-    inv = {h: g for g, h in sub.items()}
-    sub[inv[0]] = vt
-    sub[special] = 0
-    return sub
-
-
-def _solve_descend(host: RootedTree, piece: frozenset, guest: Forest,
-                   anchor: Optional[int], low2: Optional[int]) -> dict:
-    vt = host.children[0][-1]
-    sub = _solve(host.subtree(vt), piece, guest, anchor, low2)
-    return {g: vt + h for g, h in sub.items()}
-
-
-def _solve_single_child(host: RootedTree, piece: frozenset, guest: Forest,
-                        anchor: Optional[int]) -> dict:
-    """Single root child, full host: the special vertex takes the root."""
-    special = anchor if anchor is not None else max(piece)
-    sub = _solve(host.subtree(1), piece - {special}, guest, None, None)
-    mapping = {g: 1 + h for g, h in sub.items()}
-    mapping[special] = 0
-    return mapping
-
-
-def _pair_merged(host: RootedTree) -> tuple[RootedTree, tuple]:
-    """Merge the grandchildren of a two-child root under a fresh root."""
-    v1, v2 = host.children[0]
-    run = list(host.children[v1]) + list(host.children[v2])
-    assert run, "both root children must have children here"
-    return merged_tree(host, run)
-
-
-def _solve_pair_merge(host: RootedTree, piece: frozenset, guest: Forest,
-                      anchor: Optional[int], low2: Optional[int]) -> dict:
-    """Two root children, guest leaves at least two host vertices unused."""
-    n, sigma = host.n, len(piece)
-    v2 = host.children[0][1]
-    special = anchor if anchor is not None else max(piece)
-    rest = piece - {special}
-    sub_anchor = low2 if (low2 is not None and low2 in rest) else None
-    tstar, iso = _pair_merged(host)
-    sub = _solve(tstar, rest, guest, sub_anchor, None)
-    mapping = {g: iso[h] for g, h in sub.items()}
-    assert v2 not in mapping.values()
-    mapping[special] = v2
-    return mapping
-
-
-def _solve_pair_full(host: RootedTree, piece: frozenset, guest: Forest,
-                     anchor: Optional[int], low2: Optional[int]) -> dict:
-    """Two root children, guest covers all or all-but-one of the host."""
-    n, sigma = host.n, len(piece)
-    v1, v2 = host.children[0]
-    special = anchor if anchor is not None else max(piece)
-    rest = piece - {special}
-    # a leaf (or isolated vertex) of the remainder has a single neighbor
-    # there, which the recursion pins at level <= 2 next to the leaf's image
-    leaves = [u for u in rest if len(_neighbors_in(guest, u, rest)) == 1]
-    if leaves:
-        w = max(leaves)
-        wp = _neighbors_in(guest, w, rest)[0]
-    else:
-        w = max(rest, key=lambda u: (not _neighbors_in(guest, u, rest), u))
-        assert not _neighbors_in(guest, w, rest)
-        pool = sorted(rest - {w})
-        wp = pool[0] if pool else None
-    rest = rest - {w}
-    tstar, iso = _pair_merged(host)
-    sub = _solve(tstar, rest, guest, wp if wp in rest else None, None)
-    mapping = {g: iso[h] for g, h in sub.items()}
-    mapping[w] = v1
-    mapping[special] = v2 if sigma == n - 1 else 0
-    return mapping
-
-
-def _solve_wide_small(host: RootedTree, piece: frozenset, guest: Forest,
-                      anchor: Optional[int]) -> dict:
-    """Three or more root children but the guest fits in the last two subtrees."""
-    run = host.children[0][-2:]
-    tstar, iso = merged_tree(host, run)
-    assert len(piece) <= tstar.n - 2
-    sub = _solve(tstar, piece, guest, anchor, None)
-    return {g: iso[h] for g, h in sub.items()}
+    """Embed guest[piece] onto the preorder suffix of the host; see module doc.
+    Returns the image map."""
+    solver = _Solver(host, guest)
+    solver.push(TreeView(host), range(host.n), piece, anchor, low2)
+    work = solver.work
+    while work:
+        entry = work.pop()
+        if len(entry) == 2:
+            solver.swap_onto_root(*entry)
+        else:
+            solver.step(*entry)
+    return solver.image
 
 
 def _feasible_collection(guest: Forest, piece: frozenset, avoid: int,
@@ -240,134 +97,232 @@ def _feasible_collection(guest: Forest, piece: frozenset, avoid: int,
     pivot plus union as one feasible-style block)."""
     forest = guest.induced(piece)
     if x > y:
-        coll, cls = find_feasible_or_critical(forest, avoid, x, y)
-        return coll, cls
+        return find_feasible_or_critical(forest, avoid, x, y)
     coll = find_bounded_components(forest, avoid, x - 1)
     cls = classify(coll, x, y)
-    assert cls.is_feasible, "bounded window must be feasible when x <= y"
+    if not cls.is_feasible:
+        raise EmbeddingBugError("bounded window must be feasible when x <= y")
     return coll, cls
 
 
-def _solve_wide_split(host: RootedTree, piece: frozenset, guest: Forest,
-                      anchor: Optional[int]) -> dict:
-    n, sigma = host.n, len(piece)
-    root_children = host.children[0]
-    vt = root_children[-1]
-    vt1 = root_children[-2]
-    vt2 = root_children[-3]
-    x, y, z = host.sizes[vt], host.sizes[vt1], host.sizes[vt2]
-    assert y >= 2 and z >= 2, "balanced hosts keep non-leaf cousins non-leaf"
+class _Solver:
+    """One `_solve` call: the guest, the image map and its inverse, and the
+    work stack.  Each case method takes one task and pushes its sub-tasks."""
 
-    avoid = anchor if anchor is not None else min(piece)
-    coll, cls = _feasible_collection(guest, piece, avoid, x, y)
-    w = coll.w
+    def __init__(self, host: RootedTree, guest: Forest):
+        self.guest = guest
+        self.image: dict = {}
+        self.occupant: list = [None] * host.n
+        self.work: list = []
 
-    if cls.is_feasible or coll.union_size == x + y - 2:
+    def push(self, view: TreeView, to_top, piece: frozenset,
+             anchor: Optional[int] = None, low2: Optional[int] = None) -> None:
+        self.work.append((view, to_top, piece, anchor, low2))
+
+    def place(self, g: int, top: int) -> None:
+        self.image[g] = top
+        self.occupant[top] = g
+
+    def push_root_swap(self, view: TreeView, to_top, g: int) -> None:
+        """After the tasks pushed next, g takes the root of the view and the
+        root's occupant takes g's image; both are adjacent to everything."""
+        self.work.append((to_top[view.lo], g))
+
+    def swap_onto_root(self, root: int, g: int) -> None:
+        other, old = self.occupant[root], self.image[g]
+        self.place(other, old)
+        self.place(g, root)
+
+    def merged(self, view: TreeView, to_top, run) -> tuple[TreeView, list]:
+        """The merge of a run of the view, with its map to input-host ids."""
+        tstar, iso = merged_tree(view, run)
+        lo = view.lo
+        return TreeView(tstar), [to_top[lo + h] for h in iso]
+
+    def step(self, view: TreeView, to_top, piece: frozenset,
+             anchor: Optional[int], low2: Optional[int]) -> None:
+        m, sigma = view.n, len(piece)
+        if sigma > m:
+            raise EmbeddingBugError(f"a piece of {sigma} vertices was sent to "
+                                    f"a host of {m}")
+        if sigma == 0:
+            return
+
+        # depth <= 2 hosts generate complete graphs: any suffix assignment works
+        if view.depth <= EMBED_RADIUS:
+            return self.complete(view, to_top, piece, anchor)
+
+        kids = view.children(0)
+        t = len(kids)
+        vt = kids[-1]
+        x = m - vt
+
+        if x == 1:
+            return self.leaf_peel(view, to_top, piece, anchor)
+        # under a single-child root x = m-1, so sigma = m-1 also fits below it
+        if sigma < x or (t == 1 and sigma < m):
+            return self.push(view.subtree(vt), to_top, piece, anchor, low2)
+        if t == 1:
+            return self.single_child(view, to_top, piece, anchor)
+        if t == 2:
+            if sigma <= m - 2:
+                return self.pair_merge(view, to_top, piece, anchor, low2)
+            return self.pair_full(view, to_top, piece, anchor)
+        if sigma <= m - kids[-2] - 1:
+            # the guest fits in the merge of the last two subtrees
+            return self.push(*self.merged(view, to_top, kids[-2:]), piece, anchor)
+        return self.wide_split(view, to_top, piece, anchor, kids)
+
+    def complete(self, view: TreeView, to_top, piece: frozenset,
+                 anchor: Optional[int]) -> None:
+        levels = view.base.levels
+        end = view.lo + view.n
+        spots = list(range(end - len(piece), end))
+        rest = sorted(piece)
+        if anchor is not None:
+            # the first vertex of minimum level in the suffix
+            best = levels.index(min(levels[spots[0]:end]), spots[0], end)
+            self.place(anchor, to_top[best])
+            spots.remove(best)
+            rest.remove(anchor)
+        for g, b in zip(rest, spots):
+            self.place(g, to_top[b])
+
+    def leaf_peel(self, view: TreeView, to_top, piece: frozenset,
+                  anchor: Optional[int]) -> None:
+        """Last root child is a leaf: set one vertex aside on it, embed the rest
+        without that leaf (and on a full host swap the root's occupant onto
+        the leaf instead)."""
+        m = view.n
+        special = anchor if anchor is not None else max(piece)
+        self.place(special, to_top[view.lo + m - 1])
+        if len(piece) == m:
+            self.push_root_swap(view, to_top, special)
+        self.push(view.prefix(m - 1), to_top, piece - {special})
+
+    def single_child(self, view: TreeView, to_top, piece: frozenset,
+                     anchor: Optional[int]) -> None:
+        """Single root child, full host: the special vertex takes the root."""
+        special = anchor if anchor is not None else max(piece)
+        self.place(special, to_top[view.lo])
+        self.push(view.subtree(1), to_top, piece - {special})
+
+    def pair_merge(self, view: TreeView, to_top, piece: frozenset,
+                   anchor: Optional[int], low2: Optional[int]) -> None:
+        """Two root children, guest leaves at least two host vertices unused:
+        the rest goes into the merge of the grandchildren, whose fresh root
+        stands for the last root child and stays unused."""
+        v1, v2 = view.children(0)
+        special = anchor if anchor is not None else max(piece)
+        rest = piece - {special}
+        sub_anchor = low2 if (low2 is not None and low2 in rest) else None
+        self.place(special, to_top[view.lo + v2])
+        self.push(*self.merged(view, to_top, view.children(v1) + view.children(v2)),
+                  rest, sub_anchor)
+
+    def pair_full(self, view: TreeView, to_top, piece: frozenset,
+                  anchor: Optional[int]) -> None:
+        """Two root children, guest covers all or all-but-one of the host."""
+        guest, m = self.guest, view.n
+        v1, v2 = view.children(0)
+        special = anchor if anchor is not None else max(piece)
+        rest = piece - {special}
+        # a leaf (or isolated vertex) of the remainder has a single neighbor
+        # there, which the sub-task pins at level <= 2 next to the leaf's image
+        leaves = [u for u in rest if len(_neighbors_in(guest, u, rest)) == 1]
+        if leaves:
+            w = max(leaves)
+            wp = _neighbors_in(guest, w, rest)[0]
+        else:
+            # a forest without leaves has only isolated vertices
+            w = max(rest, key=lambda u: (not _neighbors_in(guest, u, rest), u))
+            pool = sorted(rest - {w})
+            wp = pool[0] if pool else None
+        rest = rest - {w}
+        self.place(w, to_top[view.lo + v1])
+        self.place(special, to_top[view.lo + (v2 if len(piece) == m - 1 else 0)])
+        self.push(*self.merged(view, to_top, view.children(v1) + view.children(v2)),
+                  rest, wp if wp in rest else None)
+
+    def wide_split(self, view: TreeView, to_top, piece: frozenset,
+                   anchor: Optional[int], kids: tuple) -> None:
+        m, sigma = view.n, len(piece)
+        vt, vt1, vt2 = kids[-1], kids[-2], kids[-3]
+        x, y, z = m - vt, vt - vt1, vt1 - vt2
+        if y < 2 or z < 2:
+            raise EmbeddingBugError("balanced hosts keep non-leaf cousins "
+                                    "non-leaf")
+
+        avoid = anchor if anchor is not None else min(piece)
+        coll, cls = _feasible_collection(self.guest, piece, avoid, x, y)
+        w = coll.w
+        if anchor == w and sigma == m:
+            self.push_root_swap(view, to_top, w)
+        if not cls.is_feasible and coll.union_size != x + y - 2:
+            return self.critical_split(view, to_top, piece, anchor, coll, kids)
+
+        # pivot and union go into the merge of the last two subtrees, the
+        # pivot on the last root child; the rest fills the prefix before them
         piece0 = coll.union | {w}
-        assert x <= len(piece0) <= x + y - 1
-        run = (vt1, vt)
-        tstar, iso = merged_tree(host, run)
-        sub0 = _solve(tstar, piece0, guest, w, None)
-        mapping = {g: iso[h] for g, h in sub0.items()}
-        assert mapping[w] == vt, "pivot must land on the last root child"
         piece1 = piece - piece0
-        host1 = host.prefix(n - len(piece0))
-        sub_anchor = anchor if anchor in piece1 else None
-        mapping.update(_solve(host1, piece1, guest, sub_anchor, None))
-        if anchor == w and sigma == n:
-            inv = {h: g for g, h in mapping.items()}
-            mapping[inv[0]] = vt
-            mapping[w] = 0
-        return mapping
+        self.push(*self.merged(view, to_top, (vt1, vt)), piece0, w)
+        self.push(view.prefix(m - len(piece0)), to_top, piece1,
+                  anchor if anchor in piece1 else None)
 
-    return _solve_critical_split(host, piece, guest, anchor, coll, x, y, z)
+    def critical_split(self, view: TreeView, to_top, piece: frozenset,
+                       anchor: Optional[int], coll, kids: tuple) -> None:
+        m, sigma = view.n, len(piece)
+        vt2, vt1, vt = kids[-3:]
+        w = coll.w
+        if len(coll.components) != 2:
+            raise EmbeddingBugError("critical collections have two components "
+                                    "under the balance ratio")
+        c_one, c_two = coll.components
+        n1 = _neighbors_in(self.guest, w, c_one)
+        n2 = _neighbors_in(self.guest, w, c_two)
+        w1 = n1[0] if n1 else None
+        w2 = n2[0] if n2 else None
 
+        whole = c_one | c_two | {w}
+        if sigma >= m - vt2:
+            c_zero = frozenset({w})
+        else:
+            c_zero = piece - c_one - c_two
 
-def _solve_critical_split(host: RootedTree, piece: frozenset, guest: Forest,
-                          anchor: Optional[int], coll, x: int, y: int,
-                          z: int) -> dict:
-    n, sigma = host.n, len(piece)
-    root_children = host.children[0]
-    vt, vt1, vt2 = root_children[-1], root_children[-2], root_children[-3]
-    w = coll.w
-    assert len(coll.components) == 2, \
-        "critical collections have two components under the balance ratio"
-    c_one, c_two = coll.components
-    union = coll.union_size
-    assert x + y - 1 <= union <= 2 * x - 3
+        # split the larger component around an inner pivot; the last two
+        # subtrees hold x + y = m - vt1 vertices
+        inner = find_bounded_components(self.guest.induced(c_one | {w}), w,
+                                        len(whole) - (m - vt1) + 1)
+        wp = inner.w
+        if wp == w:
+            raise EmbeddingBugError("the inner pivot must differ from the pivot")
+        c_prime = inner.union
+        piece2 = c_two
+        piece1 = c_one - c_prime
+        piece0 = c_prime | c_zero
 
-    n1 = _neighbors_in(guest, w, c_one)
-    n2 = _neighbors_in(guest, w, c_two)
-    w1 = n1[0] if n1 else None
-    w2 = n2[0] if n2 else None
+        # last subtree takes the second component, its bridge vertex on a child
+        self.push(view.subtree(vt), to_top, piece2, w2)
 
-    whole = c_one | c_two | {w}
-    if sigma >= x + y + z:
-        c_zero = frozenset({w})
-    else:
-        c_zero = piece - c_one - c_two
+        # the merge of the last two (now truncated) subtrees takes piece1, with
+        # the inner pivot on the last root child and the bridge at level <= 2
+        host1 = view.prefix(m - len(piece2))
+        self.push(*self.merged(host1, to_top, (vt1, vt)), piece1, wp, w1)
 
-    # split the larger component around an inner pivot
-    x_inner = len(whole) - (x + y) + 1
-    assert 1 <= x_inner
-    inner = find_bounded_components(guest.induced(c_one | {w}), w,
-                                    x_inner)
-    wp = inner.w
-    assert wp != w
-    c_prime = inner.union
-    assert w not in c_prime and wp not in c_prime
+        # the merge of the third- and second-to-last subtrees takes piece0,
+        # with the pivot (or the anchor, and the pivot at level <= 2) on the
+        # second-to-last root child
+        host2 = host1.prefix(host1.n - len(piece1))
+        merged2 = self.merged(host2, to_top, (vt2, vt1))
+        if anchor is not None and anchor in c_zero and anchor != w:
+            self.push(*merged2, piece0, anchor, w)
+        else:
+            self.push(*merged2, piece0, w)
 
-    piece2 = c_two
-    piece1 = c_one - c_prime
-    piece0 = c_prime | c_zero
-    assert wp in piece1 and (w1 is None or w1 in piece1)
-    assert x <= len(piece1) + len(piece2) <= x + y - 2
-    assert len(piece2) <= x - 2
-
-    # last subtree takes the second component, its bridge vertex on a child
-    sub2 = _solve(host.subtree(vt), piece2, guest, w2, None)
-    mapping = {g: vt + h for g, h in sub2.items()}
-    if w2 is not None:
-        assert host.parent[mapping[w2]] == vt
-
-    # the merge of the last two (now truncated) subtrees takes piece1, with
-    # the inner pivot on the last root child and the bridge at level <= 2
-    host1 = host.prefix(n - len(piece2))
-    assert host1.sizes[vt] >= 2
-    tstar1, iso1 = merged_tree(host1, (vt1, vt))
-    assert 2 <= host1.sizes[vt] <= len(piece1) <= tstar1.n - 2
-    sub1 = _solve(tstar1, piece1, guest, wp, w1)
-    for g, h in sub1.items():
-        mapping[g] = iso1[h]
-    assert mapping[wp] == vt
-
-    # the merge of the third- and second-to-last subtrees takes piece0
-    host2 = host.prefix(n - len(piece2) - len(piece1))
-    assert host2.sizes[vt1] >= 2
-    tstar2, iso2 = merged_tree(host2, (vt2, vt1))
-    assert 2 <= host2.sizes[vt1] <= len(piece0) <= tstar2.n - 2
-    if anchor is not None and anchor in c_zero and anchor != w:
-        sub0 = _solve(tstar2, piece0, guest, anchor, w)
-        assert iso2[sub0[anchor]] == vt1
-    else:
-        sub0 = _solve(tstar2, piece0, guest, w, None)
-        assert iso2[sub0[w]] == vt1
-    for g, h in sub0.items():
-        mapping[g] = iso2[h]
-    assert host.levels[mapping[w]] <= 2
-
-    remaining = piece - piece0 - piece1 - piece2
-    if remaining:
-        host3 = host.prefix(n - len(piece0) - len(piece1) - len(piece2))
-        sub_anchor = anchor if anchor in remaining else None
-        mapping.update(_solve(host3, remaining, guest, sub_anchor, None))
-
-    if anchor == w and sigma == n:
-        inv = {h: g for g, h in mapping.items()}
-        old = mapping[w]
-        mapping[inv[0]] = old
-        mapping[w] = 0
-    return mapping
+        remaining = piece - piece0 - piece1 - piece2
+        if remaining:
+            self.push(host2.prefix(host2.n - len(piece0)), to_top, remaining,
+                      anchor if anchor in remaining else None)
 
 
 # -- public surface ---------------------------------------------------------
@@ -407,11 +362,6 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
     if x2 is None:
         x2 = x1
     guest.check_vertex(x2)
-
-    # path-like hosts are balanced and recurse one level per vertex
-    needed = 6 * host.n + 1000
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
 
     mapping = _solve(host, frozenset(range(guest.n)), Forest.from_tree(guest),
                      x1, x2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
-from .tree_core import RootedTree, ith_ancestor, nearest_left_cousin
+from .tree_core import RootedTree, TreeView, ith_ancestor, nearest_left_cousin
 from .balanced_trees import perfect_binary
 
 # Arc tag bits.  One arc may carry several tags; tag counts are therefore
@@ -229,8 +229,12 @@ def count_edges_by_type(digraph: GeneratedDigraph) -> dict:
     return out
 
 
-def merged_tree(tree: RootedTree, run: Sequence[int]) -> tuple[RootedTree, tuple[int, ...]]:
+def merged_tree(tree: RootedTree | TreeView,
+                run: Sequence[int]) -> tuple[RootedTree, tuple[int, ...]]:
     """Hang a consecutive same-level run of subtrees under a fresh root.
+
+    `tree` may be a `TreeView`; the run, the checks and `iso` are then in the
+    view's ids, and each run subtree is cut at the view's end.
 
     `run` must be consecutive in the left-to-right order of one level, and the
     first and last vertices must either share a parent or have preorder-adjacent
@@ -247,38 +251,45 @@ def merged_tree(tree: RootedTree, run: Sequence[int]) -> tuple[RootedTree, tuple
     child has a left cousin with a child); unbalanced runs that break it are
     rejected.
     """
+    view = tree if isinstance(tree, TreeView) else TreeView(tree)
     run = list(run)
     if not run:
         raise ValueError("empty run")
-    lvl = tree.levels[run[0]]
+    if any(not (0 <= u < view.n) for u in run):
+        raise ValueError("run vertex out of range")
+    lvl = view.level(run[0])
     if lvl == 0:
         raise ValueError("run cannot contain the root")
-    if any(tree.levels[u] != lvl for u in run):
+    if any(view.level(u) != lvl for u in run):
         raise ValueError("run vertices must share a level")
-    row = tree.level_order[lvl]
-    start = row.index(run[0])
-    if list(row[start:start + len(run)]) != run:
+    base, lo = view.base, view.lo
+    first = lo + run[0]
+    row = base.level_order[base.levels[first]]
+    start = base._pos_in_level[first]
+    if list(row[start:start + len(run)]) != [lo + u for u in run]:
         raise ValueError("run must be consecutive on its level")
-    first_parent = tree.parent[run[0]]
-    last_parent = tree.parent[run[-1]]
+    first_parent = view.parent(run[0])
+    last_parent = view.parent(run[-1])
     if first_parent != last_parent and \
-            nearest_left_cousin(tree, last_parent) != first_parent:
+            view.nearest_left_cousin(last_parent) != first_parent:
         raise ValueError("run parents must coincide or be adjacent cousins")
     if first_parent != last_parent and \
-            tree.parent[first_parent] != tree.parent[last_parent]:
-        anchor = nearest_left_cousin(tree, tree.parent[last_parent])
-        if anchor is None or not tree.is_ancestor(anchor, first_parent):
+            view.parent(first_parent) != view.parent(last_parent):
+        anchor = view.nearest_left_cousin(view.parent(last_parent))
+        if anchor is None or not anchor <= first_parent < anchor + view.size(anchor):
             raise ValueError("last run parent cannot reach the first parent's "
                              "subtree; the merge map would not be an isomorphism")
 
+    end = lo + view.n
     iso: list[int] = [last_parent]
     children: list[list[int]] = [[]]
     for u in run:
-        offset = len(iso) - u
-        children[0].append(u + offset)
-        for v in tree.descendant_interval(u):
-            iso.append(v)
-            children.append([c + offset for c in tree.children[v]])
+        size = view.size(u)
+        shift = len(iso) - u - lo   # base id -> merged id
+        children[0].append(len(iso))
+        for v in range(lo + u, lo + u + size):
+            children.append([c + shift for c in base.children[v] if c < end])
+        iso.extend(range(u, u + size))
     return RootedTree(children), tuple(iso)
 
 

@@ -112,6 +112,60 @@ class RootedTree:
         return f"RootedTree(n={self.n})"
 
 
+class TreeView:
+    """The base vertices [lo, lo + n) of a tree, relabelled from 0.
+
+    `lo` is a base vertex and the view is the tree `base.subtree(lo).prefix(n)`
+    without building it: a descendant interval cut at a prefix is still an
+    interval, so every field is read off the base, and `subtree` and `prefix`
+    of a view are views of the same base, made in O(1).
+    """
+
+    __slots__ = ("base", "lo", "n")
+
+    def __init__(self, base: RootedTree, lo: int = 0, n: Optional[int] = None):
+        self.base = base
+        self.lo = lo
+        self.n = base.sizes[lo] if n is None else n
+
+    @property
+    def depth(self) -> int:
+        levels, lo = self.base.levels, self.lo
+        return max(levels[lo:lo + self.n]) - levels[lo]
+
+    def check_vertex(self, u: int) -> None:
+        if not (0 <= u < self.n):
+            raise TreeError(f"vertex {u} out of range 0..{self.n - 1}")
+
+    def size(self, u: int) -> int:
+        return min(self.base.sizes[self.lo + u], self.n - u)
+
+    def level(self, u: int) -> int:
+        return self.base.levels[self.lo + u] - self.base.levels[self.lo]
+
+    def parent(self, u: int) -> Optional[int]:
+        return None if u == 0 else self.base.parent[self.lo + u] - self.lo
+
+    def children(self, u: int) -> tuple[int, ...]:
+        lo, end = self.lo, self.lo + self.n
+        return tuple(c - lo for c in self.base.children[lo + u] if c < end)
+
+    def nearest_left_cousin(self, u: int) -> Optional[int]:
+        """The base cousin when it lies in the view: a level row of the view
+        is a contiguous slice of the base row."""
+        c = nearest_left_cousin(self.base, self.lo + u)
+        return None if c is None or c < self.lo else c - self.lo
+
+    def subtree(self, u: int) -> "TreeView":
+        self.check_vertex(u)
+        return TreeView(self.base, self.lo + u, self.size(u))
+
+    def prefix(self, m: int) -> "TreeView":
+        if not (1 <= m <= self.n):
+            raise TreeError(f"prefix size {m} out of range 1..{self.n}")
+        return TreeView(self.base, self.lo, m)
+
+
 # -- positional queries ---------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import heapq
 import os
 import random
 import subprocess
@@ -12,8 +13,9 @@ import treeverse
 from treeverse.balanced_trees import typed_ternary
 from treeverse.embedder import (Embedding, embed, host_graph_for, phi2_window,
                                 verify_embedding)
+from treeverse.graph_gen import merged_tree
 from treeverse.oracle import brute_embed, enumerate_free_trees
-from treeverse.tree_core import RootedTree, build_tree
+from treeverse.tree_core import RootedTree, TreeView, build_tree, to_parent_csv
 
 
 def path_tree(n):
@@ -187,11 +189,9 @@ def reroot_at(tree, root):
     return build_tree(children)
 
 
-def test_every_small_balanced_host_hosts_every_guest():
-    """Closure sweep: all balanced rooted hosts up to 7 vertices, all guests,
-    all anchor orbits, verified from scratch."""
+def small_balanced_hosts():
+    """Every (2,1)-balanced rooted host with at most 7 vertices, by children."""
     from treeverse.balanced_trees import validate_balance
-    from treeverse.oracle import vertex_orbit_reps
 
     hosts = {}
     for n in range(1, 8):
@@ -200,6 +200,15 @@ def test_every_small_balanced_host_hosts_every_guest():
                 h = reroot_at(free, root)
                 if validate_balance(h, 2, 1).ok:
                     hosts[h.children] = h
+    return hosts
+
+
+def test_every_small_balanced_host_hosts_every_guest():
+    """Closure sweep: all balanced rooted hosts up to 7 vertices, all guests,
+    all anchor orbits, verified from scratch."""
+    from treeverse.oracle import vertex_orbit_reps
+
+    hosts = small_balanced_hosts()
     assert len(hosts) > 40
     for host in hosts.values():
         graph = host_graph_for(host)
@@ -263,3 +272,134 @@ def test_broken_mapping_raises_under_python_O():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "raised:" in proc.stdout and "maps to non-edge" in proc.stdout
+
+
+def prufer_tree(rng, n):
+    """A uniform random labelled tree on n >= 2 vertices, rooted at 0."""
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for s in seq:
+        degree[s] += 1
+    leaves = [u for u in range(n) if degree[u] == 1]
+    heapq.heapify(leaves)
+    adj = [[] for _ in range(n)]
+    for s in seq:
+        leaf = heapq.heappop(leaves)
+        adj[leaf].append(s)
+        adj[s].append(leaf)
+        degree[s] -= 1
+        if degree[s] == 1:
+            heapq.heappush(leaves, s)
+    a, b = leaves
+    adj[a].append(b)
+    adj[b].append(a)
+    children = [[] for _ in range(n)]
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                children[u].append(v)
+                stack.append(v)
+    return build_tree(children)
+
+
+LOW_RECURSION_LIMIT = textwrap.dedent("""
+    import sys
+    from treeverse.embedder import embed, host_graph_for, verify_embedding
+    from treeverse.tree_core import RootedTree, parse_tree
+
+    n = 400
+    host = RootedTree([[u + 1] if u + 1 < n else [] for u in range(n)])
+    graph = host_graph_for(host)
+    guest = parse_tree(sys.argv[1])
+    sys.setrecursionlimit(150)
+    get_limit, touched = sys.getrecursionlimit, []
+    sys.getrecursionlimit = lambda: touched.append("get") or get_limit()
+    sys.setrecursionlimit = lambda limit: touched.append(("set", limit))
+    emb = embed(host, guest, 3, 5, host_graph=graph)
+    ok, problems = verify_embedding(emb, guest, 3, 5)
+    print("verified:", ok, problems, "touched:", touched,
+          "limit:", get_limit())
+""")
+
+
+def test_deep_host_needs_no_recursion_limit():
+    """A 400-vertex path host embeds under a recursion limit of 150, and
+    embed neither reads nor sets the process-wide limit."""
+    guest = prufer_tree(random.Random(400), 400)
+    src = str(Path(treeverse.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", LOW_RECURSION_LIMIT,
+                           to_parent_csv(guest)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "verified: True [] touched: [] limit: 150"
+
+
+def test_path_host_builds_linear_trees(monkeypatch):
+    """Sub-hosts are views: embedding into a path host builds O(n) tree
+    vertices in all, not a copy of the host per level."""
+    host = path_tree(300)
+    graph = host_graph_for(host)
+    rng = random.Random(300)
+    guests = [path_tree(300), prufer_tree(rng, 300), prufer_tree(rng, 200),
+              rand_tree(rng, 299), rand_tree(rng, 150)]
+    built = [0, 0]
+    init = RootedTree.__init__
+
+    def counting(self, children):
+        built[0] += 1
+        built[1] += len(children)
+        init(self, children)
+
+    monkeypatch.setattr(RootedTree, "__init__", counting)
+    for guest in guests:
+        built[:] = [0, 0]
+        embed(host, guest, 0, guest.n - 1, host_graph=graph)
+        assert built[1] <= 2 * host.n, (guest.n, built)
+
+
+def view_runs(tree):
+    """Every consecutive run of every level, plus runs merged_tree refuses."""
+    runs = [[], [0], [tree.n], [-1]]
+    for row in tree.level_order[1:]:
+        runs += [list(row[i:j]) for i in range(len(row))
+                 for j in range(i + 1, len(row) + 1)]
+        if len(row) >= 3:
+            runs.append([row[0], row[2]])
+    if tree.depth >= 2:
+        runs.append([tree.level_order[1][-1], tree.level_order[2][0]])
+    return runs
+
+
+def merge_or_error(tree, run):
+    try:
+        return merged_tree(tree, run)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_views_match_materialised_subtrees_and_merges():
+    hosts = [typed_ternary(3).tree, path_tree(40),
+             *small_balanced_hosts().values()]
+    for host in hosts:
+        whole = TreeView(host)
+        for u in range(host.n):
+            sub = host.subtree(u)
+            for m in range(1, sub.n + 1):
+                tree = sub.prefix(m)
+                for view in (whole.subtree(u).prefix(m),
+                             whole.prefix(u + m).subtree(u)):
+                    assert view.n == tree.n
+                    assert tuple(view.children(i) for i in range(m)) == \
+                        tree.children
+                    assert tuple(view.size(i) for i in range(m)) == tree.sizes
+                    assert tuple(view.level(i) for i in range(m)) == tree.levels
+                    assert tuple(view.parent(i) for i in range(m)) == tree.parent
+                    assert view.depth == tree.depth
+                view = whole.subtree(u).prefix(m)
+                for run in view_runs(tree):
+                    assert merge_or_error(view, run) == merge_or_error(tree, run)
