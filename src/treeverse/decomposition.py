@@ -6,21 +6,29 @@ refines that into a collection that is either `feasible` (union plus pivot
 lands in [x, x+y-2]) or `critical` (union in [x+y-2, 2x-3] with every proper
 sub-union at most x-2).
 
-Each finder call makes one rooted preorder pass over the forest: the tree of
-the protected vertex u is rooted at u, every other tree at its smallest
-vertex, and every vertex records its children away from the root, its subtree
-size and the smallest id in its subtree.  A component of forest - w avoiding
-u is then the subtree of a child of w, or, when w is u, a whole other tree,
-so a walk step costs O(degree of w): it ranks the candidates by decreasing
-size, ties by smallest id, and moves to the root of the largest.  Only the
-returned components are built, as preorder slices, and each result is checked
-against the classifier by a raise of `DecompositionBugError` (not an assert).
+Each finder call makes one sweep over the forest's vertex set, in
+decreasing id order, which relies on every parent having a smaller id than
+its children (the preorder ids a `Forest` keeps; anything else is refused).
+The sweep adds each subtree size to the parent's and collects the trees'
+tops.  The forest is then read as rooted away from the protected vertex u:
+u's tree at u and every other tree hung under u from its top.  Only the path
+from u up to its top changes: a vertex there owns its tree minus the side
+toward u, so its size is the top's minus that side's and its smallest id is
+the top; every other vertex keeps its sweep size and is its own smallest id.
+A component of forest - w avoiding u is then the subtree of a child of w in
+that rooting, or, when w is u, a whole other tree, so a walk step costs
+O(degree of w): it ranks the candidates by decreasing size, ties by smallest
+id, and moves to the root of the largest.  Only the returned components are
+built, by a search from each root that does not cross w, and each result is
+checked against the classifier by a raise of `DecompositionBugError`, which
+`python -O` keeps.  A finder given `within` works on the forest induced on that set,
+reading the whole forest's maps instead of building the induced copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Optional
 
 from .tree_core import Forest
@@ -80,52 +88,81 @@ def classify(coll: ComponentCollection, x: int, y: int) -> CollectionClass:
 
 
 class _RootedPass:
-    """One preorder pass over a forest, rooted away from the protected vertex
-    u (see the module doc).  Every other tree hangs under u as one more child,
-    so the u-free components of forest - w are the subtrees of w's children."""
+    """One sweep over a forest's sorted vertex set, read as rooted away from
+    the protected vertex u (see the module doc).  Every other tree hangs
+    under u as one more child, so the u-free components of forest - w are the
+    subtrees of w's children in that rooting."""
 
-    def __init__(self, forest: Forest, u: int):
-        if u not in forest:
+    def __init__(self, forest: Forest, u: int, inside):
+        if u not in inside:
             raise ValueError(f"vertex {u} not in forest")
-        up: dict = {}
-        order: list[int] = []
-        for start in chain((u,), sorted(forest.vertices)):
-            if start in up:
-                continue
-            up[start] = None if start == u else u
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                order.append(v)
-                for c in forest.neighbors(v):
-                    if c not in up:
-                        up[c] = v
-                        stack.append(c)
+        parent = forest.parent
+        # children follow their parents in id order, so a reverse sweep
+        # finishes every subtree before it reaches the subtree's top
+        size = dict.fromkeys(inside, 1)
+        tops = []
+        for v in sorted(inside, reverse=True):
+            p = parent[v]
+            if p not in inside:
+                tops.append(v)
+            elif p < v:
+                size[p] += size[v]
+            else:
+                raise ValueError(f"forest vertex {v} has the larger id "
+                                 f"{p} as parent")
 
-        size = dict.fromkeys(order, 1)
-        low = {v: v for v in order}
-        kids: dict = {v: [] for v in order}
-        for v in reversed(order[1:]):
-            p = up[v]
-            size[p] += size[v]
-            low[p] = min(low[p], low[v])
-            kids[p].append(v)
+        # re-root u's tree at u: on the path from u up to its top, each
+        # vertex's subtree becomes the tree minus the side toward u
+        toward = {u: None}
+        v, p = u, parent[u]
+        while p in inside:
+            toward[p] = v
+            v, p = p, parent[p]
+        top = v
+        whole = size[top]
+        for w, c in reversed(toward.items()):   # c still holds its sweep size
+            if c is not None:
+                size[w] = whole - size[c]
         self.u = u
-        self.order = order
-        self.pos = {v: i for i, v in enumerate(order)}
+        self.forest = forest
+        self.inside = inside
         self.size = size
-        self.low = low
-        self.kids = kids
+        self.toward = toward
+        self.top = top
+        self.others = [t for t in reversed(tops) if t != top]
+
+    def low(self, c: int) -> int:
+        """The smallest id in the subtree of c."""
+        return self.top if c in self.toward else c
 
     def below(self, w: int) -> list[int]:
         """Roots of the u-free components of forest - w, in decreasing size,
         ties by smallest contained id."""
-        return sorted(self.kids[w], key=lambda c: (-self.size[c], self.low[c]))
+        forest, inside, toward = self.forest, self.inside, self.toward
+        cands = [c for c in forest.children[w] if c in inside]
+        if w in toward:
+            if toward[w] is not None:
+                cands.remove(toward[w])
+            p = forest.parent[w]
+            if p in inside:
+                cands.append(p)
+            if w == self.u:
+                cands += self.others
+        return sorted(cands, key=lambda c: (-self.size[c], self.low(c)))
+
+    def component(self, c: int, w: int) -> frozenset:
+        """The component of forest - w that holds c, a root from `below(w)`:
+        the sweep subtree of c or, when c is on the path to the top, the
+        top's tree without the sweep subtree of w."""
+        children, inside = self.forest.children, self.inside
+        comp = [self.top if c in self.toward else c]
+        for v in comp:   # grows while it is read: a breadth-first search
+            comp += [x for x in children[v] if x in inside and x != w]
+        return frozenset(comp)
 
     def collection(self, w: int, roots) -> ComponentCollection:
-        comps = tuple(frozenset(self.order[self.pos[c]:self.pos[c] + self.size[c]])
-                      for c in roots)
-        return ComponentCollection(w, comps, self.u)
+        return ComponentCollection(w, tuple(self.component(c, w) for c in roots),
+                                   self.u)
 
 
 def _bounded_walk(rooted: _RootedPass, x: int) -> tuple[int, list[int]]:
@@ -157,48 +194,61 @@ def _checked(rooted: _RootedPass, w: int, roots, x: int, y: int,
     return coll, cls
 
 
-def find_bounded_components(forest: Forest, u: int, x: int) -> ComponentCollection:
+def _inside(forest: Forest, within) -> frozenset | dict:
+    """The vertex set a finder works on: the whole forest, or `within`,
+    refused as `forest.induced(within)` refuses it."""
+    return forest.parent if within is None else forest.members(within)
+
+
+def find_bounded_components(forest: Forest, u: int, x: int,
+                            within=None) -> ComponentCollection:
     """Find w and components of forest - w avoiding u with union in [x, 2x-1].
 
     Walks away from u: while some u-free component has at least 2x vertices,
     step to its attachment vertex and continue inside it; otherwise pick
-    components greedily until the union reaches x.
+    components greedily until the union reaches x.  With `within`, works on
+    the forest induced on that vertex set without building it.
     """
-    if u not in forest:
+    inside = _inside(forest, within)
+    if u not in inside:
         raise ValueError(f"vertex {u} not in forest")
     if x < 1:
         raise ValueError("x must be positive")
-    if len(forest) < x + 1:
+    if len(inside) < x + 1:
         raise ValueError(f"forest needs at least {x + 1} vertices")
 
-    rooted = _RootedPass(forest, u)
+    rooted = _RootedPass(forest, u, inside)
     return rooted.collection(*_bounded_walk(rooted, x))
 
 
-def find_feasible_or_critical(forest: Forest, u: int, x: int,
-                              y: int) -> tuple[ComponentCollection, CollectionClass]:
+def find_feasible_or_critical(forest: Forest, u: int, x: int, y: int,
+                              within=None
+                              ) -> tuple[ComponentCollection, CollectionClass]:
     """Find a u-avoiding collection that classifies feasible or critical.
 
     Seeds with the bounded walk at x-1; while the union is too large to be
     feasible, either a minimal subcollection of the large components is
     already critical, or the single oversized component is descended into.
+    `within` is as in `find_bounded_components`.
     """
+    inside = _inside(forest, within)
     if x <= y or y < 2:
         raise ValueError("requires x > y >= 2")
-    if len(forest) < x + 1:
+    if len(inside) < x + 1:
         raise ValueError(f"forest needs at least {x + 1} vertices")
 
-    rooted = _RootedPass(forest, u)
-    if len(forest) <= x + y - 2:
+    rooted = _RootedPass(forest, u, inside)
+    if len(inside) <= x + y - 2:
         # every component of forest - u, in order of smallest id
-        return _checked(rooted, u, sorted(rooted.kids[u], key=rooted.low.get),
+        return _checked(rooted, u, sorted(rooted.below(u), key=rooted.low),
                         x, y, "feasible")
 
+    # the union stays in [x-1, 2x-3]: the walk's greedy window at x-1 is
+    # there, and a descent below a component of s <= 2x-3 vertices, taken
+    # only when s >= x+y-2, leaves s-1 of them below
     w, comps = _bounded_walk(rooted, x - 1)
     while True:
-        sizes = [rooted.size[c] for c in comps]
-        prefixes = list(accumulate(sizes))
-        assert x - 1 <= prefixes[-1] <= 2 * x - 3
+        prefixes = list(accumulate(rooted.size[c] for c in comps))
 
         # walk prefix unions downward; steps below the y-threshold index are
         # smaller than y, so the feasible window [x-1, x+y-3] cannot be skipped
@@ -210,7 +260,6 @@ def find_feasible_or_critical(forest: Forest, u: int, x: int,
         # the largest-first prefix stops as soon as the threshold is reached,
         # so dropping any member (all at least as big as the last) breaks it
         j = next(j for j, t in enumerate(prefixes, 1) if t >= x + y - 2)
-        assert sizes[j - 1] >= y
         if j >= 2:
             return _checked(rooted, w, comps[:j], x, y, "critical")
 

@@ -17,9 +17,13 @@ incident to explicitly placed vertices whose images are either adjacent to
 everything (the root and the last child of the root) or pinned at level <= 2,
 where the radius rule makes all pairs adjacent.
 
-Sub-hosts are views, not copies: the last root subtree and every prefix are
-`TreeView`s of one tree, made in O(1).  Only a merge of adjacent subtrees
-builds a tree, and its `to_top` map sends its vertices to input-host ids.
+Sub-hosts are views, not copies: the last root subtree, every prefix and
+every merge of a sibling run that ends at the last root child (a tail: the
+root over the subtrees from one child to the end) are `TreeView`s of one
+tree, made in O(1).  Only a merge of a cousin run, or of a sibling run that
+stops short of the end, builds a tree, and its `to_top` map sends its
+vertices to input-host ids.  The guest is one `Forest`, and each piece goes
+to the decomposition finders as a vertex set within it, not as a copy.
 The steps run from one work stack of tasks (view, to_top, piece, anchor,
 low2).  A step writes the images it decides straight into one image map
 (guest vertex -> input-host vertex) and its inverse `occupant`, and pushes
@@ -95,10 +99,9 @@ def _feasible_collection(guest: Forest, piece: frozenset, avoid: int,
     """A collection avoiding `avoid` that is feasible, or critical with
     union at least x+y-1 (smaller critical unions are upgraded by treating
     pivot plus union as one feasible-style block)."""
-    forest = guest.induced(piece)
     if x > y:
-        return find_feasible_or_critical(forest, avoid, x, y)
-    coll = find_bounded_components(forest, avoid, x - 1)
+        return find_feasible_or_critical(guest, avoid, x, y, within=piece)
+    coll = find_bounded_components(guest, avoid, x - 1, within=piece)
     cls = classify(coll, x, y)
     if not cls.is_feasible:
         raise EmbeddingBugError("bounded window must be feasible when x <= y")
@@ -126,7 +129,7 @@ class _Solver:
     def push_root_swap(self, view: TreeView, to_top, g: int) -> None:
         """After the tasks pushed next, g takes the root of the view and the
         root's occupant takes g's image; both are adjacent to everything."""
-        self.work.append((to_top[view.lo], g))
+        self.work.append((to_top[view.root], g))
 
     def swap_onto_root(self, root: int, g: int) -> None:
         other, old = self.occupant[root], self.image[g]
@@ -137,7 +140,9 @@ class _Solver:
         """The merge of a run of the view, with its map to input-host ids."""
         tstar, iso = merged_tree(view, run)
         lo = view.lo
-        return TreeView(tstar), [to_top[lo + h] for h in iso]
+        top = [to_top[lo + h] for h in iso]
+        top[0] = to_top[view.vertex(iso[0])]
+        return TreeView(tstar), top
 
     def step(self, view: TreeView, to_top, piece: frozenset,
              anchor: Optional[int], low2: Optional[int]) -> None:
@@ -170,18 +175,17 @@ class _Solver:
             return self.pair_full(view, to_top, piece, anchor)
         if sigma <= m - kids[-2] - 1:
             # the guest fits in the merge of the last two subtrees
-            return self.push(*self.merged(view, to_top, kids[-2:]), piece, anchor)
+            return self.push(view.tail(kids[-2]), to_top, piece, anchor)
         return self.wide_split(view, to_top, piece, anchor, kids)
 
     def complete(self, view: TreeView, to_top, piece: frozenset,
                  anchor: Optional[int]) -> None:
-        levels = view.base.levels
-        end = view.lo + view.n
-        spots = list(range(end - len(piece), end))
+        m = view.n
+        spots = [view.vertex(i) for i in range(m - len(piece), m)]
         rest = sorted(piece)
         if anchor is not None:
             # the first vertex of minimum level in the suffix
-            best = levels.index(min(levels[spots[0]:end]), spots[0], end)
+            best = min(spots, key=view.base.levels.__getitem__)
             self.place(anchor, to_top[best])
             spots.remove(best)
             rest.remove(anchor)
@@ -204,7 +208,7 @@ class _Solver:
                      anchor: Optional[int]) -> None:
         """Single root child, full host: the special vertex takes the root."""
         special = anchor if anchor is not None else max(piece)
-        self.place(special, to_top[view.lo])
+        self.place(special, to_top[view.root])
         self.push(view.subtree(1), to_top, piece - {special})
 
     def pair_merge(self, view: TreeView, to_top, piece: frozenset,
@@ -240,7 +244,7 @@ class _Solver:
             wp = pool[0] if pool else None
         rest = rest - {w}
         self.place(w, to_top[view.lo + v1])
-        self.place(special, to_top[view.lo + (v2 if len(piece) == m - 1 else 0)])
+        self.place(special, to_top[view.vertex(v2 if len(piece) == m - 1 else 0)])
         self.push(*self.merged(view, to_top, view.children(v1) + view.children(v2)),
                   rest, wp if wp in rest else None)
 
@@ -265,7 +269,7 @@ class _Solver:
         # pivot on the last root child; the rest fills the prefix before them
         piece0 = coll.union | {w}
         piece1 = piece - piece0
-        self.push(*self.merged(view, to_top, (vt1, vt)), piece0, w)
+        self.push(view.tail(vt1), to_top, piece0, w)
         self.push(view.prefix(m - len(piece0)), to_top, piece1,
                   anchor if anchor in piece1 else None)
 
@@ -291,8 +295,9 @@ class _Solver:
 
         # split the larger component around an inner pivot; the last two
         # subtrees hold x + y = m - vt1 vertices
-        inner = find_bounded_components(self.guest.induced(c_one | {w}), w,
-                                        len(whole) - (m - vt1) + 1)
+        inner = find_bounded_components(self.guest, w,
+                                        len(whole) - (m - vt1) + 1,
+                                        within=c_one | {w})
         wp = inner.w
         if wp == w:
             raise EmbeddingBugError("the inner pivot must differ from the pivot")
@@ -307,7 +312,7 @@ class _Solver:
         # the merge of the last two (now truncated) subtrees takes piece1, with
         # the inner pivot on the last root child and the bridge at level <= 2
         host1 = view.prefix(m - len(piece2))
-        self.push(*self.merged(host1, to_top, (vt1, vt)), piece1, wp, w1)
+        self.push(host1.tail(vt1), to_top, piece1, wp, w1)
 
         # the merge of the third- and second-to-last subtrees takes piece0,
         # with the pivot (or the anchor, and the pivot at level <= 2) on the

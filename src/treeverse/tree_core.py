@@ -113,57 +113,85 @@ class RootedTree:
 
 
 class TreeView:
-    """The base vertices [lo, lo + n) of a tree, relabelled from 0.
+    """The base vertices [lo, lo + n) of a tree, relabelled from 0, with
+    vertex 0 read as the base vertex `root`.
 
-    `lo` is a base vertex and the view is the tree `base.subtree(lo).prefix(n)`
+    A plain view has `root == lo` and is the tree `base.subtree(lo).prefix(n)`
     without building it: a descendant interval cut at a prefix is still an
     interval, so every field is read off the base, and `subtree` and `prefix`
-    of a view are views of the same base, made in O(1).
+    of a view are views of the same base, made in O(1).  A tail (`tail(c)`)
+    keeps the root and drops the root children before c, so vertex 1 is base
+    `lo + 1` and vertex 0 stays `root`: the tree that `merged_tree` builds for
+    the sibling run from c to the last root child.
     """
 
-    __slots__ = ("base", "lo", "n")
+    __slots__ = ("base", "lo", "n", "root")
 
-    def __init__(self, base: RootedTree, lo: int = 0, n: Optional[int] = None):
+    def __init__(self, base: RootedTree, lo: int = 0, n: Optional[int] = None,
+                 root: Optional[int] = None):
         self.base = base
         self.lo = lo
         self.n = base.sizes[lo] if n is None else n
+        self.root = lo if root is None else root
+
+    def vertex(self, u: int) -> int:
+        """The base id of view vertex u."""
+        return self.root if u == 0 else self.lo + u
 
     @property
     def depth(self) -> int:
         levels, lo = self.base.levels, self.lo
-        return max(levels[lo:lo + self.n]) - levels[lo]
+        top = levels[self.root]
+        return max(levels[lo + 1:lo + self.n], default=top) - top
 
     def check_vertex(self, u: int) -> None:
         if not (0 <= u < self.n):
             raise TreeError(f"vertex {u} out of range 0..{self.n - 1}")
 
     def size(self, u: int) -> int:
-        return min(self.base.sizes[self.lo + u], self.n - u)
+        return self.n if u == 0 else min(self.base.sizes[self.lo + u], self.n - u)
 
     def level(self, u: int) -> int:
-        return self.base.levels[self.lo + u] - self.base.levels[self.lo]
+        levels = self.base.levels
+        return levels[self.vertex(u)] - levels[self.root]
 
     def parent(self, u: int) -> Optional[int]:
-        return None if u == 0 else self.base.parent[self.lo + u] - self.lo
+        if u == 0:
+            return None
+        p = self.base.parent[self.lo + u]
+        return 0 if p == self.root else p - self.lo
 
     def children(self, u: int) -> tuple[int, ...]:
         lo, end = self.lo, self.lo + self.n
-        return tuple(c - lo for c in self.base.children[lo + u] if c < end)
+        return tuple(c - lo for c in self.base.children[self.vertex(u)]
+                     if lo < c < end)
 
     def nearest_left_cousin(self, u: int) -> Optional[int]:
         """The base cousin when it lies in the view: a level row of the view
-        is a contiguous slice of the base row."""
+        below the root is a contiguous slice of the base row."""
+        if u == 0:
+            return None
         c = nearest_left_cousin(self.base, self.lo + u)
-        return None if c is None or c < self.lo else c - self.lo
+        return None if c is None or c <= self.lo else c - self.lo
 
     def subtree(self, u: int) -> "TreeView":
         self.check_vertex(u)
+        if u == 0:
+            return self
         return TreeView(self.base, self.lo + u, self.size(u))
 
     def prefix(self, m: int) -> "TreeView":
         if not (1 <= m <= self.n):
             raise TreeError(f"prefix size {m} out of range 1..{self.n}")
-        return TreeView(self.base, self.lo, m)
+        return TreeView(self.base, self.lo, m, self.root)
+
+    def tail(self, c: int) -> "TreeView":
+        """The root followed by the subtrees of its children from c to the
+        last one, c a root child: the sibling run's merge, made in O(1)."""
+        self.check_vertex(c)
+        if self.parent(c) != 0:
+            raise TreeError(f"vertex {c} is not a child of the view's root")
+        return TreeView(self.base, self.lo + c - 1, self.n - c + 1, self.root)
 
 
 # -- positional queries ---------------------------------------------------
@@ -273,10 +301,15 @@ class Forest:
             roots=(0,),
         )
 
-    def induced(self, keep: Iterable[int]) -> "Forest":
-        ks = set(keep)
-        if any(u not in self.parent for u in ks):
+    def members(self, keep: Iterable[int]) -> frozenset:
+        """`keep` as a set, refused unless it lies inside the forest."""
+        ks = frozenset(keep)
+        if not self.parent.keys() >= ks:
             raise TreeError("induced set is not a subset of the forest")
+        return ks
+
+    def induced(self, keep: Iterable[int]) -> "Forest":
+        ks = self.members(keep)
         verts = tuple(sorted(ks))
         parent = {u: (self.parent[u] if self.parent[u] in ks else None)
                   for u in verts}

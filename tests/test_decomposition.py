@@ -85,6 +85,14 @@ def test_bounded_minimum_size_forest():
     check_bounded(f, coll, 3, 3)
     with pytest.raises(ValueError):
         find_bounded_components(f, 0, 4)
+    # the sweep reads parents before children, so ids out of preorder are
+    # refused: the path 3 - 2 - 1 - 0 hung from 3
+    upside_down = Forest((0, 1, 2, 3), {0: 1, 1: 2, 2: 3, 3: None},
+                         {0: (), 1: (0,), 2: (1,), 3: (2,)}, (3,))
+    for find, args in ((find_bounded_components, (0, 1)),
+                       (find_feasible_or_critical, (0, 3, 2))):
+        with pytest.raises(ValueError, match="larger id"):
+            find(upside_down, *args)
 
 
 def test_classify_examples():
@@ -145,8 +153,19 @@ def random_forest(rng, max_n=60):
     return Forest(tuple(range(n)), parent, child, roots)
 
 
+def outcome(find, *args, **kwargs):
+    """A finder's result, or the text of the ValueError it raised."""
+    try:
+        return find(*args, **kwargs)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def test_randomized_validation():
     rng = random.Random(2024)
+    # a vertex subset of each forest, some picks outside it, and window
+    # arguments that the finders refuse: `within` must act as `induced`
+    sub_rng = random.Random(2025)
     for _ in range(1500):
         f = random_forest(rng)
         n = len(f)
@@ -159,6 +178,27 @@ def test_randomized_validation():
             x2 = rng.randint(y + 1, n - 1)
             coll, cls = find_feasible_or_critical(f, u, x2, y)
             check_feasible_or_critical(f, coll, cls, u, x2, y)
+
+        keep = {v for v in f.vertices if sub_rng.random() < 0.8} or {u}
+        if sub_rng.random() < 0.02:
+            keep.add(n + 3)
+        sub = outcome(f.induced, keep)
+        if isinstance(sub, str):
+            # the same refusal, before any other check
+            assert outcome(find_bounded_components, f, u, 1, within=keep) == sub
+            assert outcome(find_feasible_or_critical, f, u, 3, 2,
+                           within=keep) == sub
+            continue
+        s = len(keep)
+        pick = sub_rng.choice(f.vertices)
+        xs = sub_rng.randint(0, s + 1)
+        ys = sub_rng.randint(1, max(2, s // 2))
+        xf = sub_rng.randint(ys, s + 1)
+        assert outcome(find_bounded_components, f, pick, xs, within=keep) == \
+            outcome(find_bounded_components, sub, pick, xs)
+        assert outcome(find_feasible_or_critical, f, pick, xf, ys,
+                       within=keep) == \
+            outcome(find_feasible_or_critical, sub, pick, xf, ys)
 
 
 @st.composite
@@ -211,16 +251,24 @@ def test_critical_pair_when_ratio_bounded():
 
 def test_walks_are_linear_in_the_forest():
     # one rooted pass per call: a path walked from one end must not rescan
-    # the whole forest at every step
+    # the whole forest at every step, nor read its parent and child maps
+    # more than a few times per vertex, whole or restricted to a subset
     calls = [0]
+    reads = [0]
 
     class CountingForest(Forest):
         def neighbors(self, u):
             calls[0] += 1
             return super().neighbors(u)
 
+    class CountingDict(dict):
+        def __getitem__(self, key):
+            reads[0] += 1
+            return super().__getitem__(key)
+
     base = Forest.from_tree(path_tree(1000))
-    f = CountingForest(base.vertices, base.parent, base.children, base.roots)
+    f = CountingForest(base.vertices, CountingDict(base.parent),
+                       CountingDict(base.children), base.roots)
     n = len(f)
 
     coll = find_bounded_components(f, 0, 1)
@@ -231,6 +279,21 @@ def test_walks_are_linear_in_the_forest():
     coll, cls = find_feasible_or_critical(f, 0, 4, 2)
     assert calls[0] <= 2 * n
     check_feasible_or_critical(base, coll, cls, 0, 4, 2)
+
+    # the whole path, and the path without vertex 500 (two pieces), walked
+    # from either end
+    for within in (None, frozenset(range(n)) - {500}):
+        reference = base if within is None else base.induced(within)
+        for u in (0, n - 1):
+            reads[0] = 0
+            coll = find_bounded_components(f, u, 1, within=within)
+            assert reads[0] <= 6 * n, (within is None, u, reads[0])
+            check_bounded(reference, coll, u, 1)
+
+            reads[0] = 0
+            coll, cls = find_feasible_or_critical(f, u, 4, 2, within=within)
+            assert reads[0] <= 6 * n, (within is None, u, reads[0])
+            check_feasible_or_critical(reference, coll, cls, u, 4, 2)
 
 
 MISCLASSIFIED = textwrap.dedent("""

@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import os
 import random
@@ -15,7 +16,8 @@ from treeverse.embedder import (Embedding, embed, host_graph_for, phi2_window,
                                 verify_embedding)
 from treeverse.graph_gen import merged_tree
 from treeverse.oracle import brute_embed, enumerate_free_trees
-from treeverse.tree_core import RootedTree, TreeView, build_tree, to_parent_csv
+from treeverse.tree_core import (RootedTree, TreeError, TreeView, build_tree,
+                                 nearest_left_cousin, to_parent_csv)
 
 
 def path_tree(n):
@@ -382,6 +384,21 @@ def merge_or_error(tree, run):
         return str(exc)
 
 
+def assert_view_is(view, tree, ids):
+    """The view equals the tree field by field, and its vertex i is base
+    vertex ids[i]."""
+    m = tree.n
+    assert view.n == m
+    assert tuple(view.children(i) for i in range(m)) == tree.children
+    assert tuple(view.size(i) for i in range(m)) == tree.sizes
+    assert tuple(view.level(i) for i in range(m)) == tree.levels
+    assert tuple(view.parent(i) for i in range(m)) == tree.parent
+    assert tuple(view.nearest_left_cousin(i) for i in range(m)) == \
+        tuple(nearest_left_cousin(tree, i) for i in range(m))
+    assert view.depth == tree.depth
+    assert [view.vertex(i) for i in range(m)] == list(ids)
+
+
 def test_views_match_materialised_subtrees_and_merges():
     hosts = [typed_ternary(3).tree, path_tree(40),
              *small_balanced_hosts().values()]
@@ -393,13 +410,53 @@ def test_views_match_materialised_subtrees_and_merges():
                 tree = sub.prefix(m)
                 for view in (whole.subtree(u).prefix(m),
                              whole.prefix(u + m).subtree(u)):
-                    assert view.n == tree.n
-                    assert tuple(view.children(i) for i in range(m)) == \
-                        tree.children
-                    assert tuple(view.size(i) for i in range(m)) == tree.sizes
-                    assert tuple(view.level(i) for i in range(m)) == tree.levels
-                    assert tuple(view.parent(i) for i in range(m)) == tree.parent
-                    assert view.depth == tree.depth
+                    assert_view_is(view, tree, range(u, u + m))
                 view = whole.subtree(u).prefix(m)
                 for run in view_runs(tree):
                     assert merge_or_error(view, run) == merge_or_error(tree, run)
+
+                # a tail is the merge of the sibling run from c to the end,
+                # and so are its prefixes; merges from a tail are the merges
+                # from that tree (the tail at the first child is the view)
+                kids = tree.children[0]
+                for i, c in enumerate(kids):
+                    tstar, iso = merged_tree(tree, kids[i:])
+                    tail = view.tail(c)
+                    for k in range(1, tstar.n + 1):
+                        assert_view_is(tail.prefix(k), tstar.prefix(k),
+                                       [u + h for h in iso[:k]])
+                    for run in view_runs(tstar) if i else ():
+                        assert merge_or_error(tail, run) == \
+                            merge_or_error(tstar, run)
+                for c in (0, *tree.children[kids[0]][:1]) if kids else (0,):
+                    with pytest.raises(TreeError):
+                        view.tail(c)
+
+
+# sha256 over the sorted mappings of `pinned_embeddings`, recorded from the
+# embedder before sibling merges became tail views
+PINNED_MAPPINGS_SHA256 = (
+    "170be9245542d1440e1a2b50444e8f422a2812e3164c93efbdeaa7e6302d124b")
+
+
+def pinned_embeddings():
+    """Forty seeded guests of four shapes, some filling the host, embedded
+    into the depth-5 typed-ternary host and a 200-vertex path host."""
+    rng = random.Random(4099)
+    shapes = (rand_tree, prufer_tree, lambda rng, n: path_tree(n),
+              lambda rng, n: star_tree(n))
+    for host in (typed_ternary(5).tree, path_tree(200)):
+        graph = host_graph_for(host)
+        for i in range(20):
+            n = host.n - i // 2 if i < 8 else rng.randint(2, host.n)
+            guest = shapes[i % 4](rng, n)
+            x1, x2 = rng.randrange(n), rng.randrange(n)
+            yield embed(host, guest, x1, x2, host_graph=graph).mapping
+
+
+def test_mappings_match_the_pinned_hash():
+    """The embedder's choices, not only their validity, stay as recorded."""
+    digest = hashlib.sha256()
+    for mapping in pinned_embeddings():
+        digest.update(repr(sorted(mapping.items())).encode())
+    assert digest.hexdigest() == PINNED_MAPPINGS_SHA256
