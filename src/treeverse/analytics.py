@@ -24,6 +24,9 @@ TERNARY_K_GUARD = 9
 BINARY_K_GUARD = 11
 GAP_K_GUARD = 8
 
+# prefix sizes each depth contributes to a prefix sweep
+PREFIXES_PER_K = 20
+
 
 def ternary_bound(n: int) -> float:
     """Edge bound for radius-2 graphs of the typed ternary family."""
@@ -81,8 +84,7 @@ def _prefix_spread(lo: int, hi: int, want: int) -> list:
     return sizes
 
 
-def bound_table_ternary(k_max: int, prefix_sweep: bool = False,
-                        prefixes_per_k: int = 20) -> BoundReport:
+def bound_table_ternary(k_max: int, prefix_sweep: bool = False) -> BoundReport:
     """Radius-2 edge counts of the typed ternary family against the bound."""
     if not (1 <= k_max <= TERNARY_K_GUARD):
         raise ValueError(f"k_max must be in 1..{TERNARY_K_GUARD}")
@@ -92,7 +94,7 @@ def bound_table_ternary(k_max: int, prefix_sweep: bool = False,
         counts = prefix_counts(dig)
         n = dig.n
         if prefix_sweep:
-            sizes = _prefix_spread(3 ** (k - 1), n, prefixes_per_k)
+            sizes = _prefix_spread(3 ** (k - 1), n, PREFIXES_PER_K)
         else:
             sizes = [n]
         for m in sizes:
@@ -101,7 +103,7 @@ def bound_table_ternary(k_max: int, prefix_sweep: bool = False,
     return BoundReport(rows)
 
 
-def bound_table_binary(k_max: int, prefixes_per_k: int = 20) -> BoundReport:
+def bound_table_binary(k_max: int) -> BoundReport:
     """Radius-0 edge counts of perfect binary trees: full levels against the
     stronger bound and a spread of admissible prefixes against the general one."""
     if not (0 <= k_max <= BINARY_K_GUARD):
@@ -114,7 +116,7 @@ def bound_table_binary(k_max: int, prefixes_per_k: int = 20) -> BoundReport:
         rows.append(BoundRow("binary-full", k, n, counts.pairs[n],
                              counts.by_type(n), binary_bound(n, k, True)))
         if k >= 1:
-            for m in _prefix_spread(1, n, prefixes_per_k):
+            for m in _prefix_spread(1, n, PREFIXES_PER_K):
                 rows.append(BoundRow("binary-prefix", k, m, counts.pairs[m],
                                      counts.by_type(m),
                                      binary_bound(m, k, False)))

@@ -84,9 +84,7 @@ def cmd_decompose(args) -> int:
 def cmd_embed(args) -> int:
     host = _family_tree(args.host_family, args.k)
     guest = _load_tree(args.guest)
-    x1 = args.x1 if args.x1 is not None else 0
-    x2 = args.x2 if args.x2 is not None else x1
-    emb = embed(host, guest, x1, x2)
+    emb = embed(host, guest, args.x1, args.x2)
     if args.json:
         print(json.dumps({
             "mapping": {str(g): h for g, h in sorted(emb.mapping.items())},
@@ -213,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="ternary-typed")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--guest", required=True)
-    sp.add_argument("--x1", type=int)
+    sp.add_argument("--x1", type=int, default=0)
     sp.add_argument("--x2", type=int)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_embed)
@@ -223,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--interval", action="store_true")
-    sp.add_argument("--jobs", type=int, default=None)
+    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--unsafe-large", action="store_true",
                     help="override the exhaustive-search size guards")
     sp.set_defaults(func=cmd_verify)

@@ -347,8 +347,7 @@ def phi2_window(host: RootedTree, guest_size: int) -> bool:
 
 
 def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None,
-          host_graph: Optional[UndirectedGraph] = None,
-          check_balance: bool = True) -> Embedding:
+          host_graph: Optional[UndirectedGraph] = None) -> Embedding:
     """Embed the guest tree into the radius-2 graph of the balanced host.
 
     Returns an Embedding whose unused host vertices form a preorder prefix,
@@ -359,10 +358,9 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
     """
     if guest.n > host.n:
         raise ValueError(f"guest has {guest.n} vertices, host only {host.n}")
-    if check_balance:
-        report = validate_balance(host, 2, 1)
-        if not report.ok:
-            raise ValueError(f"host is not (2,1)-balanced: {report.violations[:3]}")
+    report = validate_balance(host, 2, 1)
+    if not report.ok:
+        raise ValueError(f"host is not (2,1)-balanced: {report.violations[:3]}")
     guest.check_vertex(x1)
     if x2 is None:
         x2 = x1
@@ -384,16 +382,14 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
         phi2_applicable=applicable,
         phi2_ok=host.levels[mapping[x2]] <= 2,
     )
-    ok, problems = verify_embedding(emb, guest, x1, x2, applicable)
+    ok, problems = verify_embedding(emb, guest, x1, x2)
     if not ok:
         raise EmbeddingBugError("; ".join(problems))
     return emb
 
 
 def verify_embedding(embedding: Embedding, guest: RootedTree, x1: int,
-                     x2: Optional[int] = None,
-                     phi2_expected: Optional[bool] = None
-                     ) -> tuple[bool, list]:
+                     x2: Optional[int] = None) -> tuple[bool, list]:
     """Re-check an embedding from scratch: injectivity, edge preservation,
     admissible complement, and both placement guarantees."""
     host = embedding.host_tree
@@ -425,8 +421,6 @@ def verify_embedding(embedding: Embedding, guest: RootedTree, x1: int,
                         f"image minimum is {min_level}")
     if x2 is None:
         x2 = x1
-    if phi2_expected is None:
-        phi2_expected = phi2_window(host, guest.n)
-    if phi2_expected and host.levels[mapping[x2]] > 2:
+    if phi2_window(host, guest.n) and host.levels[mapping[x2]] > 2:
         problems.append(f"x2 sits at level {host.levels[mapping[x2]]} > 2")
     return not problems, problems

@@ -8,8 +8,10 @@ setting of the same generator: with `legacy=True` the third rule fires only
 when the parent's nearest-left cousin is also its sibling.  It is kept because
 its failure on an 11-vertex prefix is reproduced by the analytics module.
 
-Edge counts of every preorder prefix, undirected and per rule tag, come from
-one pass over the arcs (`prefix_counts`).
+An undirected view (`UndirectedGraph`) keeps one neighbour set per vertex and
+nothing else; its pair set `edges` is built only when read, for output and
+tests.  Edge counts of every preorder prefix, undirected and per rule tag,
+come from one pass over the arcs (`prefix_counts`).
 """
 
 from __future__ import annotations
@@ -41,30 +43,35 @@ TAG_NAMES = {
 
 
 class UndirectedGraph:
-    """A simple undirected graph with an implicit vertex ordering 0..n-1."""
+    """A simple undirected graph on the vertices 0..n-1, stored only as
+    neighbour sets: `adj[u]` is the frozenset of u's neighbours."""
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges):
         self.n = n
-        norm = set()
+        adj: list[set[int]] = [set() for _ in range(n)]
         for u, w in edges:
             if u == w:
                 raise ValueError("self-loop")
-            a, b = (u, w) if u < w else (w, u)
-            if not (0 <= a and b < n):
+            if not (0 <= u < n and 0 <= w < n):
                 raise ValueError("edge endpoint out of range")
-            norm.add((a, b))
-        self.edges = frozenset(norm)
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for a, b in norm:
-            adj[a].add(b)
-            adj[b].add(a)
-        self.adj = tuple(frozenset(s) for s in adj)
+            adj[u].add(w)
+            adj[w].add(u)
+        # freeze in place, so at most one set is held twice
+        for u, nbrs in enumerate(adj):
+            adj[u] = frozenset(nbrs)
+        self.adj = tuple(adj)
+
+    @property
+    def edges(self) -> frozenset:
+        """Every pair (a, b) with a < b, built on each read."""
+        return frozenset((a, b) for a, nbrs in enumerate(self.adj)
+                         for b in nbrs if a < b)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj)) // 2
 
     def has_edge(self, u: int, w: int) -> bool:
         return w in self.adj[u]
@@ -74,24 +81,28 @@ class UndirectedGraph:
 
     def induced_prefix(self, m: int) -> "UndirectedGraph":
         return UndirectedGraph(
-            m, [(a, b) for a, b in self.edges if b < m])
+            m, [(a, b) for a, nbrs in enumerate(self.adj[:m])
+                for b in nbrs if a < b < m])
 
     def induced(self, vertices: Sequence[int]) -> "UndirectedGraph":
         """Induced subgraph relabeled along the given vertex order."""
         idx = {v: i for i, v in enumerate(vertices)}
-        edges = [(idx[a], idx[b]) for a, b in self.edges
-                 if a in idx and b in idx]
-        return UndirectedGraph(len(vertices), edges)
+        if any(not (0 <= v < self.n) for v in idx):
+            raise ValueError("induced vertex out of range")
+        adj = self.adj
+        return UndirectedGraph(len(vertices), [
+            (i, idx[b]) for a, i in idx.items() for b in adj[a]
+            if a < b and b in idx])
 
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, UndirectedGraph)
-                and self.n == other.n and self.edges == other.edges)
+                and self.n == other.n and self.adj == other.adj)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"UndirectedGraph(n={self.n}, edges={self.edge_count})"
@@ -105,9 +116,6 @@ class GeneratedDigraph:
     radius: int
     arcs: dict = field(repr=False)  # (u, w) -> tag bitmask
     legacy: bool = False
-
-    def underlying(self) -> UndirectedGraph:
-        return underlying(self)
 
     @property
     def n(self) -> int:

@@ -7,7 +7,6 @@ embedder so the two can check each other.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -237,13 +236,6 @@ def brute_embed(guest: RootedTree, graph: UndirectedGraph) -> Optional[dict]:
     return dict(mapping) if place(0) else None
 
 
-def default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("TREEVERSE_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def _embeds(args) -> bool:
     tree, graph = args
     return brute_embed(tree, graph) is not None
@@ -275,32 +267,26 @@ def check_size(n: int, interval: bool = False,
 
 
 def is_universal(graph: UndirectedGraph, unsafe_large: bool = False,
-                 jobs: Optional[int] = None) -> tuple[bool, Optional[RootedTree]]:
+                 jobs: int = 1) -> tuple[bool, Optional[RootedTree]]:
     """Whether every free tree on |graph| vertices embeds; first failure if not."""
     check_size(graph.n, unsafe_large=unsafe_large)
     trees = enumerate_free_trees(graph.n).trees
-    bad = _first_failure([(t, graph) for t in trees],
-                         jobs if jobs is not None else default_jobs())
+    bad = _first_failure([(t, graph) for t in trees], jobs)
     if bad is None:
         return True, None
     return False, trees[bad]
 
 
-def is_interval_universal(graph: UndirectedGraph, ordering: Optional[list] = None,
-                          unsafe_large: bool = False, jobs: Optional[int] = None
-                          ) -> tuple[bool, Optional[tuple]]:
-    """Whether every consecutive block of the ordering induces a universal
-    graph for trees of the block's size.  Returns the first failing
+def is_interval_universal(graph: UndirectedGraph, unsafe_large: bool = False,
+                          jobs: int = 1) -> tuple[bool, Optional[tuple]]:
+    """Whether every block {i,..,i+m-1} of consecutive vertex ids induces a
+    universal graph for trees on m vertices.  Returns the first failing
     (offset, size, tree) witness otherwise."""
     check_size(graph.n, interval=True, unsafe_large=unsafe_large)
-    order = list(ordering) if ordering is not None else list(range(graph.n))
-    if sorted(order) != list(range(graph.n)):
-        raise ValueError("ordering must be a permutation of the vertices")
-    jobs = jobs if jobs is not None else default_jobs()
     for m in range(1, graph.n + 1):
         trees = enumerate_free_trees(m).trees
         for i in range(graph.n - m + 1):
-            block = graph.induced(order[i:i + m])
+            block = graph.induced(range(i, i + m))
             bad = _first_failure([(t, block) for t in trees], jobs)
             if bad is not None:
                 return False, (i, m, trees[bad])

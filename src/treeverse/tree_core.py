@@ -84,9 +84,6 @@ class RootedTree:
         """Ids of u and all its descendants (contiguous by preorder)."""
         return range(u, u + self.sizes[u])
 
-    def is_ancestor(self, a: int, u: int) -> bool:
-        return a <= u < a + self.sizes[a]
-
     # -- derived trees -------------------------------------------------
 
     def prefix(self, m: int) -> "RootedTree":

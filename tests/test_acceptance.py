@@ -13,7 +13,8 @@ from treeverse.analytics import (FLOAT_GUARD, bound_table_binary,
 from treeverse.balanced_trees import perfect_binary, typed_ternary, validate_balance
 from treeverse.decomposition import (classify, find_bounded_components,
                                      find_feasible_or_critical)
-from treeverse.embedder import embed, host_graph_for, verify_embedding
+from treeverse.embedder import (embed, host_graph_for, phi2_window,
+                                verify_embedding)
 from treeverse.graph_gen import generate, merged_tree, underlying
 from treeverse.oracle import (enumerate_free_trees, is_interval_universal,
                               is_universal, vertex_orbit_reps)
@@ -76,8 +77,7 @@ def test_criterion_1_universality_by_construction():
             for guest in enumerate_free_trees(size).trees:
                 for x1 in vertex_orbit_reps(guest):
                     checked += 1
-                    emb = embed(host, guest, x1, x1, host_graph=graph,
-                                check_balance=False)
+                    emb = embed(host, guest, x1, x1, host_graph=graph)
                     ok, _ = verify_embedding(emb, guest, x1, x1)
                     unused = set(range(host.n)) - set(emb.mapping.values())
                     if not ok or unused != set(range(host.n - size)):
@@ -89,8 +89,7 @@ def test_criterion_1_universality_by_construction():
 def test_criterion_2_oracle_cross_validation():
     graph = host_graph_for(typed_ternary(2).tree)
     ok_u, witness = is_universal(graph)
-    ok_i, interval_witness = is_interval_universal(graph,
-                                                   ordering=list(range(9)))
+    ok_i, interval_witness = is_interval_universal(graph)
     report(2, "exhaustive universality and interval-universality of the "
               "9-vertex radius-2 host", ok_u and ok_i)
 
@@ -104,7 +103,7 @@ def test_criterion_3_legacy_counterexample_bit_exact():
 
 
 def test_criterion_4_edge_bounds():
-    ternary = bound_table_ternary(7, prefix_sweep=True, prefixes_per_k=20)
+    ternary = bound_table_ternary(7, prefix_sweep=True)
     per_k = {}
     for row in ternary.rows:
         per_k.setdefault(row.k, []).append(row)
@@ -228,15 +227,14 @@ def test_criterion_8_phi2_contract():
     graph = host_graph_for(host)
     x = host.sizes[host.children[0][-1]]
     for size in range(x, host.n - 1):
+        assert phi2_window(host, size)
         for guest in enumerate_free_trees(size).trees:
             orbits = vertex_orbit_reps(guest)
             for x1 in orbits:
                 for x2 in orbits:
                     checked += 1
-                    emb = embed(host, guest, x1, x2, host_graph=graph,
-                                check_balance=False)
-                    ok, _ = verify_embedding(emb, guest, x1, x2,
-                                             phi2_expected=True)
+                    emb = embed(host, guest, x1, x2, host_graph=graph)
+                    ok, _ = verify_embedding(emb, guest, x1, x2)
                     if not ok or host.levels[emb.mapping[x2]] > 2:
                         bad += 1
 
@@ -247,16 +245,15 @@ def test_criterion_8_phi2_contract():
     x = host.sizes[host.children[0][-1]]
     rng = random.Random(8)
     for size in range(x, host.n - 1):
+        assert phi2_window(host, size)
         for _ in range(40):
             guest = random_guest(rng, size)
             for _ in range(6):
                 x1 = rng.randrange(size)
                 x2 = rng.randrange(size)
                 checked += 1
-                emb = embed(host, guest, x1, x2, host_graph=graph,
-                            check_balance=False)
-                ok, _ = verify_embedding(emb, guest, x1, x2,
-                                         phi2_expected=True)
+                emb = embed(host, guest, x1, x2, host_graph=graph)
+                ok, _ = verify_embedding(emb, guest, x1, x2)
                 if not ok or host.levels[emb.mapping[x2]] > 2:
                     bad += 1
 

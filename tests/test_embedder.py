@@ -158,8 +158,7 @@ def test_random_hosts_and_guests_verify():
         guest = rand_tree(rng, rng.randint(1, m))
         x1 = rng.randrange(guest.n)
         x2 = rng.randrange(guest.n)
-        emb = embed(host, guest, x1, x2, host_graph=fg.induced_prefix(m),
-                    check_balance=False)
+        emb = embed(host, guest, x1, x2, host_graph=fg.induced_prefix(m))
         ok, problems = verify_embedding(emb, guest, x1, x2)
         assert ok, problems
 
@@ -217,8 +216,7 @@ def test_every_small_balanced_host_hosts_every_guest():
         for size in range(1, host.n + 1):
             for guest in enumerate_free_trees(size).trees:
                 for x1 in vertex_orbit_reps(guest):
-                    emb = embed(host, guest, x1, x1, host_graph=graph,
-                                check_balance=False)
+                    emb = embed(host, guest, x1, x1, host_graph=graph)
                     ok, problems = verify_embedding(emb, guest, x1, x1)
                     assert ok, (host.children, guest.children, x1, problems)
 

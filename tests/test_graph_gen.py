@@ -1,12 +1,14 @@
+import random
 from itertools import combinations
 
 import pytest
 
 from treeverse.balanced_trees import perfect_binary, typed_ternary
 from treeverse.graph_gen import (TAG_COUSIN_SUBTREE, TAG_NAMES,
-                                 admissible_induced, count_edges_by_type,
-                                 generate, legacy_generate, merged_tree,
-                                 prefix_counts, to_dot, to_json, underlying)
+                                 UndirectedGraph, admissible_induced,
+                                 count_edges_by_type, generate,
+                                 legacy_generate, merged_tree, prefix_counts,
+                                 to_dot, to_json, underlying)
 from treeverse.oracle import enumerate_free_trees
 from treeverse.tree_core import RootedTree, build_tree, nearest_left_cousin
 
@@ -74,6 +76,44 @@ def test_underlying_dedupes():
     assert g.edge_count == 3  # K3 despite overlapping rule arcs
     single = underlying(generate(build_tree([[]]), 2))
     assert single.n == 1 and single.edge_count == 0
+
+
+def test_neighbour_sets_answer_every_pair_query():
+    rng = random.Random(77)
+    for _ in range(40):
+        n = rng.randint(1, 14)
+        raw = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+        raw = [(u, w) for u, w in raw if u != w]
+        raw += [(w, u) for u, w in raw[:n]]  # duplicates, other orientation
+        pairs = {(min(e), max(e)) for e in raw}
+        g = UndirectedGraph(n, raw)
+        assert g.edges == frozenset(pairs) and g.edge_count == len(pairs)
+        for u in range(n):
+            assert g.degree(u) == sum(u in e for e in pairs)
+            for w in range(n):
+                assert g.has_edge(u, w) == ((min(u, w), max(u, w)) in pairs)
+        for m in range(n + 1):
+            assert g.induced_prefix(m).edges == {e for e in pairs if e[1] < m}
+        order = rng.sample(range(n), rng.randint(0, n))
+        pos = {v: i for i, v in enumerate(order)}
+        sub = g.induced(order)
+        assert sub.n == len(order)
+        assert sub.edges == {(min(pos[a], pos[b]), max(pos[a], pos[b]))
+                             for a, b in pairs if a in pos and b in pos}
+        shuffled = list(raw)
+        rng.shuffle(shuffled)
+        again = UndirectedGraph(n, [(w, u) for u, w in shuffled])
+        assert again == g and hash(again) == hash(g)
+
+
+def test_graph_refuses_self_loops_and_outside_endpoints():
+    with pytest.raises(ValueError, match="self-loop"):
+        UndirectedGraph(3, [(0, 1), (2, 2)])
+    for bad in ((0, 3), (3, 0), (-1, 1), (1, -1)):
+        with pytest.raises(ValueError, match="edge endpoint out of range"):
+            UndirectedGraph(3, [bad])
+    with pytest.raises(ValueError):
+        UndirectedGraph(3, [(0, 1)]).induced([2, -1])
 
 
 def test_count_edges_by_type():

@@ -187,6 +187,15 @@ def test_is_interval_universal():
         is_interval_universal(complete_graph(12))
 
 
+def test_two_worker_processes_give_the_serial_verdict_and_witness():
+    cycle = cycle_graph(6)
+    assert is_universal(cycle, jobs=2) == is_universal(cycle, jobs=1)
+    path_g = UndirectedGraph(6, [(i, i + 1) for i in range(5)])
+    parallel = is_interval_universal(path_g, jobs=2)
+    assert parallel == is_interval_universal(path_g, jobs=1)
+    assert not parallel[0]
+
+
 def test_degree_witness():
     assert degree_witness(star_tree_graph()) == 0
     assert degree_witness(cycle_graph(5)) is None
