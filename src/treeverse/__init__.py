@@ -1,13 +1,11 @@
 """Sparse universal graphs for trees: generators, constructive embeddings,
 and exhaustive verification."""
 
-from .tree_core import (RootedTree, Forest, TreeError, build_tree, level,
-                        subtree_size, nearest_left_cousin, ith_ancestor,
-                        is_admissible, u_components, to_parens, from_parens,
-                        to_parent_csv, from_parent_csv, parse_tree)
+from .tree_core import (RootedTree, Forest, TreeError, build_tree,
+                        nearest_left_cousin, ith_ancestor, to_parens,
+                        from_parens, to_parent_csv, from_parent_csv, parse_tree)
 from .graph_gen import (GeneratedDigraph, UndirectedGraph, generate,
-                        legacy_generate, underlying, admissible_induced,
-                        count_edges_by_type, prefix_counts, merged_tree,
+                        legacy_generate, underlying, prefix_counts, merged_tree,
                         to_dot, to_json)
 from .balanced_trees import (TypedTree, BalanceReport, perfect_binary,
                              typed_ternary, descendant_count, validate_balance)

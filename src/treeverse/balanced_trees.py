@@ -1,10 +1,8 @@
-"""Concrete tree families and the balance axioms the embedder depends on."""
+"""Concrete tree families and the (2,1)-balance axioms the embedder depends on."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
 
 from .tree_core import RootedTree
 
@@ -70,8 +68,6 @@ def descendant_count(level: int, vtype: int, k: int) -> int:
 class BalanceReport:
     """Violations of the four balance axioms; empty means the tree is balanced."""
 
-    ratio: Fraction
-    gap: int
     violations: tuple
 
     @property
@@ -81,27 +77,22 @@ class BalanceReport:
 
 # Axiom identifiers used in violation records.
 AX_COUSIN_SUM = "cousin_sum"          # sizes of the two nearest left cousins cover u
-AX_COUSIN_RATIO = "cousin_ratio"      # nearest left cousin is at least 1/ratio as big
+AX_COUSIN_RATIO = "cousin_ratio"      # nearest left cousin is over half as big
 AX_LEVEL_DOMINANCE = "level_dominance"  # non-rightmost vertices dominate deeper levels
 AX_SIBLING_FERTILITY = "sibling_fertility"  # left cousin of a non-leaf is a non-leaf
 
 
-def validate_balance(tree: RootedTree, ratio: Union[int, Fraction] = 2,
-                     gap: int = 1) -> BalanceReport:
-    """Check the four balance axioms with exact rational arithmetic.
+def validate_balance(tree: RootedTree) -> BalanceReport:
+    """Check the four axioms of (2,1)-balance, the ratio 2 and the gap 1 the
+    embedder requires.
 
     Axioms, for every vertex u with nearest left cousin l(u):
       - cousin_sum:        size(l(l(u))) + size(l(u)) >= size(u) when l(l(u)) exists
-      - cousin_ratio:      ratio * size(l(u)) > size(u) when l(u) exists
+      - cousin_ratio:      2 * size(l(u)) > size(u) when l(u) exists
       - level_dominance:   if u is not rightmost on its level, size(u) >= size(u')
-                           for every u' at least `gap` levels deeper
+                           for every u' at least one level deeper
       - sibling_fertility: if u has a child and l(u) exists, l(u) has a child
     """
-    ratio = Fraction(ratio)
-    if ratio <= 0:
-        raise ValueError("ratio must be positive")
-    if gap < 0:
-        raise ValueError("gap must be non-negative")
     violations: list[tuple] = []
     sizes = tree.sizes
 
@@ -109,8 +100,7 @@ def validate_balance(tree: RootedTree, ratio: Union[int, Fraction] = 2,
         for i, u in enumerate(row):
             if i >= 1:
                 left = row[i - 1]
-                # ratio * size(left) > size(u), cross-multiplied exactly
-                if ratio.numerator * sizes[left] <= ratio.denominator * sizes[u]:
+                if 2 * sizes[left] <= sizes[u]:
                     violations.append((AX_COUSIN_RATIO, (u, left)))
                 if tree.children[u] and not tree.children[left]:
                     violations.append((AX_SIBLING_FERTILITY, (u, left)))
@@ -126,12 +116,12 @@ def validate_balance(tree: RootedTree, ratio: Union[int, Fraction] = 2,
     for lvl in range(depth, -1, -1):
         suffix_max[lvl] = max(level_max[lvl], suffix_max[lvl + 1])
     for lvl, row in enumerate(tree.level_order):
-        if lvl + gap > depth or len(row) < 2:
+        if lvl == depth or len(row) < 2:
             continue
         u = min(row[:-1], key=lambda v: sizes[v])
-        if sizes[u] < suffix_max[lvl + gap]:
-            deeper = next(v for r in tree.level_order[lvl + gap:] for v in r
+        if sizes[u] < suffix_max[lvl + 1]:
+            deeper = next(v for r in tree.level_order[lvl + 1:] for v in r
                           if sizes[v] > sizes[u])
             violations.append((AX_LEVEL_DOMINANCE, (u, deeper)))
 
-    return BalanceReport(ratio, gap, tuple(violations))
+    return BalanceReport(tuple(violations))

@@ -53,7 +53,7 @@ def cmd_gen_graph(args) -> int:
             else _family_tree(args.family, args.k))
     dig = generate(tree, args.r, legacy=args.legacy)
     if args.prefix is not None:
-        sub = graph_gen.admissible_induced(dig, args.prefix)
+        sub = underlying(dig).induced_prefix(args.prefix)
         payload = {"n": sub.n, "r": dig.radius,
                    "edges": sorted([list(e) for e in sub.edges])}
         print(json.dumps(payload, indent=2))
@@ -168,9 +168,9 @@ def cmd_gap(args) -> int:
 def cmd_balance(args) -> int:
     tree = (_load_tree(args.tree) if args.tree
             else _family_tree(args.family, args.k))
-    report = validate_balance(tree, args.ratio, args.gap)
+    report = validate_balance(tree)
     if report.ok:
-        print(f"balanced (ratio={args.ratio}, gap={args.gap})")
+        print("balanced (ratio=2, gap=1)")
         return 0
     for axiom, witness in report.violations[:20]:
         print(f"violation {axiom}: vertices {witness}")
@@ -248,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="ternary-typed")
     sp.add_argument("--k", type=int, default=3)
     sp.add_argument("--tree")
-    sp.add_argument("--ratio", type=int, default=2)
-    sp.add_argument("--gap", type=int, default=1)
     sp.set_defaults(func=cmd_balance)
 
     return p

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional
 
 from .tree_core import Forest
 
@@ -41,11 +40,10 @@ class DecompositionBugError(AssertionError):
 @dataclass(frozen=True)
 class ComponentCollection:
     """A pivot vertex `w` plus disjoint components of forest - w, all avoiding
-    the protected vertex recorded in `avoid`."""
+    the finder's protected vertex."""
 
     w: int
     components: tuple
-    avoid: Optional[int] = None
 
     @property
     def union_size(self) -> int:
@@ -62,29 +60,23 @@ class ComponentCollection:
 @dataclass(frozen=True)
 class CollectionClass:
     kind: str  # "feasible" | "critical" | "plain"
-    x: int
-    y: int
 
     @property
     def is_feasible(self) -> bool:
         return self.kind == "feasible"
-
-    @property
-    def is_critical(self) -> bool:
-        return self.kind == "critical"
 
 
 def classify(coll: ComponentCollection, x: int, y: int) -> CollectionClass:
     """Exact set arithmetic for the feasible/critical windows."""
     total = coll.union_size
     if x <= total + 1 <= x + y - 2:
-        return CollectionClass("feasible", x, y)
+        return CollectionClass("feasible")
     t = len(coll.components)
     if t >= 2 and x + y - 2 <= total <= 2 * x - 3:
         # drop-one subsets are the largest proper sub-unions
         if all(total - len(c) <= x - 2 for c in coll.components):
-            return CollectionClass("critical", x, y)
-    return CollectionClass("plain", x, y)
+            return CollectionClass("critical")
+    return CollectionClass("plain")
 
 
 class _RootedPass:
@@ -161,8 +153,7 @@ class _RootedPass:
         return frozenset(comp)
 
     def collection(self, w: int, roots) -> ComponentCollection:
-        return ComponentCollection(w, tuple(self.component(c, w) for c in roots),
-                                   self.u)
+        return ComponentCollection(w, tuple(self.component(c, w) for c in roots))
 
 
 def _bounded_walk(rooted: _RootedPass, x: int) -> tuple[int, list[int]]:

@@ -18,12 +18,11 @@ everything (the root and the last child of the root) or pinned at level <= 2,
 where the radius rule makes all pairs adjacent.
 
 Sub-hosts are views, not copies: the last root subtree, every prefix and
-every merge of a sibling run that ends at the last root child (a tail: the
-root over the subtrees from one child to the end) are `TreeView`s of one
-tree, made in O(1).  Only a merge of a cousin run, or of a sibling run that
-stops short of the end, builds a tree, and its `to_top` map sends its
-vertices to input-host ids.  The guest is one `Forest`, and each piece goes
-to the decomposition finders as a vertex set within it, not as a copy.
+every merge of a sibling run (a tail: the root over the subtrees from one
+child to the last) are `TreeView`s of one tree, made in O(1).  Only a merge
+of a cousin run builds a tree, and its `to_top` map sends its vertices to
+input-host ids.  The guest is one `Forest`, and each piece goes to the
+decomposition finders as a vertex set within it, not as a copy.
 The steps run from one work stack of tasks (view, to_top, piece, anchor,
 low2).  A step writes the images it decides straight into one image map
 (guest vertex -> input-host vertex) and its inverse `occupant`, and pushes
@@ -136,9 +135,11 @@ class _Solver:
         self.place(other, old)
         self.place(g, root)
 
-    def merged(self, view: TreeView, to_top, run) -> tuple[TreeView, list]:
-        """The merge of a run of the view, with its map to input-host ids."""
-        tstar, iso = merged_tree(view, run)
+    def grandchildren(self, view: TreeView, to_top) -> tuple[TreeView, list]:
+        """The merge of the grandchildren of a two-child root (a cousin run),
+        with its map to input-host ids."""
+        v1, v2 = view.children(0)
+        tstar, iso = merged_tree(view, view.children(v1) + view.children(v2))
         lo = view.lo
         top = [to_top[lo + h] for h in iso]
         top[0] = to_top[view.vertex(iso[0])]
@@ -216,13 +217,12 @@ class _Solver:
         """Two root children, guest leaves at least two host vertices unused:
         the rest goes into the merge of the grandchildren, whose fresh root
         stands for the last root child and stays unused."""
-        v1, v2 = view.children(0)
+        _, v2 = view.children(0)
         special = anchor if anchor is not None else max(piece)
         rest = piece - {special}
         sub_anchor = low2 if (low2 is not None and low2 in rest) else None
         self.place(special, to_top[view.lo + v2])
-        self.push(*self.merged(view, to_top, view.children(v1) + view.children(v2)),
-                  rest, sub_anchor)
+        self.push(*self.grandchildren(view, to_top), rest, sub_anchor)
 
     def pair_full(self, view: TreeView, to_top, piece: frozenset,
                   anchor: Optional[int]) -> None:
@@ -245,8 +245,8 @@ class _Solver:
         rest = rest - {w}
         self.place(w, to_top[view.lo + v1])
         self.place(special, to_top[view.vertex(v2 if len(piece) == m - 1 else 0)])
-        self.push(*self.merged(view, to_top, view.children(v1) + view.children(v2)),
-                  rest, wp if wp in rest else None)
+        self.push(*self.grandchildren(view, to_top), rest,
+                  wp if wp in rest else None)
 
     def wide_split(self, view: TreeView, to_top, piece: frozenset,
                    anchor: Optional[int], kids: tuple) -> None:
@@ -316,13 +316,18 @@ class _Solver:
 
         # the merge of the third- and second-to-last subtrees takes piece0,
         # with the pivot (or the anchor, and the pivot at level <= 2) on the
-        # second-to-last root child
+        # second-to-last root child.  That merge is host2's tail at vt2,
+        # because vt1 is host2's last root child: the union is in
+        # [x+y-1, 2x-3] and c_prime has at most 2k-1 vertices, with
+        # k = union-x-y+2, so pieces 1 and 2 hold at least
+        # 2x+2y-3-union >= 2y > x vertices (cousin ratio) and host2 ends
+        # before vt; they hold at most union-k = x+y-2, so host2 keeps vt1
         host2 = host1.prefix(host1.n - len(piece1))
-        merged2 = self.merged(host2, to_top, (vt2, vt1))
+        tail2 = host2.tail(vt2)
         if anchor is not None and anchor in c_zero and anchor != w:
-            self.push(*merged2, piece0, anchor, w)
+            self.push(tail2, to_top, piece0, anchor, w)
         else:
-            self.push(*merged2, piece0, w)
+            self.push(tail2, to_top, piece0, w)
 
         remaining = piece - piece0 - piece1 - piece2
         if remaining:
@@ -358,7 +363,7 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
     """
     if guest.n > host.n:
         raise ValueError(f"guest has {guest.n} vertices, host only {host.n}")
-    report = validate_balance(host, 2, 1)
+    report = validate_balance(host)
     if not report.ok:
         raise ValueError(f"host is not (2,1)-balanced: {report.violations[:3]}")
     guest.check_vertex(x1)

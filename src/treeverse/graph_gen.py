@@ -80,6 +80,9 @@ class UndirectedGraph:
         return len(self.adj[u])
 
     def induced_prefix(self, m: int) -> "UndirectedGraph":
+        """Undirected subgraph induced on the preorder prefix {0,..,m-1}."""
+        if not (0 <= m <= self.n):
+            raise ValueError(f"prefix size {m} out of range 0..{self.n}")
         return UndirectedGraph(
             m, [(a, b) for a, nbrs in enumerate(self.adj[:m])
                 for b in nbrs if a < b < m])
@@ -188,13 +191,6 @@ def underlying(digraph: GeneratedDigraph) -> UndirectedGraph:
     return UndirectedGraph(digraph.n, digraph.arcs.keys())
 
 
-def admissible_induced(digraph: GeneratedDigraph, m: int) -> UndirectedGraph:
-    """Undirected subgraph induced on the preorder prefix {0,..,m-1}."""
-    if not (0 <= m <= digraph.n):
-        raise ValueError(f"prefix size {m} out of range 0..{digraph.n}")
-    return underlying(digraph).induced_prefix(m)
-
-
 @dataclass
 class PrefixCounts:
     """Edge counts of every preorder prefix: entry m of each column counts
@@ -226,15 +222,6 @@ def prefix_counts(digraph: GeneratedDigraph) -> PrefixCounts:
     return PrefixCounts(list(accumulate(pairs)),
                         {TAG_NAMES[bit]: list(accumulate(col))
                          for bit, col in tags.items()})
-
-
-def count_edges_by_type(digraph: GeneratedDigraph) -> dict:
-    """Directed arc counts per rule tag (with multiplicity) and undirected total."""
-    counts = prefix_counts(digraph)
-    out = counts.by_type(digraph.n)
-    out["undirected_total"] = counts.pairs[digraph.n]
-    out["arcs_total"] = len(digraph.arcs)
-    return out
 
 
 def merged_tree(tree: RootedTree | TreeView,

@@ -2,8 +2,8 @@
 
 Vertices are identified with their preorder index, so for every vertex u the
 set of u and its descendants is the contiguous id interval
-[u, u + subtree_size(u) - 1].  Everything else in the package relies on that
-interval property for O(1) descendant tests.
+[u, u + sizes[u] - 1], `sizes[u]` counting u's subtree.  Everything else in
+the package relies on that interval property for O(1) descendant tests.
 """
 
 from __future__ import annotations
@@ -235,18 +235,6 @@ def build_tree(children_lists: Sequence[Sequence[int]]) -> RootedTree:
                        for old in order])
 
 
-def level(tree: RootedTree, u: int) -> int:
-    """Distance from u to the root."""
-    tree.check_vertex(u)
-    return tree.levels[u]
-
-
-def subtree_size(tree: RootedTree, u: int) -> int:
-    """Number of vertices in the subtree rooted at u (u included)."""
-    tree.check_vertex(u)
-    return tree.sizes[u]
-
-
 def nearest_left_cousin(tree: RootedTree, u: int) -> Optional[int]:
     """The closest same-level vertex preceding u in preorder, if any."""
     tree.check_vertex(u)
@@ -265,12 +253,6 @@ def ith_ancestor(tree: RootedTree, u: int, i: int) -> int:
         u = tree.parent[u]
         i -= 1
     return u
-
-
-def is_admissible(tree: RootedTree, vertices: Iterable[int]) -> bool:
-    """True iff the set is a preorder prefix {0,..,k-1} (possibly empty)."""
-    s = set(vertices)
-    return s == set(range(len(s))) and len(s) <= tree.n
 
 
 # -- forests -------------------------------------------------------------
@@ -350,13 +332,6 @@ class Forest:
             seen |= comp
             out.append(comp)
         return out
-
-
-def u_components(forest: Forest, u: int) -> list[frozenset]:
-    """All connected components of forest - u."""
-    if u not in forest:
-        raise TreeError(f"vertex {u} not in forest")
-    return forest.components(removed=u)
 
 
 # -- text formats ---------------------------------------------------------

@@ -119,10 +119,10 @@ def test_criterion_4_edge_bounds():
 
 
 def test_criterion_5_balance_axioms():
-    families_ok = all(validate_balance(typed_ternary(k).tree, 2, 1).ok
+    families_ok = all(validate_balance(typed_ternary(k).tree).ok
                       for k in range(1, 9))
     t5 = typed_ternary(5).tree
-    prefixes_ok = all(validate_balance(t5.prefix(m), 2, 1).ok
+    prefixes_ok = all(validate_balance(t5.prefix(m)).ok
                       for m in range(1, t5.n + 1))
     report(5, "balance axioms on the ternary family up to depth 8 and every "
               "admissible prefix at depth 5", families_ok and prefixes_ok)

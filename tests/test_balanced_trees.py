@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from treeverse.balanced_trees import (AX_COUSIN_RATIO, descendant_count,
@@ -69,15 +67,15 @@ def test_type_alternation_per_level():
 
 def test_balance_of_families():
     for k in range(0, 7):
-        assert validate_balance(typed_ternary(k).tree, 2, 1).ok
+        assert validate_balance(typed_ternary(k).tree).ok
     for k in range(0, 8):
-        assert validate_balance(perfect_binary(k), 2, 1).ok
+        assert validate_balance(perfect_binary(k)).ok
 
 
 def test_balance_admissible_prefixes_stay_balanced():
     t = typed_ternary(3).tree
     for m in range(1, t.n + 1):
-        assert validate_balance(t.prefix(m), 2, 1).ok
+        assert validate_balance(t.prefix(m)).ok
 
 
 def test_ratio_violation_reported():
@@ -85,15 +83,18 @@ def test_ratio_violation_reported():
     big = build_tree([[1, 2], [], [3, 4], [], []])
     assert big.sizes[1] == 1 and big.sizes[2] in (3, 4)
     lopsided = RootedTree([[1, 2], [], [3, 4, 5, 6], [], [], [], []])
-    report = validate_balance(lopsided, 2, 1)
+    report = validate_balance(lopsided)
     assert not report.ok
     assert any(ax == AX_COUSIN_RATIO and wit[0] == 2
                for ax, wit in report.violations)
 
 
 def test_exact_fraction_boundary():
-    # sizes (2, 4): ratio 2 needs 2*2 > 4, which fails on the boundary
+    # the cousin ratio needs 2 * size(left) > size(u): sizes (3, 4) pass,
+    # sizes (2, 4) sit on the boundary and fail
     t = RootedTree([[1, 4], [2, 3], [], [], [5, 6, 7], [], [], []])
     assert t.sizes[1] == 3 and t.sizes[4] == 4
-    assert validate_balance(t, 2, 1).ok
-    assert not validate_balance(t, Fraction(4, 3), 1).ok
+    assert validate_balance(t).ok
+    edge = RootedTree([[1, 3], [2], [], [4, 5, 6], [], [], []])
+    assert edge.sizes[1] == 2 and edge.sizes[3] == 4
+    assert validate_balance(edge).violations == ((AX_COUSIN_RATIO, (3, 1)),)

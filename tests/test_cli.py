@@ -48,6 +48,12 @@ def test_gen_graph_legacy_prefix(capsys):
     assert payload["n"] == 11
 
 
+def test_gen_graph_refuses_a_prefix_outside_the_graph(capsys):
+    code = main(["gen-graph", "--family", "binary", "--k", "2", "--prefix", "8"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: prefix size 8 out of range 0..7\n"
+
+
 def test_gen_graph_legacy_honours_family_radius_and_tree(tmp_path, capsys):
     code, out = run(capsys, "gen-graph", "--legacy", "--k", "2", "--r", "2",
                     "--family", "ternary-typed")
@@ -110,6 +116,16 @@ def test_gap_command(capsys):
 def test_balance_command(capsys):
     code, out = run(capsys, "balance", "--family", "ternary-typed", "--k", "4")
     assert code == 0
+    assert out == "balanced (ratio=2, gap=1)\n"
+
+
+def test_balance_reports_a_cousin_ratio_violation(tmp_path, capsys):
+    # root children of sizes 1 and 5: 2 * 1 <= 5
+    tree = tmp_path / "lopsided.tree"
+    tree.write_text("(()(()()()()))\n")
+    code, out = run(capsys, "balance", "--tree", str(tree))
+    assert code == 1
+    assert "violation cousin_ratio: vertices (2, 1)" in out.splitlines()
 
 
 def test_decompose_command(tmp_path, capsys):

@@ -305,7 +305,7 @@ MISCLASSIFIED = textwrap.dedent("""
         sys.exit("asserts are still on")
 
     decomposition.classify = lambda coll, x, y: decomposition.CollectionClass(
-        "plain", x, y)
+        "plain")
     # a star gives a feasible pick, three legs of length 3 a critical pair
     for text in ("(" + "()" * 11 + ")", "(" + "((()))" * 3 + ")"):
         forest = Forest.from_tree(from_parens(text))

@@ -11,7 +11,8 @@ import pytest
 
 import treeverse
 
-from treeverse.balanced_trees import typed_ternary
+from treeverse import embedder
+from treeverse.balanced_trees import typed_ternary, validate_balance
 from treeverse.embedder import (Embedding, embed, host_graph_for, phi2_window,
                                 verify_embedding)
 from treeverse.graph_gen import merged_tree
@@ -192,14 +193,12 @@ def reroot_at(tree, root):
 
 def small_balanced_hosts():
     """Every (2,1)-balanced rooted host with at most 7 vertices, by children."""
-    from treeverse.balanced_trees import validate_balance
-
     hosts = {}
     for n in range(1, 8):
         for free in enumerate_free_trees(n).trees:
             for root in range(free.n):
                 h = reroot_at(free, root)
-                if validate_balance(h, 2, 1).ok:
+                if validate_balance(h).ok:
                     hosts[h.children] = h
     return hosts
 
@@ -304,6 +303,54 @@ def prufer_tree(rng, n):
                 children[u].append(v)
                 stack.append(v)
     return build_tree(children)
+
+
+def spider_tree(rng, n):
+    """A centre with legs of random lengths, n vertices in all."""
+    children = [[] for _ in range(n)]
+    u = 1
+    while u < n:
+        leg = rng.randint(1, n - u)
+        children[0].append(u)
+        for v in range(u, u + leg - 1):
+            children[v].append(v + 1)
+        u += leg
+    return RootedTree(children)
+
+
+def caterpillar_tree(rng, n):
+    """A path with leaves hung on random path vertices, n vertices in all."""
+    spine = rng.randint(1, n)
+    children = [[v + 1] if v + 1 < spine else [] for v in range(n)]
+    for leaf in range(spine, n):
+        children[rng.randrange(spine)].append(leaf)
+    return build_tree(children)
+
+
+def test_only_cousin_runs_are_merged(monkeypatch):
+    """Every sibling-run merge is a tail view, the critical split's too:
+    each run that `merged_tree` builds has first and last vertices with
+    different parents."""
+    runs = []
+
+    def spying(view, run):
+        runs.append((view.parent(run[0]), view.parent(run[-1])))
+        return merged_tree(view, run)
+
+    monkeypatch.setattr(embedder, "merged_tree", spying)
+    rng = random.Random(1009)
+    shapes = (prufer_tree, rand_tree, spider_tree, caterpillar_tree)
+    for k in (4, 5):
+        host = typed_ternary(k).tree
+        graph = host_graph_for(host)
+        for i in range(160):
+            n = rng.randint(2, host.n)
+            guest = shapes[i % 4](rng, n)
+            embed(host, guest, rng.randrange(n), rng.randrange(n),
+                  host_graph=graph)
+    assert runs
+    assert all(first != last for first, last in runs), \
+        sum(first == last for first, last in runs)
 
 
 LOW_RECURSION_LIMIT = textwrap.dedent("""

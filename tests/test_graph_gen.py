@@ -5,10 +5,9 @@ import pytest
 
 from treeverse.balanced_trees import perfect_binary, typed_ternary
 from treeverse.graph_gen import (TAG_COUSIN_SUBTREE, TAG_NAMES,
-                                 UndirectedGraph, admissible_induced,
-                                 count_edges_by_type, generate,
-                                 legacy_generate, merged_tree, prefix_counts,
-                                 to_dot, to_json, underlying)
+                                 UndirectedGraph, generate, legacy_generate,
+                                 merged_tree, prefix_counts, to_dot, to_json,
+                                 underlying)
 from treeverse.oracle import enumerate_free_trees
 from treeverse.tree_core import RootedTree, build_tree, nearest_left_cousin
 
@@ -117,15 +116,14 @@ def test_graph_refuses_self_loops_and_outside_endpoints():
 
 
 def test_count_edges_by_type():
-    counts = count_edges_by_type(generate(typed_ternary(1).tree, 0))
-    assert counts["undirected_total"] == 3
-    b2 = count_edges_by_type(generate(perfect_binary(2), 0))
+    assert prefix_counts(generate(typed_ternary(1).tree, 0)).pairs[3] == 3
+    b2 = prefix_counts(generate(perfect_binary(2), 0)).by_type(7)
     assert b2["descendant"] == 10
     assert b2["left_sibling"] == 5
     assert b2["cousin_subtree"] == 6
     assert b2["radius"] == 0
     for guest in enumerate_free_trees(7).trees:
-        assert count_edges_by_type(generate(guest, 0))["radius"] == 0
+        assert prefix_counts(generate(guest, 0)).by_type(7)["radius"] == 0
 
 
 def test_prefix_counts_match_a_recount_at_every_prefix():
@@ -172,13 +170,15 @@ def test_legacy_counterexample_slice():
 
 
 def test_admissible_induced():
-    dig = generate(perfect_binary(2), 0)
-    assert admissible_induced(dig, 7).edge_count == 21
-    assert admissible_induced(dig, 1).n == 1
-    g3_11 = admissible_induced(legacy_generate(3), 11)
+    g = underlying(generate(perfect_binary(2), 0))
+    assert g.induced_prefix(7).edge_count == 21
+    assert g.induced_prefix(1).n == 1
+    assert g.induced_prefix(0).n == 0
+    g3_11 = underlying(legacy_generate(3)).induced_prefix(11)
     assert g3_11.n == 11
-    with pytest.raises(ValueError):
-        admissible_induced(dig, 8)
+    for m in (8, -1):
+        with pytest.raises(ValueError, match=f"prefix size {m} out of range 0..7"):
+            g.induced_prefix(m)
 
 
 def test_merged_tree_full_root_run_is_identity():

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treeverse.tree_core import (Forest, RootedTree, TreeError, build_tree,
-                                 from_parens, from_parent_csv, is_admissible,
-                                 ith_ancestor, level, nearest_left_cousin,
-                                 parse_tree, subtree_size, to_parens,
-                                 to_parent_csv, u_components)
+                                 from_parens, from_parent_csv, ith_ancestor,
+                                 nearest_left_cousin, parse_tree, to_parens,
+                                 to_parent_csv)
 from treeverse.balanced_trees import perfect_binary
 
 
@@ -62,19 +61,17 @@ def test_build_rejects_disconnected():
 
 
 def test_level_examples():
-    assert level(star_tree(5), 0) == 0
+    assert star_tree(5).levels[0] == 0
     b3 = perfect_binary(3)
     leaf = next(u for u in range(b3.n) if not b3.children[u])
-    assert level(b3, leaf) == 3
-    assert level(path_tree(5), 4) == 4
+    assert b3.levels[leaf] == 3
+    assert path_tree(5).levels[4] == 4
 
 
 def test_subtree_size_examples():
     t = path_tree(6)
-    assert subtree_size(t, 0) == 6
-    assert subtree_size(t, 5) == 1
-    with pytest.raises(TreeError):
-        subtree_size(t, 6)
+    assert t.sizes[0] == 6
+    assert t.sizes[5] == 1
 
 
 def test_nearest_left_cousin_b2():
@@ -101,25 +98,17 @@ def test_ith_ancestor_clamps():
     assert ith_ancestor(t, 3, 2) == 1
 
 
-def test_is_admissible():
-    t = path_tree(4)
-    assert is_admissible(t, set())
-    assert is_admissible(t, {0, 1, 2})
-    assert not is_admissible(t, {0, 2})
-    assert not is_admissible(t, {1})
-
-
 def test_u_components_star_center():
     f = Forest.from_tree(star_tree(5))
-    comps = u_components(f, 0)
+    comps = f.components(removed=0)
     assert sorted(map(len, comps)) == [1, 1, 1, 1]
 
 
 def test_u_components_path():
     f = Forest.from_tree(path_tree(5))
-    assert sorted(map(len, u_components(f, 2))) == [2, 2]
-    assert sorted(map(len, u_components(f, 4))) == [4]
-    assert sorted(map(len, u_components(f, 0))) == [4]
+    assert sorted(map(len, f.components(removed=2))) == [2, 2]
+    assert sorted(map(len, f.components(removed=4))) == [4]
+    assert sorted(map(len, f.components(removed=0))) == [4]
 
 
 def test_forest_induced_splits():
@@ -175,7 +164,7 @@ def test_admissible_prefix_is_connected(t, data):
 @given(random_trees(), st.data())
 def test_u_components_partition(t, data):
     u = data.draw(st.integers(min_value=0, max_value=t.n - 1))
-    comps = u_components(Forest.from_tree(t), u)
+    comps = Forest.from_tree(t).components(removed=u)
     union = set()
     for c in comps:
         assert not (union & c)
