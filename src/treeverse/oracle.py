@@ -152,9 +152,13 @@ def free_canonical_encoding(tree: RootedTree) -> tuple:
                 if (key := _center_key(_tree_to_enc(tree, c))) is not None)
 
 
+@lru_cache(maxsize=None)
 def enumerate_free_trees(n: int) -> CanonicalTreeSet:
     """Exactly one representative per isomorphism class of free n-vertex trees,
-    rooted at a center, in order of free key."""
+    rooted at a center, in order of free key.
+
+    Built once per size and shared: the set is frozen and its trees are
+    immutable.  A refused size raises, and a raise is never cached."""
     if not (1 <= n <= ENUM_GUARD):
         raise ValueError(f"n must be in 1..{ENUM_GUARD}")
     keyed = sorted((key, enc) for enc in _rooted_encodings(n)
@@ -202,55 +206,85 @@ def vertex_orbit_reps(tree: RootedTree) -> list[int]:
 def brute_embed(guest: RootedTree, graph: UndirectedGraph) -> Optional[dict]:
     """Exhaustive backtracking search for a subgraph embedding of the guest.
 
-    Guest vertices are placed in preorder so each non-root vertex only needs
-    to scan the neighbors of its parent's image.  Returns an injective
-    edge-preserving map or None when provably absent.
+    Guest vertices are placed in preorder, so each non-root vertex only
+    scans the neighbours of its parent's image, in increasing id, and the
+    root scans every host id in increasing order.  A candidate must be
+    unused and have at least the guest vertex's degree.  Returns an
+    injective edge-preserving map, or None when none exists.
+
+    Twin rule: a guest leaf whose preorder predecessor is a leaf with the
+    same parent must take a larger host id than that predecessor.  This
+    changes no result.  The plain search enumerates valid image vectors
+    (images of vertices 0..n-1) in lexicographic order and returns the
+    first.  In that first vector twin leaves are already increasing: were
+    they not, swapping their two images would give a valid vector (both
+    leaves have degree 1 and the same parent, so both images are adjacent
+    to the parent's image), equal before the first twin and smaller there.
+    The rule only skips vectors that are not the first, and spares the
+    search every ordering of interchangeable leaves.
+
+    The search runs from an explicit stack of candidate iterators, one per
+    placed guest vertex, so a deep guest does not recurse.  Neighbour
+    lists are sorted and degrees read once per call.
     """
     n, m = guest.n, graph.n
     if n > m:
         return None
-    guest_deg = [len(guest.children[u]) + (guest.parent[u] is not None)
-                 for u in range(n)]
-    mapping: dict[int, int] = {}
+    parent, children = guest.parent, guest.children
+    need = [len(children[u]) + (parent[u] is not None) for u in range(n)]
+    twin = [u > 0 and not children[u] and not children[u - 1]
+            and parent[u] == parent[u - 1] for u in range(n)]
+    nbrs = [sorted(a) for a in graph.adj]
+    degree = [len(a) for a in nbrs]
     used = [False] * m
-
-    def place(i: int) -> bool:
-        if i == n:
-            return True
-        parent = guest.parent[i]
-        if parent is None:
-            candidates = range(m)
+    image = [0] * n
+    stack = [iter(range(m))]  # stack[i]: the candidates left for vertex i
+    while stack:
+        i = len(stack) - 1
+        low = image[i - 1] if twin[i] else -1
+        for h in stack[i]:
+            if h > low and not used[h] and degree[h] >= need[i]:
+                break
         else:
-            candidates = sorted(graph.adj[mapping[parent]])
-        for h in candidates:
-            if used[h] or graph.degree(h) < guest_deg[i]:
-                continue
-            mapping[i] = h
-            used[h] = True
-            if place(i + 1):
-                return True
-            used[h] = False
-            del mapping[i]
-        return False
-
-    return dict(mapping) if place(0) else None
+            stack.pop()
+            if i:
+                used[image[i - 1]] = False
+            continue
+        image[i] = h
+        used[h] = True
+        if i + 1 == n:
+            return dict(enumerate(image))
+        stack.append(iter(nbrs[image[parent[i + 1]]]))
+    return None
 
 
-def _embeds(args) -> bool:
-    tree, graph = args
-    return brute_embed(tree, graph) is not None
+_pool_graph: Optional[UndirectedGraph] = None
 
 
-def _first_failure(pairs, jobs: int):
-    """Index of the first pair whose guest does not embed, scanning in order."""
+def _set_pool_graph(graph: UndirectedGraph) -> None:
+    """Worker initializer: the host every task of this pool searches."""
+    global _pool_graph
+    _pool_graph = graph
+
+
+def _embeds_in_pool_graph(tree: RootedTree) -> bool:
+    return brute_embed(tree, _pool_graph) is not None
+
+
+def _first_failure(trees, graph: UndirectedGraph, jobs: int):
+    """Index of the first tree that does not embed into the graph, scanning
+    in order.  With jobs > 1 the graph goes to each worker once, through
+    the pool initializer, and the tasks carry only trees."""
     if jobs <= 1:
-        for i, p in enumerate(pairs):
-            if not _embeds(p):
+        for i, tree in enumerate(trees):
+            if brute_embed(tree, graph) is None:
                 return i
         return None
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        for i, ok in enumerate(ex.map(_embeds, pairs, chunksize=8)):
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_set_pool_graph,
+                             initargs=(graph,)) as ex:
+        for i, ok in enumerate(ex.map(_embeds_in_pool_graph, trees,
+                                      chunksize=8)):
             if not ok:
                 return i
     return None
@@ -271,7 +305,7 @@ def is_universal(graph: UndirectedGraph, unsafe_large: bool = False,
     """Whether every free tree on |graph| vertices embeds; first failure if not."""
     check_size(graph.n, unsafe_large=unsafe_large)
     trees = enumerate_free_trees(graph.n).trees
-    bad = _first_failure([(t, graph) for t in trees], jobs)
+    bad = _first_failure(trees, graph, jobs)
     if bad is None:
         return True, None
     return False, trees[bad]
@@ -287,7 +321,7 @@ def is_interval_universal(graph: UndirectedGraph, unsafe_large: bool = False,
         trees = enumerate_free_trees(m).trees
         for i in range(graph.n - m + 1):
             block = graph.induced(range(i, i + m))
-            bad = _first_failure([(t, block) for t in trees], jobs)
+            bad = _first_failure(trees, block, jobs)
             if bad is not None:
                 return False, (i, m, trees[bad])
     return True, None

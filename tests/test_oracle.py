@@ -1,3 +1,5 @@
+import random
+import sys
 from itertools import product
 from math import factorial
 
@@ -10,7 +12,7 @@ from treeverse.oracle import (ENUM_GUARD, _enc_to_tree, _rooted_encodings,
                               enumerate_free_trees, free_canonical_encoding,
                               free_tree_automorphisms, is_interval_universal,
                               is_universal, vertex_orbit_reps)
-from treeverse.tree_core import RootedTree, build_tree
+from treeverse.tree_core import RootedTree, build_tree, from_parens
 
 # free trees per vertex count up to the enumeration guard (OEIS A000055)
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,
@@ -55,6 +57,14 @@ def test_census_guard():
         enumerate_free_trees(0)
     with pytest.raises(ValueError):
         enumerate_free_trees(17)
+
+
+def test_enumeration_is_built_once_per_size_and_refusals_are_not_cached():
+    for n in (1, 8, 12):
+        assert enumerate_free_trees(n) is enumerate_free_trees(n)
+    for n in (0, 17, 0):
+        with pytest.raises(ValueError):
+            enumerate_free_trees(n)
 
 
 def test_representatives_are_pairwise_nonisomorphic():
@@ -214,3 +224,104 @@ def test_universal_implies_degree_witness():
             ok, _ = is_universal(g)
             if ok:
                 assert degree_witness(g) is not None
+
+
+def reference_embed(guest, graph):
+    """Plain preorder backtracking with no pruning but the degree filter:
+    the root tries every host id, each other vertex every neighbour of its
+    parent's image, in increasing id.  Returns the first map found."""
+    n = guest.n
+    deg = [len(guest.children[u]) + (u > 0) for u in range(n)]
+    image = {}
+
+    def place(i):
+        if i == n:
+            return True
+        if i == 0:
+            candidates = range(graph.n)
+        else:
+            candidates = sorted(graph.adj[image[guest.parent[i]]])
+        for h in candidates:
+            if h not in image.values() and len(graph.adj[h]) >= deg[i]:
+                image[i] = h
+                if place(i + 1):
+                    return True
+                del image[i]
+        return False
+
+    return dict(image) if n <= graph.n and place(0) else None
+
+
+def assert_valid_map(guest, graph, mapping):
+    assert sorted(mapping) == list(range(guest.n))
+    assert len(set(mapping.values())) == guest.n
+    for u in range(1, guest.n):
+        assert graph.has_edge(mapping[guest.parent[u]], mapping[u])
+
+
+def relabelled(graph, seed):
+    order = list(range(graph.n))
+    random.Random(seed).shuffle(order)
+    return graph.induced(order)
+
+
+def binary_prefix(m):
+    """The m-vertex prefix of the radius-0 graph of the depth-3 binary tree."""
+    return underlying(generate(perfect_binary(3), 0)).induced_prefix(m)
+
+
+def test_brute_embed_returns_the_reference_mapping():
+    """The twin-leaf rule and the explicit stack change no returned map."""
+    rng = random.Random(17)
+    hosts = []
+    for _ in range(30):
+        m, p = rng.randint(5, 9), rng.uniform(0.3, 0.8)
+        hosts.append(UndirectedGraph(m, [(a, b) for b in range(m)
+                                         for a in range(b) if rng.random() < p]))
+    hosts += [cycle_graph(m) for m in range(3, 10)]
+    hosts += [relabelled(binary_prefix(9), seed) for seed in range(3)]
+    found = absent = 0
+    for n in range(1, 9):
+        for guest in enumerate_free_trees(n).trees:
+            for host in hosts:
+                mapping = brute_embed(guest, host)
+                assert mapping == reference_embed(guest, host)
+                if mapping is None:
+                    absent += 1
+                else:
+                    assert_valid_map(guest, host, mapping)
+                    found += 1
+    assert found > 100 and absent > 100
+
+
+def test_universality_does_not_depend_on_vertex_labels():
+    n = 12
+    matching = {(a, a + 1) for a in range(0, n, 2)}
+    no_dominating = UndirectedGraph(n, [(a, b) for b in range(n) for a in range(b)
+                                        if (a, b) not in matching])
+    for graph, verdict in ((binary_prefix(12), True), (no_dominating, False)):
+        want = is_universal(graph)
+        assert want[0] is verdict
+        for seed in range(10):
+            assert is_universal(relabelled(graph, seed)) == want
+
+
+def test_double_star_in_the_binary_block():
+    """Without the twin-leaf rule the search tries every order of the seven
+    interchangeable leaves in this block."""
+    block = binary_prefix(11).induced(range(1, 11))
+    double_star = from_parens("((()()()()()()())())")
+    mapping = brute_embed(double_star, block)
+    assert mapping is not None
+    assert_valid_map(double_star, block, mapping)
+    assert is_interval_universal(binary_prefix(11)) == (True, None)
+
+
+def test_deep_path_guest_does_not_recurse():
+    n = 1500
+    limit = sys.getrecursionlimit()
+    path_graph = UndirectedGraph(n, [(i, i + 1) for i in range(n - 1)])
+    mapping = brute_embed(path_tree(n), path_graph)
+    assert mapping is not None
+    assert_valid_map(path_tree(n), path_graph, mapping)
+    assert sys.getrecursionlimit() == limit
