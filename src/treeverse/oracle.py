@@ -152,13 +152,9 @@ def free_canonical_encoding(tree: RootedTree) -> tuple:
                 if (key := _center_key(_tree_to_enc(tree, c))) is not None)
 
 
-@lru_cache(maxsize=None)
 def enumerate_free_trees(n: int) -> CanonicalTreeSet:
     """Exactly one representative per isomorphism class of free n-vertex trees,
-    rooted at a center, in order of free key.
-
-    Built once per size and shared: the set is frozen and its trees are
-    immutable.  A refused size raises, and a raise is never cached."""
+    rooted at a center, in order of free key."""
     if not (1 <= n <= ENUM_GUARD):
         raise ValueError(f"n must be in 1..{ENUM_GUARD}")
     keyed = sorted((key, enc) for enc in _rooted_encodings(n)
@@ -223,68 +219,56 @@ def brute_embed(guest: RootedTree, graph: UndirectedGraph) -> Optional[dict]:
     The rule only skips vectors that are not the first, and spares the
     search every ordering of interchangeable leaves.
 
-    The search runs from an explicit stack of candidate iterators, one per
-    placed guest vertex, so a deep guest does not recurse.  Neighbour
-    lists are sorted and degrees read once per call.
+    The search runs from an explicit stack, so a deep guest does not
+    recurse.  Entry i holds vertex i's remaining candidates with the bounds
+    they must meet: its degree and, for a twin leaf, the image of its
+    predecessor.  Each neighbour list is sorted when the search steps into
+    it, so a call sorts only the lists it reaches.
     """
     n, m = guest.n, graph.n
     if n > m:
         return None
-    parent, children = guest.parent, guest.children
-    need = [len(children[u]) + (parent[u] is not None) for u in range(n)]
-    twin = [u > 0 and not children[u] and not children[u - 1]
-            and parent[u] == parent[u - 1] for u in range(n)]
-    nbrs = [sorted(a) for a in graph.adj]
-    degree = [len(a) for a in nbrs]
+    parent, children, adj = guest.parent, guest.children, graph.adj
     used = [False] * m
     image = [0] * n
-    stack = [iter(range(m))]  # stack[i]: the candidates left for vertex i
+    stack = [(iter(range(m)), len(children[0]), -1)]
     while stack:
-        i = len(stack) - 1
-        low = image[i - 1] if twin[i] else -1
-        for h in stack[i]:
-            if h > low and not used[h] and degree[h] >= need[i]:
+        candidates, need, low = stack[-1]
+        for h in candidates:
+            if h > low and not used[h] and len(adj[h]) >= need:
                 break
         else:
             stack.pop()
-            if i:
-                used[image[i - 1]] = False
+            if stack:
+                used[image[len(stack) - 1]] = False
             continue
+        i = len(stack) - 1
         image[i] = h
         used[h] = True
         if i + 1 == n:
             return dict(enumerate(image))
-        stack.append(iter(nbrs[image[parent[i + 1]]]))
+        j, p = i + 1, parent[i + 1]
+        twin = p == parent[i] and not children[j]  # then i is a leaf too
+        stack.append((iter(sorted(adj[image[p]])), len(children[j]) + 1,
+                      h if twin else -1))
     return None
 
 
-_pool_graph: Optional[UndirectedGraph] = None
+def _embeds(args) -> bool:
+    tree, graph = args
+    return brute_embed(tree, graph) is not None
 
 
-def _set_pool_graph(graph: UndirectedGraph) -> None:
-    """Worker initializer: the host every task of this pool searches."""
-    global _pool_graph
-    _pool_graph = graph
-
-
-def _embeds_in_pool_graph(tree: RootedTree) -> bool:
-    return brute_embed(tree, _pool_graph) is not None
-
-
-def _first_failure(trees, graph: UndirectedGraph, jobs: int):
-    """Index of the first tree that does not embed into the graph, scanning
-    in order.  With jobs > 1 the graph goes to each worker once, through
-    the pool initializer, and the tasks carry only trees."""
+def _first_failure(pairs, jobs: int):
+    """Index of the first pair whose guest does not embed, scanning in order."""
     if jobs <= 1:
-        for i, tree in enumerate(trees):
-            if brute_embed(tree, graph) is None:
+        for i, p in enumerate(pairs):
+            if not _embeds(p):
                 return i
         return None
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_set_pool_graph,
-                             initargs=(graph,)) as ex:
-        for i, ok in enumerate(ex.map(_embeds_in_pool_graph, trees,
-                                      chunksize=8)):
+    with ProcessPoolExecutor(max_workers=jobs) as ex:
+        for i, ok in enumerate(ex.map(_embeds, pairs, chunksize=8)):
             if not ok:
                 return i
     return None
@@ -305,7 +289,7 @@ def is_universal(graph: UndirectedGraph, unsafe_large: bool = False,
     """Whether every free tree on |graph| vertices embeds; first failure if not."""
     check_size(graph.n, unsafe_large=unsafe_large)
     trees = enumerate_free_trees(graph.n).trees
-    bad = _first_failure(trees, graph, jobs)
+    bad = _first_failure([(t, graph) for t in trees], jobs)
     if bad is None:
         return True, None
     return False, trees[bad]
@@ -321,7 +305,7 @@ def is_interval_universal(graph: UndirectedGraph, unsafe_large: bool = False,
         trees = enumerate_free_trees(m).trees
         for i in range(graph.n - m + 1):
             block = graph.induced(range(i, i + m))
-            bad = _first_failure(trees, block, jobs)
+            bad = _first_failure([(t, block) for t in trees], jobs)
             if bad is not None:
                 return False, (i, m, trees[bad])
     return True, None

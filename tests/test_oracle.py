@@ -59,14 +59,6 @@ def test_census_guard():
         enumerate_free_trees(17)
 
 
-def test_enumeration_is_built_once_per_size_and_refusals_are_not_cached():
-    for n in (1, 8, 12):
-        assert enumerate_free_trees(n) is enumerate_free_trees(n)
-    for n in (0, 17, 0):
-        with pytest.raises(ValueError):
-            enumerate_free_trees(n)
-
-
 def test_representatives_are_pairwise_nonisomorphic():
     for n in range(1, 9):
         keys = {free_canonical_encoding(t)
@@ -259,6 +251,21 @@ def assert_valid_map(guest, graph, mapping):
         assert graph.has_edge(mapping[guest.parent[u]], mapping[u])
 
 
+def mirrored(tree):
+    """The same tree with every children list reversed, so that leaves come
+    before their larger siblings (canonical trees put them last)."""
+    children = []
+
+    def grow(u):
+        v = len(children)
+        children.append([])
+        children[v].extend(grow(c) for c in reversed(tree.children[u]))
+        return v
+
+    grow(0)
+    return RootedTree(children)
+
+
 def relabelled(graph, seed):
     order = list(range(graph.n))
     random.Random(seed).shuffle(order)
@@ -281,16 +288,17 @@ def test_brute_embed_returns_the_reference_mapping():
     hosts += [cycle_graph(m) for m in range(3, 10)]
     hosts += [relabelled(binary_prefix(9), seed) for seed in range(3)]
     found = absent = 0
-    for n in range(1, 9):
-        for guest in enumerate_free_trees(n).trees:
-            for host in hosts:
-                mapping = brute_embed(guest, host)
-                assert mapping == reference_embed(guest, host)
-                if mapping is None:
-                    absent += 1
-                else:
-                    assert_valid_map(guest, host, mapping)
-                    found += 1
+    guests = [g for n in range(1, 9) for t in enumerate_free_trees(n).trees
+              for g in (t, mirrored(t))]
+    for guest in guests:
+        for host in hosts:
+            mapping = brute_embed(guest, host)
+            assert mapping == reference_embed(guest, host)
+            if mapping is None:
+                absent += 1
+            else:
+                assert_valid_map(guest, host, mapping)
+                found += 1
     assert found > 100 and absent > 100
 
 
