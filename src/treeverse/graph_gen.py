@@ -150,14 +150,12 @@ def generate(tree: RootedTree, radius: int,
         # rule 1: all proper descendants
         for w in range(u + 1, u + tree.sizes[u]):
             _add(arcs, u, w, TAG_DESCENDANT)
-        # rule 2: each left-sibling and its whole subtree
+        # rule 2: each left sibling and its whole subtree, which in preorder
+        # are exactly the ids between the parent and u
         p = tree.parent[u]
         if p is not None:
-            for sib in tree.children[p]:
-                if sib >= u:
-                    break
-                for w in tree.descendant_interval(sib):
-                    _add(arcs, u, w, TAG_LEFT_SIBLING)
+            for w in range(p + 1, u):
+                _add(arcs, u, w, TAG_LEFT_SIBLING)
             # rule 3: the subtree of the parent's nearest-left cousin
             lc = nearest_left_cousin(tree, p)
             if lc is not None and (not legacy or tree.parent[lc] == tree.parent[p]):

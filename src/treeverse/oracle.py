@@ -2,13 +2,16 @@
 embedding, with universality deciders built on top.
 
 Everything here is deliberately simple and separate from the constructive
-embedder so the two can check each other.
+embedder so the two can check each other.  Both deciders scan one lazy
+stream of (tree, block) cases; with jobs > 1 one process pool per call checks
+it, and the first failure cancels the work still pending.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import tee
 from math import factorial
 from typing import Optional
 
@@ -59,14 +62,6 @@ def _rooted_encodings(n: int) -> tuple:
     return tuple(sorted(out))
 
 
-def _enc_size(enc: tuple) -> int:
-    return 1 + sum(_enc_size(c) for c in enc)
-
-
-def _enc_sort_key(enc: tuple):
-    return (-_enc_size(enc), enc)
-
-
 @lru_cache(maxsize=None)
 def _enc_height(enc: tuple) -> int:
     return 1 + max(map(_enc_height, enc), default=-1)
@@ -90,14 +85,12 @@ def _tree_to_enc(tree: RootedTree, root: int) -> tuple:
     """Canonical rooted encoding of the tree re-rooted at `root`."""
 
     def rec(u: int, parent: Optional[int]) -> tuple:
-        nbrs = list(tree.children[u])
-        if tree.parent[u] is not None:
-            nbrs.append(tree.parent[u])
-        subs = [rec(v, u) for v in nbrs if v != parent]
-        subs.sort(key=_enc_sort_key)
-        return tuple(subs)
+        # (-size, encoding) pairs sort branches by (size desc, encoding)
+        branches = (*tree.children[u], tree.parent[u])
+        subs = sorted(rec(v, u) for v in branches if v not in (None, parent))
+        return sum(s for s, _ in subs) - 1, tuple(e for _, e in subs)
 
-    return rec(root, None)
+    return rec(root, None)[1]
 
 
 def _centers(tree: RootedTree) -> list[int]:
@@ -115,11 +108,8 @@ def _centers(tree: RootedTree) -> list[int]:
         for u in layer:
             removed[u] = True
             alive -= 1
-            nbrs = list(tree.children[u])
-            if tree.parent[u] is not None:
-                nbrs.append(tree.parent[u])
-            for v in nbrs:
-                if not removed[v]:
+            for v in (*tree.children[u], tree.parent[u]):
+                if v is not None and not removed[v]:
                     deg[v] -= 1
                     if deg[v] == 1:
                         nxt.append(v)
@@ -191,8 +181,7 @@ def vertex_orbit_reps(tree: RootedTree) -> list[int]:
     """One vertex per orbit of the free-tree automorphism group (smallest id)."""
     reps: dict[tuple, int] = {}
     for v in range(tree.n):
-        key = _tree_to_enc(tree, v)
-        reps.setdefault(key, v)
+        reps.setdefault(_tree_to_enc(tree, v), v)
     return sorted(reps.values())
 
 
@@ -254,24 +243,40 @@ def brute_embed(guest: RootedTree, graph: UndirectedGraph) -> Optional[dict]:
     return None
 
 
-def _embeds(args) -> bool:
-    tree, graph = args
+def _embeds(case) -> bool:
+    tree, graph, _ = case
     return brute_embed(tree, graph) is not None
 
 
-def _first_failure(pairs, jobs: int):
-    """Index of the first pair whose guest does not embed, scanning in order."""
-    if jobs <= 1:
-        for i, p in enumerate(pairs):
-            if not _embeds(p):
-                return i
-        return None
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        for i, ok in enumerate(ex.map(_embeds, pairs, chunksize=8)):
-            if not ok:
-                return i
-    return None
+def _cases(graph: UndirectedGraph, sizes):
+    """Lazily, for each size m in turn, each block of m consecutive ids
+    with every free tree on m vertices, as (tree, block, (offset, m)).  The
+    block of all ids is the graph itself, not an induced copy."""
+    for m in sizes:
+        trees = enumerate_free_trees(m).trees
+        for i in range(graph.n - m + 1):
+            block = graph if m == graph.n else graph.induced(range(i, i + m))
+            for tree in trees:
+                yield tree, block, (i, m)
+
+
+def _first_failure(cases, jobs: int):
+    """The first case in stream order whose tree does not embed, or None.
+    The serial scan reads the stream lazily.  With jobs > 1 one pool takes
+    the whole stream; the first failure shuts it down and cancels the work
+    still pending."""
+    cases, tasks = tee(cases)
+    pool = None
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        verdicts = (pool.map(_embeds, tasks, chunksize=8) if pool
+                    else map(_embeds, tasks))
+        return next((c for c, ok in zip(cases, verdicts) if not ok), None)
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
 
 def check_size(n: int, interval: bool = False,
@@ -288,11 +293,8 @@ def is_universal(graph: UndirectedGraph, unsafe_large: bool = False,
                  jobs: int = 1) -> tuple[bool, Optional[RootedTree]]:
     """Whether every free tree on |graph| vertices embeds; first failure if not."""
     check_size(graph.n, unsafe_large=unsafe_large)
-    trees = enumerate_free_trees(graph.n).trees
-    bad = _first_failure([(t, graph) for t in trees], jobs)
-    if bad is None:
-        return True, None
-    return False, trees[bad]
+    failure = _first_failure(_cases(graph, [graph.n]), jobs)
+    return (True, None) if failure is None else (False, failure[0])
 
 
 def is_interval_universal(graph: UndirectedGraph, unsafe_large: bool = False,
@@ -301,19 +303,14 @@ def is_interval_universal(graph: UndirectedGraph, unsafe_large: bool = False,
     universal graph for trees on m vertices.  Returns the first failing
     (offset, size, tree) witness otherwise."""
     check_size(graph.n, interval=True, unsafe_large=unsafe_large)
-    for m in range(1, graph.n + 1):
-        trees = enumerate_free_trees(m).trees
-        for i in range(graph.n - m + 1):
-            block = graph.induced(range(i, i + m))
-            bad = _first_failure([(t, block) for t in trees], jobs)
-            if bad is not None:
-                return False, (i, m, trees[bad])
-    return True, None
+    failure = _first_failure(_cases(graph, range(1, graph.n + 1)), jobs)
+    if failure is None:
+        return True, None
+    tree, _, (i, m) = failure
+    return False, (i, m, tree)
 
 
 def degree_witness(graph: UndirectedGraph) -> Optional[int]:
     """A vertex adjacent to everything else, if one exists."""
-    for u in range(graph.n):
-        if graph.degree(u) == graph.n - 1:
-            return u
-    return None
+    return next((u for u in range(graph.n)
+                 if graph.degree(u) == graph.n - 1), None)

@@ -1,3 +1,6 @@
+import concurrent.futures
+import hashlib
+import multiprocessing
 import random
 import sys
 from itertools import product
@@ -12,7 +15,7 @@ from treeverse.oracle import (ENUM_GUARD, _enc_to_tree, _rooted_encodings,
                               enumerate_free_trees, free_canonical_encoding,
                               free_tree_automorphisms, is_interval_universal,
                               is_universal, vertex_orbit_reps)
-from treeverse.tree_core import RootedTree, build_tree, from_parens
+from treeverse.tree_core import RootedTree, build_tree, from_parens, to_parens
 
 # free trees per vertex count up to the enumeration guard (OEIS A000055)
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,
@@ -50,6 +53,16 @@ def test_rooted_encodings_are_canonical_and_increasing():
         assert all(a < b for a, b in zip(encs, encs[1:]))
         for enc in encs:
             assert _tree_to_enc(_enc_to_tree(enc), 0) == enc
+
+
+def test_free_tree_order_is_pinned():
+    """The enumeration order decides every `verify` witness."""
+    digest = hashlib.sha256()
+    for n in range(1, 13):
+        for tree in enumerate_free_trees(n).trees:
+            digest.update(to_parens(tree).encode() + b"\n")
+    assert digest.hexdigest() == \
+        "679ebdc0866bdaa7b513c49074f3f817bf00dbc4818c39432d07e2db8bdd0865"
 
 
 def test_census_guard():
@@ -196,6 +209,34 @@ def test_two_worker_processes_give_the_serial_verdict_and_witness():
     parallel = is_interval_universal(path_g, jobs=2)
     assert parallel == is_interval_universal(path_g, jobs=1)
     assert not parallel[0]
+    # only the block 2..7 has no vertex that sees the other five, so the
+    # 6-vertex star fails there, after every smaller size and two blocks
+    missing = {(1, 7), (2, 5), (3, 6), (3, 7), (4, 7)}
+    late = UndirectedGraph(8, [(a, b) for b in range(8) for a in range(b)
+                               if (a, b) not in missing])
+    parallel = is_interval_universal(late, jobs=2)
+    assert parallel == is_interval_universal(late, jobs=1)
+    i, m, tree = parallel[1]
+    assert (i, m, to_parens(tree)) == (2, 6, "(()()()()())")
+
+
+def test_one_pool_per_decider_call(monkeypatch):
+    starts = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountingPool)
+    path_g = UndirectedGraph(6, [(i, i + 1) for i in range(5)])
+    for decide in (is_universal, is_interval_universal):
+        for graph, verdict in ((complete_graph(6), True), (path_g, False)):
+            starts.clear()
+            assert decide(graph, jobs=2)[0] is verdict
+            assert len(starts) == 1
+            assert not multiprocessing.active_children()
 
 
 def test_degree_witness():
