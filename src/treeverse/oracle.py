@@ -3,15 +3,15 @@ embedding, with universality deciders built on top.
 
 Everything here is deliberately simple and separate from the constructive
 embedder so the two can check each other.  Both deciders scan one lazy
-stream of (tree, block) cases; with jobs > 1 one process pool per call checks
-it, and the first failure cancels the work still pending.
+stream of blocks, each with its free trees; with jobs > 1 one process pool
+per call checks it, and the first failure cancels the work still pending.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import tee
+from functools import lru_cache, partial
+from itertools import repeat
 from math import factorial
 from typing import Optional
 
@@ -87,7 +87,7 @@ def _tree_to_enc(tree: RootedTree, root: int) -> tuple:
     def rec(u: int, parent: Optional[int]) -> tuple:
         # (-size, encoding) pairs sort branches by (size desc, encoding)
         branches = (*tree.children[u], tree.parent[u])
-        subs = sorted(rec(v, u) for v in branches if v not in (None, parent))
+        subs = sorted([rec(v, u) for v in branches if v not in (None, parent)])
         return sum(s for s, _ in subs) - 1, tuple(e for _, e in subs)
 
     return rec(root, None)[1]
@@ -108,8 +108,11 @@ def _centers(tree: RootedTree) -> list[int]:
         for u in layer:
             removed[u] = True
             alive -= 1
-            for v in (*tree.children[u], tree.parent[u]):
-                if v is not None and not removed[v]:
+            nbrs = list(tree.children[u])
+            if tree.parent[u] is not None:
+                nbrs.append(tree.parent[u])
+            for v in nbrs:
+                if not removed[v]:
                     deg[v] -= 1
                     if deg[v] == 1:
                         nxt.append(v)
@@ -181,7 +184,8 @@ def vertex_orbit_reps(tree: RootedTree) -> list[int]:
     """One vertex per orbit of the free-tree automorphism group (smallest id)."""
     reps: dict[tuple, int] = {}
     for v in range(tree.n):
-        reps.setdefault(_tree_to_enc(tree, v), v)
+        key = _tree_to_enc(tree, v)
+        reps.setdefault(key, v)
     return sorted(reps.values())
 
 
@@ -243,37 +247,34 @@ def brute_embed(guest: RootedTree, graph: UndirectedGraph) -> Optional[dict]:
     return None
 
 
-def _embeds(case) -> bool:
-    tree, graph, _ = case
-    return brute_embed(tree, graph) is not None
-
-
-def _cases(graph: UndirectedGraph, sizes):
-    """Lazily, for each size m in turn, each block of m consecutive ids
-    with every free tree on m vertices, as (tree, block, (offset, m)).  The
-    block of all ids is the graph itself, not an induced copy."""
+def _blocks(graph: UndirectedGraph, sizes):
+    """Lazily, for each size m in turn, each block of m consecutive ids as
+    (offset, m, block, free trees on m vertices).  The block of all ids is
+    the graph itself, not an induced copy."""
     for m in sizes:
         trees = enumerate_free_trees(m).trees
         for i in range(graph.n - m + 1):
             block = graph if m == graph.n else graph.induced(range(i, i + m))
-            for tree in trees:
-                yield tree, block, (i, m)
+            yield i, m, block, trees
 
 
-def _first_failure(cases, jobs: int):
-    """The first case in stream order whose tree does not embed, or None.
-    The serial scan reads the stream lazily.  With jobs > 1 one pool takes
-    the whole stream; the first failure shuts it down and cancels the work
-    still pending."""
-    cases, tasks = tee(cases)
+def _first_failure(blocks, jobs: int):
+    """(offset, m, tree) for the first tree in stream order that does not
+    embed in its block, or None.  Blocks are read one at a time, none past
+    the first failure.  With jobs > 1 one pool checks every block; the
+    first failure shuts it down and cancels the work still pending."""
     pool = None
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=jobs)
+    run = partial(pool.map, chunksize=8) if pool else map
     try:
-        verdicts = (pool.map(_embeds, tasks, chunksize=8) if pool
-                    else map(_embeds, tasks))
-        return next((c for c, ok in zip(cases, verdicts) if not ok), None)
+        for i, m, block, trees in blocks:
+            found = run(brute_embed, trees, repeat(block))
+            for tree, embedding in zip(trees, found):
+                if embedding is None:
+                    return i, m, tree
+        return None
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
@@ -293,8 +294,10 @@ def is_universal(graph: UndirectedGraph, unsafe_large: bool = False,
                  jobs: int = 1) -> tuple[bool, Optional[RootedTree]]:
     """Whether every free tree on |graph| vertices embeds; first failure if not."""
     check_size(graph.n, unsafe_large=unsafe_large)
-    failure = _first_failure(_cases(graph, [graph.n]), jobs)
-    return (True, None) if failure is None else (False, failure[0])
+    failure = _first_failure(_blocks(graph, [graph.n]), jobs)
+    if failure is None:
+        return True, None
+    return False, failure[2]
 
 
 def is_interval_universal(graph: UndirectedGraph, unsafe_large: bool = False,
@@ -303,14 +306,13 @@ def is_interval_universal(graph: UndirectedGraph, unsafe_large: bool = False,
     universal graph for trees on m vertices.  Returns the first failing
     (offset, size, tree) witness otherwise."""
     check_size(graph.n, interval=True, unsafe_large=unsafe_large)
-    failure = _first_failure(_cases(graph, range(1, graph.n + 1)), jobs)
-    if failure is None:
-        return True, None
-    tree, _, (i, m) = failure
-    return False, (i, m, tree)
+    failure = _first_failure(_blocks(graph, range(1, graph.n + 1)), jobs)
+    return failure is None, failure
 
 
 def degree_witness(graph: UndirectedGraph) -> Optional[int]:
     """A vertex adjacent to everything else, if one exists."""
-    return next((u for u in range(graph.n)
-                 if graph.degree(u) == graph.n - 1), None)
+    for u in range(graph.n):
+        if graph.degree(u) == graph.n - 1:
+            return u
+    return None

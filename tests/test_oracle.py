@@ -218,6 +218,13 @@ def test_two_worker_processes_give_the_serial_verdict_and_witness():
     assert parallel == is_interval_universal(late, jobs=1)
     i, m, tree = parallel[1]
     assert (i, m, to_parens(tree)) == (2, 6, "(()()()()())")
+    # 17 vertices is past the enumeration guard, so a scan that read sizes
+    # beyond the failing one would raise instead of returning the witness
+    long_path = UndirectedGraph(17, [(i, i + 1) for i in range(16)])
+    parallel = is_interval_universal(long_path, unsafe_large=True, jobs=2)
+    assert parallel == is_interval_universal(long_path, unsafe_large=True)
+    i, m, tree = parallel[1]
+    assert (i, m, to_parens(tree)) == (0, 4, "(()()())")
 
 
 def test_one_pool_per_decider_call(monkeypatch):
