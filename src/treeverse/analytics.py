@@ -1,8 +1,9 @@
 """Edge-count bound tables and the reproduction of the legacy generator's
 failure on an 11-vertex prefix.
 
-Every edge count, for a whole graph or any preorder prefix, is read from one
-`graph_gen.prefix_counts` pass over the arcs.
+Every edge count, for a whole graph or any preorder prefix, is read from
+`graph_gen.prefix_counts`, which counts from the rules' intervals and builds
+no arcs.
 
 Counts are exact integers; bound values are floats with two hundred vertices
 of linear slack, so a 1e-6 guard on the bound side is immaterial and only
@@ -90,9 +91,9 @@ def bound_table_ternary(k_max: int, prefix_sweep: bool = False) -> BoundReport:
         raise ValueError(f"k_max must be in 1..{TERNARY_K_GUARD}")
     rows = []
     for k in range(1, k_max + 1):
-        dig = generate(typed_ternary(k).tree, 2)
-        counts = prefix_counts(dig)
-        n = dig.n
+        tree = typed_ternary(k).tree
+        counts = prefix_counts(tree, 2)
+        n = tree.n
         if prefix_sweep:
             sizes = _prefix_spread(3 ** (k - 1), n, PREFIXES_PER_K)
         else:
@@ -110,9 +111,9 @@ def bound_table_binary(k_max: int) -> BoundReport:
         raise ValueError(f"k_max must be in 0..{BINARY_K_GUARD}")
     rows = []
     for k in range(0, k_max + 1):
-        dig = generate(perfect_binary(k), 0)
-        counts = prefix_counts(dig)
-        n = dig.n
+        tree = perfect_binary(k)
+        counts = prefix_counts(tree, 0)
+        n = tree.n
         rows.append(BoundRow("binary-full", k, n, counts.pairs[n],
                              counts.by_type(n), binary_bound(n, k, True)))
         if k >= 1:
@@ -181,8 +182,8 @@ def edge_gap_summary(k: int) -> GapReport:
     if not (1 <= k <= GAP_K_GUARD):
         raise ValueError(f"k must be in 1..{GAP_K_GUARD}")
     tree = typed_ternary(k).tree
-    e2 = prefix_counts(generate(tree, 2)).pairs[tree.n]
-    e0 = prefix_counts(generate(tree, 0)).pairs[tree.n]
+    e2 = prefix_counts(tree, 2).pairs[tree.n]
+    e0 = prefix_counts(tree, 0).pairs[tree.n]
     gap = e2 - e0
     bound = 32 * tree.n
     return GapReport(k, tree.n, e2, e0, gap, bound, gap <= bound)

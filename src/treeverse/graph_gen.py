@@ -8,10 +8,15 @@ setting of the same generator: with `legacy=True` the third rule fires only
 when the parent's nearest-left cousin is also its sibling.  It is kept because
 its failure on an 11-vertex prefix is reproduced by the analytics module.
 
+The rules are stated once, in `rule_intervals`, as each vertex's runs of ids:
+its children, `range`s of ids and slices of level rows.  `generate` expands
+the runs into tagged arcs.  Edge counts of every preorder prefix, undirected
+and per rule tag, are read from the runs without building any arcs
+(`prefix_counts`).
+
 An undirected view (`UndirectedGraph`) keeps one neighbour set per vertex and
 nothing else; its pair set `edges` is built only when read, for output and
-tests.  Edge counts of every preorder prefix, undirected and per rule tag,
-come from one pass over the arcs (`prefix_counts`).
+tests.
 """
 
 from __future__ import annotations
@@ -125,11 +130,43 @@ class GeneratedDigraph:
         return self.source.n
 
 
-def _add(arcs: dict, u: int, w: int, tag: int) -> None:
-    if u == w:
-        return
-    key = (u, w)
-    arcs[key] = arcs.get(key, 0) | tag
+def rule_intervals(tree: RootedTree, radius: int, u: int,
+                   legacy: bool = False):
+    """Yield u's arcs as `(tag, ids)` runs, in the order `generate` adds them.
+
+    Each run is u's children, a `range` of ids, or a slice of a level row:
+    the children; the descendants; the left-sibling block; the cousin
+    subtree (rule 3, see `generate` for `legacy`); and, with a positive
+    radius, one slice per level below each radius target.  A radius slice
+    may hold u itself, which makes no arc.
+    """
+    sizes = tree.sizes
+    yield TAG_TREE, tree.children[u]
+    # rule 1: all proper descendants
+    yield TAG_DESCENDANT, range(u + 1, u + sizes[u])
+    p = tree.parent[u]
+    if p is not None:
+        # rule 2: each left sibling and its whole subtree, which in preorder
+        # are exactly the ids between the parent and u
+        yield TAG_LEFT_SIBLING, range(p + 1, u)
+        # rule 3: the subtree of the parent's nearest-left cousin
+        lc = nearest_left_cousin(tree, p)
+        if lc is not None and (not legacy or tree.parent[lc] == tree.parent[p]):
+            yield TAG_COUSIN_SUBTREE, tree.descendant_interval(lc)
+    # rule 4: descendants within `radius` levels below the (clamped)
+    # radius-th ancestor and below its nearest-left cousin
+    if radius > 0:
+        levels, depth = tree.levels, tree.depth
+        anchor = ith_ancestor(tree, u, radius)
+        targets = [anchor]
+        alc = nearest_left_cousin(tree, anchor)
+        if alc is not None:
+            targets.append(alc)
+        for t in targets:
+            last = t + sizes[t] - 1
+            for lvl in range(levels[t] + 1, min(levels[t] + radius, depth) + 1):
+                row = tree.level_order[lvl]
+                yield TAG_RADIUS, row[bisect_left(row, t):bisect_right(row, last)]
 
 
 def generate(tree: RootedTree, radius: int,
@@ -144,38 +181,13 @@ def generate(tree: RootedTree, radius: int,
     if radius < 0:
         raise ValueError("radius must be non-negative")
     arcs: dict = {}
+    get = arcs.get
     for u in range(tree.n):
-        for c in tree.children[u]:
-            _add(arcs, u, c, TAG_TREE)
-        # rule 1: all proper descendants
-        for w in range(u + 1, u + tree.sizes[u]):
-            _add(arcs, u, w, TAG_DESCENDANT)
-        # rule 2: each left sibling and its whole subtree, which in preorder
-        # are exactly the ids between the parent and u
-        p = tree.parent[u]
-        if p is not None:
-            for w in range(p + 1, u):
-                _add(arcs, u, w, TAG_LEFT_SIBLING)
-            # rule 3: the subtree of the parent's nearest-left cousin
-            lc = nearest_left_cousin(tree, p)
-            if lc is not None and (not legacy or tree.parent[lc] == tree.parent[p]):
-                for w in tree.descendant_interval(lc):
-                    _add(arcs, u, w, TAG_COUSIN_SUBTREE)
-        # rule 4: descendants within `radius` levels below the (clamped)
-        # radius-th ancestor and below its nearest-left cousin
-        if radius > 0:
-            anchor = ith_ancestor(tree, u, radius)
-            targets = [anchor]
-            alc = nearest_left_cousin(tree, anchor)
-            if alc is not None:
-                targets.append(alc)
-            for t in targets:
-                lo, hi = t, t + tree.sizes[t]
-                for lvl in range(tree.levels[t] + 1,
-                                 min(tree.levels[t] + radius, tree.depth) + 1):
-                    row = tree.level_order[lvl]
-                    for i in range(bisect_left(row, lo), bisect_right(row, hi - 1)):
-                        _add(arcs, u, row[i], TAG_RADIUS)
+        for tag, ids in rule_intervals(tree, radius, u, legacy):
+            for w in ids:
+                if w != u:
+                    key = (u, w)
+                    arcs[key] = get(key, 0) | tag
     return GeneratedDigraph(tree, radius, arcs, legacy=legacy)
 
 
@@ -202,24 +214,87 @@ class PrefixCounts:
         return {name: col[m] for name, col in self.tags.items()}
 
 
-def prefix_counts(digraph: GeneratedDigraph) -> PrefixCounts:
-    """One pass over the arcs.  An arc lies in the prefixes of size
-    max(u, w) + 1 and up; a pair is counted once, on its (u < w) arc when
-    both orientations exist."""
-    n = digraph.n
-    arcs = digraph.arcs
+def prefix_counts(tree: RootedTree, radius: int,
+                  legacy: bool = False) -> PrefixCounts:
+    """Edge counts of every preorder prefix of `generate(tree, radius,
+    legacy)`, read from the `rule_intervals` runs without building the arcs.
+
+    An arc lies in the prefixes of size max(u, w) + 1 and up: a run's ids
+    below u all land at u + 1, its ids above u one by one, and a `range`
+    above u as one step of a difference array.
+
+    A pair is counted at its larger end v, as one of v's lower neighbours.
+    Rules 2 and 3 only point to smaller ids and rule 1 only to larger ones,
+    so the only arcs into v from a smaller id come from v's ancestors and
+    from the radius rule.  v's lower neighbours are therefore three disjoint
+    blocks -- its level(v) ancestors, its left-sibling block and its cousin
+    subtree -- plus the radius rule's lower neighbours outside them.
+    """
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    n, sizes, levels = tree.n, tree.sizes, tree.levels
     pairs = [0] * (n + 1)
-    tags = {bit: [0] * (n + 1) for bit in TAG_NAMES}
-    for (u, w), mask in arcs.items():
-        m = (u if u > w else w) + 1
-        if u < w or (w, u) not in arcs:
-            pairs[m] += 1
-        for bit, col in tags.items():
-            if mask & bit:
-                col[m] += 1
+    cols = {bit: [0] * (n + 1) for bit in TAG_NAMES}
+    steps = [0] * (n + 2)  # difference array of the descendant column
+    for u in range(n):
+        lower = levels[u]
+        blocks = []
+        for tag, ids in rule_intervals(tree, radius, u, legacy):
+            col = cols[tag]
+            if tag == TAG_TREE:
+                for c in ids:
+                    col[c + 1] += 1
+            elif tag == TAG_DESCENDANT:
+                steps[ids.start + 1] += 1
+                steps[ids.stop + 1] -= 1
+            elif tag != TAG_RADIUS:  # left-sibling block, cousin subtree
+                col[u + 1] += len(ids)
+                lower += len(ids)
+                blocks.append(ids)
+            else:
+                below = bisect_left(ids, u)
+                col[u + 1] += below
+                if below:
+                    # the last id below u is the only one that can be its
+                    # ancestor
+                    a = ids[below - 1]
+                    lower += below - (a + sizes[a] > u)
+                    for b in blocks:
+                        lower -= (bisect_left(ids, b.stop, 0, below)
+                                  - bisect_left(ids, b.start, 0, below))
+                above = ids[below + (below < len(ids) and ids[below] == u):]
+                for w in above:
+                    col[w + 1] += 1
+                # Every id above u lies under u's radius-th ancestor (the
+                # subtree of its cousin precedes u).  A w on u's own level
+                # has that same ancestor, so w's radius rule reaches u and w
+                # counts the pair; only other levels can hold one it misses.
+                if above and levels[above[0]] != levels[u]:
+                    for w in above:
+                        if _new_upward_pair(tree, radius, legacy, u, w):
+                            pairs[w + 1] += 1
+        pairs[u + 1] += lower
+    desc = cols[TAG_DESCENDANT]
+    for m, step in enumerate(accumulate(steps[:n + 1])):
+        desc[m] += step
     return PrefixCounts(list(accumulate(pairs)),
                         {TAG_NAMES[bit]: list(accumulate(col))
-                         for bit, col in tags.items()})
+                         for bit, col in cols.items()})
+
+
+def _new_upward_pair(tree: RootedTree, radius: int, legacy: bool,
+                     u: int, w: int) -> bool:
+    """Whether the radius arc u -> w, u < w, makes a pair that w does not
+    count among its lower neighbours: u is not w's ancestor, and no run of w
+    holds u (the left-sibling block is tested first, as it is the common
+    case)."""
+    if u + tree.sizes[u] > w or tree.parent[w] < u:
+        return False
+    for _, ids in rule_intervals(tree, radius, w, legacy):
+        i = bisect_left(ids, u)
+        if i < len(ids) and ids[i] == u:
+            return False
+    return True
 
 
 def merged_tree(tree: RootedTree | TreeView,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -181,3 +182,23 @@ def test_verify_checks_size_before_generating(capsys, monkeypatch):
                  ["verify", "--family", "legacy", "--k", "3", "--interval"]):
         assert main(argv) == 2, argv
         assert "guard: n=15" in capsys.readouterr().err
+
+
+# sha256 of stdout, recorded while prefix counts were read from the arcs of
+# `generate`; the JSON carries `edges_by_type`, which the CSV does not
+PINNED_COUNT_OUTPUTS_SHA256 = {
+    ("bounds", "--family", "ternary-typed", "--k-max", "6", "--prefix-sweep",
+     "--format", "json"):
+        "dd7d322ffc3698f9a38d5ad282751d186c58ff28d04325ca093e2706a3a2b106",
+    ("bounds", "--family", "binary", "--k-max", "8", "--format", "json"):
+        "235aa6b9bc3614e2c83e2670b695d3e454375eb9e61489d20f79f645dfc42a12",
+    ("gap", "--k", "6"):
+        "99c4b8c6a43d0daa7dc288492ef9d12bb5df700005a356f397df648ae88eebd2",
+}
+
+
+def test_count_outputs_match_the_pinned_hashes(capsys):
+    for argv, want in PINNED_COUNT_OUTPUTS_SHA256.items():
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv

@@ -1,15 +1,17 @@
+import hashlib
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
 from treeverse.balanced_trees import perfect_binary, typed_ternary
-from treeverse.graph_gen import (TAG_COUSIN_SUBTREE, TAG_NAMES,
+from treeverse.graph_gen import (TAG_COUSIN_SUBTREE, TAG_NAMES, PrefixCounts,
                                  UndirectedGraph, generate, legacy_generate,
                                  merged_tree, prefix_counts, to_dot, to_json,
                                  underlying)
 from treeverse.oracle import enumerate_free_trees
-from treeverse.tree_core import RootedTree, build_tree, nearest_left_cousin
+from treeverse.tree_core import (RootedTree, build_tree, from_parens,
+                                 nearest_left_cousin)
 
 
 def path_tree(n):
@@ -116,22 +118,23 @@ def test_graph_refuses_self_loops_and_outside_endpoints():
 
 
 def test_count_edges_by_type():
-    assert prefix_counts(generate(typed_ternary(1).tree, 0)).pairs[3] == 3
-    b2 = prefix_counts(generate(perfect_binary(2), 0)).by_type(7)
+    assert prefix_counts(typed_ternary(1).tree, 0).pairs[3] == 3
+    b2 = prefix_counts(perfect_binary(2), 0).by_type(7)
     assert b2["descendant"] == 10
     assert b2["left_sibling"] == 5
     assert b2["cousin_subtree"] == 6
     assert b2["radius"] == 0
     for guest in enumerate_free_trees(7).trees:
-        assert prefix_counts(generate(guest, 0)).by_type(7)["radius"] == 0
+        assert prefix_counts(guest, 0).by_type(7)["radius"] == 0
 
 
 def test_prefix_counts_match_a_recount_at_every_prefix():
-    digraphs = [generate(t, r) for t in enumerate_free_trees(7).trees
-                for r in (0, 2)]
-    digraphs += [legacy_generate(k) for k in range(5)]
-    for d in digraphs:
-        counts = prefix_counts(d)
+    cases = [(t, r, False) for t in enumerate_free_trees(7).trees
+             for r in (0, 2)]
+    cases += [(perfect_binary(k), 0, True) for k in range(5)]
+    for tree, r, legacy in cases:
+        d = generate(tree, r, legacy)
+        counts = prefix_counts(tree, r, legacy)
         g = underlying(d)
         for m in range(d.n + 1):
             assert counts.pairs[m] == g.induced_prefix(m).edge_count
@@ -139,6 +142,56 @@ def test_prefix_counts_match_a_recount_at_every_prefix():
                 name: sum(1 for (u, w), tags in d.arcs.items()
                           if tags & bit and u < m and w < m)
                 for bit, name in TAG_NAMES.items()}
+
+
+def ordered_trees(n):
+    """Every ordered rooted tree on n vertices, in parenthesis form."""
+    def forests(m):
+        if m == 0:
+            yield ""
+        for first in range(1, m + 1):
+            for head in ordered_trees(first):
+                for rest in forests(m - first):
+                    yield head + rest
+    for inner in forests(n - 1):
+        yield "(" + inner + ")"
+
+
+def arc_prefix_counts(d):
+    """The one pass over the arcs that `prefix_counts` used to make."""
+    n, arcs = d.n, d.arcs
+    pairs = [0] * (n + 1)
+    tags = {bit: [0] * (n + 1) for bit in TAG_NAMES}
+    for (u, w), mask in arcs.items():
+        m = max(u, w) + 1
+        if u < w or (w, u) not in arcs:
+            pairs[m] += 1
+        for bit, col in tags.items():
+            if mask & bit:
+                col[m] += 1
+    return PrefixCounts(list(accumulate(pairs)),
+                        {TAG_NAMES[bit]: list(accumulate(col))
+                         for bit, col in tags.items()})
+
+
+def test_prefix_counts_match_the_arc_counter():
+    """Counting from the runs equals counting the arcs, at every prefix."""
+    trees = [from_parens(s) for n in range(1, 10) for s in ordered_trees(n)]
+    assert len(trees) == 2056
+    trees += [typed_ternary(k).tree for k in range(6)]
+    trees += [perfect_binary(k) for k in range(8)]
+    for tree in trees:
+        for r in range(4):
+            for legacy in (False, True):
+                assert prefix_counts(tree, r, legacy) == \
+                    arc_prefix_counts(generate(tree, r, legacy))
+
+
+def test_prefix_counts_refuse_a_negative_radius():
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        prefix_counts(perfect_binary(2), -1)
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        generate(perfect_binary(2), -1)
 
 
 def test_legacy_setting_only_weakens_the_cousin_rule():
@@ -305,3 +358,29 @@ def test_exports_mention_every_edge():
     for a, b in underlying(dig).edges:
         assert f"{a} -- {b}" in dot
     assert '"n": 7' in js and '"r": 1' in js
+
+
+# sha256 over `list(generate(t, r, legacy).arcs.items())` for every tree of
+# `pinned_generator_trees`, r = 0..3 and both legacy settings, recorded while
+# generate still expanded each rule inline; it pins the tags and the arcs'
+# insertion order
+PINNED_ARCS_SHA256 = (
+    "e6e3a939480c76b25c12d8c24e48017d4421a06d769a647900f519dd557ce880")
+
+
+def pinned_generator_trees():
+    trees = [typed_ternary(k).tree for k in range(6)]
+    trees += [perfect_binary(k) for k in range(7)]
+    for n in range(1, 9):
+        trees += enumerate_free_trees(n).trees
+    return trees
+
+
+def test_generate_matches_the_pinned_hash():
+    digest = hashlib.sha256()
+    for tree in pinned_generator_trees():
+        for r in range(4):
+            for legacy in (False, True):
+                arcs = generate(tree, r, legacy).arcs
+                digest.update(repr(list(arcs.items())).encode())
+    assert digest.hexdigest() == PINNED_ARCS_SHA256
