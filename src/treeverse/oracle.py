@@ -3,8 +3,11 @@ embedding, with universality deciders built on top.
 
 Everything here is deliberately simple and separate from the constructive
 embedder so the two can check each other.  Both deciders scan one lazy
-stream of blocks, each with its free trees; with jobs > 1 one process pool
-per call checks it, and the first failure cancels the work still pending.
+stream of blocks, each as its sorted neighbour tuples with the free trees
+of its size as preorder parent tuples; with jobs > 1 one process pool per
+call checks it, and the first failure cancels the work still pending.
+Trees are built only at the edge: `enumerate_free_trees`, and the witness
+a decider returns.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import repeat
 from math import factorial
+from operator import itemgetter
 from typing import Optional
 
 from .tree_core import RootedTree
@@ -32,34 +36,56 @@ class CanonicalTreeSet:
 
 
 @lru_cache(maxsize=None)
-def _rooted_encodings(n: int) -> tuple:
+def _rooted_encodings(n: int) -> tuple[tuple, bytes, bytes, bytes]:
     """Canonical nested-tuple encodings of all rooted trees on n vertices,
-    in increasing order.
+    in increasing order, with the shape the free-tree filter reads.
 
     A tree is encoded as the tuple of its children's encodings, sorted by
     (size desc, encoding); equal encodings mean isomorphic rooted trees.
+    Returns (encs, heights, tallest, seconds), the last three one byte per
+    encoding: encs[j] has height heights[j], its first child of height
+    heights[j] - 1 is child tallest[j], and seconds[j] is one more than the
+    height of its second-tallest child (0 with fewer than two children).
     """
     if n == 1:
-        return ((),)
-    candidates = []
+        return ((),), b"\0", b"\0", b"\0"
+    candidates = []  # (size, encoding, height)
     fits = [0] * n  # fits[r]: first candidate of size at most r
     for m in range(n - 1, 0, -1):
         fits[m] = len(candidates)
-        candidates.extend((m, enc) for enc in _rooted_encodings(m))
+        encs, heights = _rooted_encodings(m)[:2]
+        candidates.extend(zip(repeat(m), encs, heights))
     out: list[tuple] = []
+    shape = [bytearray(), bytearray(), bytearray()]  # heights, tallest, seconds
+    add_height, add_tallest, add_second = (a.append for a in shape)
 
-    def rec(i: int, remaining: int, acc: list) -> None:
+    def rec(i: int, remaining: int, acc: list, h1: int, top: int,
+            h2: int) -> None:
+        # h1, h2: heights of the two tallest children so far (-1 for none);
+        # top: index of the first child of height h1
         if remaining == 0:
             out.append(tuple(acc))
+            add_height(h1 + 1)
+            add_tallest(top)
+            add_second(h2 + 1)
             return
+        pos = len(acc)
         for j in range(max(i, fits[remaining]), len(candidates)):
-            m, enc = candidates[j]
+            m, enc, h = candidates[j]
             acc.append(enc)
-            rec(j, remaining - m, acc)  # the same candidate may repeat
+            # recurse from j, not j + 1: the same candidate may repeat
+            if h > h1:
+                rec(j, remaining - m, acc, h, pos, h1)
+            elif h > h2:
+                rec(j, remaining - m, acc, h1, top, h)
+            else:
+                rec(j, remaining - m, acc, h1, top, h2)
             acc.pop()
 
-    rec(0, n - 1, [])
-    return tuple(sorted(out))
+    rec(0, n - 1, [], -1, 0, -1)
+    order = sorted(range(len(out)), key=out.__getitem__)
+    return (tuple(map(out.__getitem__, order)),
+            *(bytes(map(a.__getitem__, order)) for a in shape))
 
 
 @lru_cache(maxsize=None)
@@ -67,18 +93,34 @@ def _enc_height(enc: tuple) -> int:
     return 1 + max(map(_enc_height, enc), default=-1)
 
 
-def _enc_to_tree(enc: tuple) -> RootedTree:
-    children: list[list[int]] = []
+def _flatten(enc: tuple) -> tuple:
+    """Preorder parent tuple of the tree with this encoding (the root's
+    parent is None), built from an explicit stack: each step runs down a
+    chain of first children and stacks the later siblings."""
+    parent: list[Optional[int]] = []
+    stack = [(enc, None)]
+    pop, push, add = stack.pop, stack.extend, parent.append
+    while stack:
+        e, p = pop()
+        while e:
+            u = len(parent)
+            add(p)
+            if len(e) > 1:
+                push(zip(reversed(e[1:]), repeat(u)))
+            e, p = e[0], u
+        add(p)
+    return tuple(parent)
 
-    def grow(e: tuple) -> int:
-        u = len(children)
-        children.append([])
-        for c in e:
-            children[u].append(grow(c))
-        return u
 
-    grow(enc)
+def _parents_to_tree(parent: tuple) -> RootedTree:
+    children: list[list[int]] = [[] for _ in parent]
+    for v in range(1, len(parent)):
+        children[parent[v]].append(v)
     return RootedTree(children)
+
+
+def _enc_to_tree(enc: tuple) -> RootedTree:
+    return _parents_to_tree(_flatten(enc))
 
 
 def _tree_to_enc(tree: RootedTree, root: int) -> tuple:
@@ -145,14 +187,36 @@ def free_canonical_encoding(tree: RootedTree) -> tuple:
                 if (key := _center_key(_tree_to_enc(tree, c))) is not None)
 
 
+def _free_parents(n: int) -> list[tuple]:
+    """One preorder parent tuple per isomorphism class of free n-vertex
+    trees, rooted at a center, in order of free key.
+
+    The filter of `_center_key` read off the stored shape: a centred root
+    has two tallest branches of equal height, and a bicentral one a tallest
+    branch one level taller than the rest, kept when the rest encodes no
+    larger than that branch.  Bicentral keys ("b", rest, branch) sort
+    before centred keys ("c", encoding), and those in the table's order.
+    """
+    if not (1 <= n <= ENUM_GUARD):
+        raise ValueError(f"n must be in 1..{ENUM_GUARD}")
+    encs, heights, tallest, seconds = _rooted_encodings(n)
+    bicentral, centred = [], []
+    for enc, h, i, s in zip(encs, heights, tallest, seconds):
+        if h == s:
+            centred.append(enc)
+        elif h == s + 1:
+            rest, tall = enc[:i] + enc[i + 1:], enc[i]
+            if rest <= tall:
+                bicentral.append(((rest, tall), enc))
+    bicentral.sort(key=itemgetter(0))
+    return ([_flatten(enc) for _, enc in bicentral]
+            + [_flatten(enc) for enc in centred])
+
+
 def enumerate_free_trees(n: int) -> CanonicalTreeSet:
     """Exactly one representative per isomorphism class of free n-vertex trees,
     rooted at a center, in order of free key."""
-    if not (1 <= n <= ENUM_GUARD):
-        raise ValueError(f"n must be in 1..{ENUM_GUARD}")
-    keyed = sorted((key, enc) for enc in _rooted_encodings(n)
-                   if (key := _center_key(enc)) is not None)
-    return CanonicalTreeSet(n, tuple(_enc_to_tree(enc) for _, enc in keyed))
+    return CanonicalTreeSet(n, tuple(map(_parents_to_tree, _free_parents(n))))
 
 
 @lru_cache(maxsize=None)
@@ -212,23 +276,46 @@ def brute_embed(guest: RootedTree, graph: UndirectedGraph) -> Optional[dict]:
     The rule only skips vectors that are not the first, and spares the
     search every ordering of interchangeable leaves.
 
+    The search itself is `_search`, on the guest's parent tuple and the
+    host's neighbour tuples, each sorted once before it starts.
+    """
+    image = _search(guest.parent, _sorted_neighbours(graph.adj, 0, graph.n))
+    return None if image is None else dict(enumerate(image))
+
+
+def _sorted_neighbours(adj, lo: int, m: int) -> tuple:
+    """The block of ids lo..lo+m-1 relabelled from 0: each vertex's
+    neighbours inside the block as an increasing tuple."""
+    hi = lo + m
+    return tuple(tuple(v - lo for v in sorted(adj[u]) if lo <= v < hi)
+                 for u in range(lo, hi))
+
+
+def _search(parent: tuple, nbrs: tuple) -> Optional[list]:
+    """`brute_embed` on flat data: the guest as a preorder parent tuple, the
+    host as increasing neighbour tuples.  Returns the images of the guest
+    vertices in order, or None.
+
     The search runs from an explicit stack, so a deep guest does not
     recurse.  Entry i holds vertex i's remaining candidates with the bounds
     they must meet: its degree and, for a twin leaf, the image of its
-    predecessor.  Each neighbour list is sorted when the search steps into
-    it, so a call sorts only the lists it reaches.
+    predecessor.
     """
-    n, m = guest.n, graph.n
+    n, m = len(parent), len(nbrs)
     if n > m:
         return None
-    parent, children, adj = guest.parent, guest.children, graph.adj
+    degree = [1] * n  # of each guest vertex: its children and its parent
+    degree[0] = 0
+    for v in range(1, n):
+        degree[parent[v]] += 1
+    host_degree = list(map(len, nbrs))
     used = [False] * m
     image = [0] * n
-    stack = [(iter(range(m)), len(children[0]), -1)]
+    stack = [(iter(range(m)), degree[0], -1)]
     while stack:
         candidates, need, low = stack[-1]
         for h in candidates:
-            if h > low and not used[h] and len(adj[h]) >= need:
+            if h > low and not used[h] and host_degree[h] >= need:
                 break
         else:
             stack.pop()
@@ -239,23 +326,21 @@ def brute_embed(guest: RootedTree, graph: UndirectedGraph) -> Optional[dict]:
         image[i] = h
         used[h] = True
         if i + 1 == n:
-            return dict(enumerate(image))
+            return image
         j, p = i + 1, parent[i + 1]
-        twin = p == parent[i] and not children[j]  # then i is a leaf too
-        stack.append((iter(sorted(adj[image[p]])), len(children[j]) + 1,
-                      h if twin else -1))
+        twin = p == parent[i] and degree[j] == 1  # then i is a leaf too
+        stack.append((iter(nbrs[image[p]]), degree[j], h if twin else -1))
     return None
 
 
 def _blocks(graph: UndirectedGraph, sizes):
     """Lazily, for each size m in turn, each block of m consecutive ids as
-    (offset, m, block, free trees on m vertices).  The block of all ids is
-    the graph itself, not an induced copy."""
+    (offset, m, the block's sorted neighbour tuples, the parent tuples of
+    the free trees on m vertices)."""
     for m in sizes:
-        trees = enumerate_free_trees(m).trees
+        parents = _free_parents(m)
         for i in range(graph.n - m + 1):
-            block = graph if m == graph.n else graph.induced(range(i, i + m))
-            yield i, m, block, trees
+            yield i, m, _sorted_neighbours(graph.adj, i, m), parents
 
 
 def _first_failure(blocks, jobs: int):
@@ -269,11 +354,11 @@ def _first_failure(blocks, jobs: int):
         pool = ProcessPoolExecutor(max_workers=jobs)
     run = partial(pool.map, chunksize=8) if pool else map
     try:
-        for i, m, block, trees in blocks:
-            found = run(brute_embed, trees, repeat(block))
-            for tree, embedding in zip(trees, found):
-                if embedding is None:
-                    return i, m, tree
+        for i, m, nbrs, parents in blocks:
+            found = run(_search, parents, repeat(nbrs))
+            for parent, image in zip(parents, found):
+                if image is None:
+                    return i, m, _parents_to_tree(parent)
         return None
     finally:
         if pool:

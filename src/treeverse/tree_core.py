@@ -32,27 +32,26 @@ class RootedTree:
             raise TreeError("a tree has at least one vertex")
         kids = tuple(tuple(c) for c in children)
         parent: list[Optional[int]] = [None] * n
-        for u in range(n):
-            prev = u
+        sizes = [1] * n
+        # from the last vertex back, so each child's size is final when its
+        # parent reads it: the first child is u + 1, and each later child
+        # starts where the subtree of the one before it ends
+        for u in range(n - 1, -1, -1):
+            end = u + 1
             for c in kids[u]:
-                if not (prev < c < n) or (prev == u and c != u + 1):
+                if c != end or c == n:
                     raise TreeError("children lists are not in preorder")
                 if parent[c] is not None:
                     raise TreeError(f"vertex {c} has two parents")
                 parent[c] = u
-                prev = c
+                end += sizes[c]
+            sizes[u] = end - u
         if any(parent[u] is None for u in range(1, n)):
             raise TreeError("input is not a single tree in preorder")
 
         levels = [0] * n
         for u in range(1, n):
             levels[u] = levels[parent[u]] + 1
-
-        sizes = [1] * n
-        for u in range(n - 1, 0, -1):
-            sizes[parent[u]] += sizes[u]
-        if sizes[0] != n:
-            raise TreeError("disconnected input")
 
         depth = max(levels)
         level_order: list[list[int]] = [[] for _ in range(depth + 1)]

@@ -10,8 +10,10 @@ import pytest
 
 from treeverse.balanced_trees import perfect_binary, typed_ternary
 from treeverse.graph_gen import UndirectedGraph, generate, underlying
-from treeverse.oracle import (ENUM_GUARD, _enc_to_tree, _rooted_encodings,
-                              _tree_to_enc, brute_embed, degree_witness,
+from treeverse.oracle import (ENUM_GUARD, _center_key, _enc_height,
+                              _enc_to_tree, _flatten, _free_parents,
+                              _rooted_encodings, _tree_to_enc, brute_embed,
+                              degree_witness,
                               enumerate_free_trees, free_canonical_encoding,
                               free_tree_automorphisms, is_interval_universal,
                               is_universal, vertex_orbit_reps)
@@ -49,7 +51,7 @@ def test_rooted_encodings_are_canonical_and_increasing():
     """Every encoding is its own tree's canonical encoding, so the free key
     can be read off it without rebuilding the tree."""
     for n in range(1, 13):
-        encs = _rooted_encodings(n)
+        encs = _rooted_encodings(n)[0]
         assert all(a < b for a, b in zip(encs, encs[1:]))
         for enc in encs:
             assert _tree_to_enc(_enc_to_tree(enc), 0) == enc
@@ -63,6 +65,30 @@ def test_free_tree_order_is_pinned():
             digest.update(to_parens(tree).encode() + b"\n")
     assert digest.hexdigest() == \
         "679ebdc0866bdaa7b513c49074f3f817bf00dbc4818c39432d07e2db8bdd0865"
+
+
+def test_stored_shape_matches_the_encodings():
+    """The filter inputs stored with the rooted table agree with the
+    encodings, and the filter keeps what `_center_key` keeps, in its order."""
+    for n in range(1, 13):
+        encs, heights, tallest, seconds = _rooted_encodings(n)
+        assert len(encs) == len(heights) == len(tallest) == len(seconds)
+        for enc, h, i, s in zip(encs, heights, tallest, seconds):
+            branch = [_enc_height(c) for c in enc]
+            assert h == _enc_height(enc)
+            assert s == (sorted(branch)[-2] + 1 if len(enc) > 1 else 0)
+            if enc:
+                assert i == branch.index(h - 1)
+            key = _center_key(enc)
+            if h == s:
+                assert key == ("c", enc)
+            elif h == s + 1:
+                assert key is None or key[0] == "b"
+            else:
+                assert key is None
+        keyed = sorted((key, enc) for enc in encs
+                       if (key := _center_key(enc)) is not None)
+        assert _free_parents(n) == [_flatten(enc) for _, enc in keyed]
 
 
 def test_census_guard():
@@ -244,6 +270,56 @@ def test_one_pool_per_decider_call(monkeypatch):
             assert decide(graph, jobs=2)[0] is verdict
             assert len(starts) == 1
             assert not multiprocessing.active_children()
+
+
+def decider_cases():
+    """(name, decider, graph): the prefixes that `verify` checks, the
+    12-vertex graph with no dominating vertex, and seeded random graphs."""
+    for k in (3, 4):
+        for name, tree, radius in (("ternary-typed", typed_ternary(k).tree, 2),
+                                   ("binary", perfect_binary(k), 0)):
+            graph = underlying(generate(tree, radius))
+            yield f"universal {name} {k}", is_universal, graph.induced_prefix(12)
+            yield (f"interval {name} {k}", is_interval_universal,
+                   graph.induced_prefix(11))
+    n = 12
+    matching = {(a, a + 1) for a in range(0, n, 2)}
+    yield "no-dominating", is_universal, UndirectedGraph(
+        n, [(a, b) for b in range(n) for a in range(b)
+            if (a, b) not in matching])
+    rng = random.Random(13)
+    for s in range(24):
+        m, p = rng.randint(6, 10), rng.uniform(0.4, 0.9)
+        interval = s % 2  # a path through the ids, so blocks are connected
+        graph = UndirectedGraph(m, [(a, b) for b in range(m) for a in range(b)
+                                    if (interval and b == a + 1)
+                                    or rng.random() < p])
+        yield f"random {s}", (is_universal, is_interval_universal)[interval], graph
+
+
+def result_line(name, result):
+    ok, witness = result
+    if witness is None:
+        shown = "-"
+    elif isinstance(witness, tuple):
+        shown = f"{witness[0]} {witness[1]} {to_parens(witness[2])}"
+    else:
+        shown = to_parens(witness)
+    return f"{name} {ok} {shown}"
+
+
+def test_decider_results_are_pinned():
+    """Every verdict and witness of the deciders, hashed; two failing cases
+    also on two worker processes."""
+    digest = hashlib.sha256()
+    for name, decide, graph in decider_cases():
+        result = decide(graph)
+        digest.update(result_line(name, result).encode() + b"\n")
+        if name in ("no-dominating", "random 23"):
+            assert decide(graph, jobs=2) == result
+            assert not result[0]
+    assert digest.hexdigest() == \
+        "52fc1e223f5c26181c8e6074dfd64df6acafc339129205e5a30e3d8d58112076"
 
 
 def test_degree_witness():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +60,42 @@ def test_build_rejects_cycle():
 def test_build_rejects_disconnected():
     with pytest.raises(TreeError):
         build_tree([[1], [], [], []])
+
+
+def dfs_order(children, root=0):
+    order, stack = [], [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(reversed(children[u]))
+    return order
+
+
+def test_children_lists_must_be_in_preorder():
+    # 1's children are 2 and 4, but 3, a child of 0, lies between them
+    with pytest.raises(TreeError, match="not in preorder"):
+        RootedTree([[1, 3], [2, 4], [], [], []])
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for _ in range(20000):
+        n = rng.randint(1, 9)
+        children = [[] for _ in range(n)]
+        for v in range(1, n):
+            children[rng.randrange(v)].append(v)
+        preorder = dfs_order(children) == list(range(n))
+        # what the rule "first child is u + 1" alone lets through
+        if all(not c or c[0] == u + 1 for u, c in enumerate(children)):
+            seen[preorder] += 1
+        try:
+            tree = RootedTree(children)
+        except TreeError:
+            assert not preorder
+            continue
+        assert preorder
+        for u in range(n):
+            assert list(tree.descendant_interval(u)) == \
+                sorted(dfs_order(children, u))
+    assert min(seen.values()) > 500
 
 
 def test_level_examples():
