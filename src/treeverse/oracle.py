@@ -8,15 +8,22 @@ of its size as preorder parent tuples; with jobs > 1 one process pool per
 call checks it, and the first failure cancels the work still pending.
 Trees are built only at the edge: `enumerate_free_trees`, and the witness
 a decider returns.
+
+A rooted tree is encoded as one `bytes` object, its preorder open/close
+tokens, so close sorts before open.  A primitive balanced string is never
+a proper prefix of another, so byte order is the order of the trees as
+nested tuples of their children, also across sizes.  Only the table of
+all small trees recurses, at most `ENUM_GUARD` deep; a given tree is
+encoded and read by loops, so trees of any depth work under the default
+recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import groupby, repeat
 from math import factorial
-from operator import itemgetter
 from typing import Optional
 
 from .tree_core import RootedTree
@@ -25,6 +32,7 @@ from .graph_gen import UndirectedGraph
 ENUM_GUARD = 16
 UNIVERSAL_GUARD = 12
 INTERVAL_GUARD = 11
+_OPEN = ord("1")  # the open token of a rooted encoding, as a byte value
 
 
 @dataclass(frozen=True)
@@ -36,79 +44,73 @@ class CanonicalTreeSet:
 
 
 @lru_cache(maxsize=None)
-def _rooted_encodings(n: int) -> tuple[tuple, bytes, bytes, bytes]:
-    """Canonical nested-tuple encodings of all rooted trees on n vertices,
-    in increasing order, with the shape the free-tree filter reads.
+def _rooted_encodings(n: int) -> tuple[tuple, bytes, bytes, bytes, bytes]:
+    """Canonical encodings of all rooted trees on n vertices, in increasing
+    order, with the shape the free-tree filter reads.
 
-    A tree is encoded as the tuple of its children's encodings, sorted by
-    (size desc, encoding); equal encodings mean isomorphic rooted trees.
-    Returns (encs, heights, tallest, seconds), the last three one byte per
-    encoding: encs[j] has height heights[j], its first child of height
-    heights[j] - 1 is child tallest[j], and seconds[j] is one more than the
-    height of its second-tallest child (0 with fewer than two children).
+    A tree is encoded as its preorder open/close tokens, b"1" and b"0":
+    b"1", its children's encodings sorted by (size desc, encoding), b"0".
+    Equal encodings mean isomorphic rooted trees.  Returns (encs, heights,
+    starts, ends, seconds), the last four one byte per encoding: encs[j]
+    has height heights[j], its first child of height heights[j] - 1 is
+    encs[j][starts[j]:ends[j]], and seconds[j] is one more than the height
+    of its second-tallest child (0 with fewer than two children).
     """
     if n == 1:
-        return ((),), b"\0", b"\0", b"\0"
+        return (b"10",), b"\0", b"\0", b"\0", b"\0"
     candidates = []  # (size, encoding, height)
     fits = [0] * n  # fits[r]: first candidate of size at most r
     for m in range(n - 1, 0, -1):
         fits[m] = len(candidates)
         encs, heights = _rooted_encodings(m)[:2]
         candidates.extend(zip(repeat(m), encs, heights))
-    out: list[tuple] = []
-    shape = [bytearray(), bytearray(), bytearray()]  # heights, tallest, seconds
-    add_height, add_tallest, add_second = (a.append for a in shape)
+    out: list[bytes] = []
+    shape = [bytearray() for _ in range(4)]  # heights, starts, ends, seconds
+    add_height, add_start, add_end, add_second = (a.append for a in shape)
 
-    def rec(i: int, remaining: int, acc: list, h1: int, top: int,
+    def rec(i: int, remaining: int, acc: list, h1: int, a: int, b: int,
             h2: int) -> None:
         # h1, h2: heights of the two tallest children so far (-1 for none);
-        # top: index of the first child of height h1
+        # a, b: the span of the first child of height h1
         if remaining == 0:
-            out.append(tuple(acc))
+            out.append(b"".join(acc) + b"0")
             add_height(h1 + 1)
-            add_tallest(top)
+            add_start(a)
+            add_end(b)
             add_second(h2 + 1)
             return
-        pos = len(acc)
+        at = 2 * (n - remaining) - 1  # where the next child starts
         for j in range(max(i, fits[remaining]), len(candidates)):
             m, enc, h = candidates[j]
             acc.append(enc)
             # recurse from j, not j + 1: the same candidate may repeat
             if h > h1:
-                rec(j, remaining - m, acc, h, pos, h1)
+                rec(j, remaining - m, acc, h, at, at + 2 * m, h1)
             elif h > h2:
-                rec(j, remaining - m, acc, h1, top, h)
+                rec(j, remaining - m, acc, h1, a, b, h)
             else:
-                rec(j, remaining - m, acc, h1, top, h2)
+                rec(j, remaining - m, acc, h1, a, b, h2)
             acc.pop()
 
-    rec(0, n - 1, [], -1, 0, -1)
+    rec(0, n - 1, [b"1"], -1, 0, 0, -1)
+    del rec  # rec holds itself in its closure: free the candidates now
     order = sorted(range(len(out)), key=out.__getitem__)
     return (tuple(map(out.__getitem__, order)),
             *(bytes(map(a.__getitem__, order)) for a in shape))
 
 
-@lru_cache(maxsize=None)
-def _enc_height(enc: tuple) -> int:
-    return 1 + max(map(_enc_height, enc), default=-1)
-
-
-def _flatten(enc: tuple) -> tuple:
+def _flatten(enc: bytes) -> tuple:
     """Preorder parent tuple of the tree with this encoding (the root's
-    parent is None), built from an explicit stack: each step runs down a
-    chain of first children and stacks the later siblings."""
-    parent: list[Optional[int]] = []
-    stack = [(enc, None)]
-    pop, push, add = stack.pop, stack.extend, parent.append
-    while stack:
-        e, p = pop()
-        while e:
-            u = len(parent)
-            add(p)
-            if len(e) > 1:
-                push(zip(reversed(e[1:]), repeat(u)))
-            e, p = e[0], u
-        add(p)
+    parent is None): each open token adds a child of the current vertex
+    and each close token returns to its parent."""
+    parent: list[Optional[int]] = [None]
+    u = 0
+    for token in enc[1:-1]:
+        if token == _OPEN:
+            parent.append(u)
+            u = len(parent) - 1
+        else:
+            u = parent[u]
     return tuple(parent)
 
 
@@ -119,20 +121,31 @@ def _parents_to_tree(parent: tuple) -> RootedTree:
     return RootedTree(children)
 
 
-def _enc_to_tree(enc: tuple) -> RootedTree:
-    return _parents_to_tree(_flatten(enc))
-
-
-def _tree_to_enc(tree: RootedTree, root: int) -> tuple:
-    """Canonical rooted encoding of the tree re-rooted at `root`."""
-
-    def rec(u: int, parent: Optional[int]) -> tuple:
-        # (-size, encoding) pairs sort branches by (size desc, encoding)
-        branches = (*tree.children[u], tree.parent[u])
-        subs = sorted([rec(v, u) for v in branches if v not in (None, parent)])
-        return sum(s for s, _ in subs) - 1, tuple(e for _, e in subs)
-
-    return rec(root, None)[1]
+def _tree_to_enc(tree: RootedTree, root: int,
+                 avoid: int = -1) -> tuple[bytes, int]:
+    """Canonical encoding of the tree re-rooted at `root`, without the
+    branch at its neighbour `avoid`, and the order of that rooted tree's
+    automorphism group: the product, over its vertices, of k! for each run
+    of k equal child encodings.  One bottom-up pass, no recursion."""
+    up = [-1] * tree.n  # each vertex's neighbour towards the root
+    up[root] = avoid
+    order = [root]
+    for u in order:  # grows while it is read: a breadth-first order
+        for v in (*tree.children[u], tree.parent[u]):
+            if v is not None and v != up[u]:
+                up[v] = u
+                order.append(v)
+    branches: list = [[] for _ in range(tree.n)]
+    automorphisms = 1
+    for u in reversed(order):
+        subs = sorted(branches[u], key=lambda e: (-len(e), e))
+        branches[u] = None  # its children's encodings are no longer needed
+        for _, run in groupby(subs):
+            automorphisms *= factorial(len(list(run)))
+        enc = b"".join((b"1", *subs, b"0"))
+        if u != root:
+            branches[up[u]].append(enc)
+    return enc, automorphisms
 
 
 def _centers(tree: RootedTree) -> list[int]:
@@ -162,54 +175,52 @@ def _centers(tree: RootedTree) -> list[int]:
     return sorted(u for u in range(n) if not removed[u])
 
 
-def _center_key(enc: tuple) -> Optional[tuple]:
-    """Free key of the tree with this canonical encoding if its root is a
-    center, else None.  The root is the only center when its two tallest
-    branches are equal, and one of two when the tallest is one level taller;
-    the halves are then that branch and the rest, and only the root of the
-    smaller half gets the key."""
-    heights = [_enc_height(c) for c in enc]
-    h1, h2 = sorted(heights + [-1, -1], reverse=True)[:2]
-    if h1 == h2:
-        return ("c", enc)
-    if h1 != h2 + 1:
-        return None
-    i = heights.index(h1)
-    rest, tallest = enc[:i] + enc[i + 1:], enc[i]
-    return ("b", rest, tallest) if rest <= tallest else None
+def _free_key(tree: RootedTree) -> tuple[tuple, int]:
+    """The free key of `free_canonical_encoding` and the order of the free
+    tree's automorphism group.  Two centers are adjacent, so the tree is
+    their two halves joined by an edge; swapping the halves is one more
+    automorphism when they are equal."""
+    centers = _centers(tree)
+    if len(centers) == 1:
+        enc, automorphisms = _tree_to_enc(tree, centers[0])
+        return (b"c", enc), automorphisms
+    a, b = centers
+    ha, aut_a = _tree_to_enc(tree, a, b)
+    hb, aut_b = _tree_to_enc(tree, b, a)
+    return (b"b", *sorted((ha, hb))), aut_a * aut_b * (1 + (ha == hb))
 
 
 def free_canonical_encoding(tree: RootedTree) -> tuple:
-    """Key invariant under free-tree isomorphism: the encoding rooted at the
-    center, or the sorted pair of half encodings for bicentral trees.  Keys
-    are tagged so the two shapes never collide."""
-    return next(key for c in _centers(tree)
-                if (key := _center_key(_tree_to_enc(tree, c))) is not None)
+    """Key invariant under free-tree isomorphism: (b"c", the encoding rooted
+    at the center), or (b"b", the two half encodings in increasing order)
+    for bicentral trees.  The tags keep the two shapes apart."""
+    return _free_key(tree)[0]
 
 
 def _free_parents(n: int) -> list[tuple]:
     """One preorder parent tuple per isomorphism class of free n-vertex
     trees, rooted at a center, in order of free key.
 
-    The filter of `_center_key` read off the stored shape: a centred root
-    has two tallest branches of equal height, and a bicentral one a tallest
-    branch one level taller than the rest, kept when the rest encodes no
-    larger than that branch.  Bicentral keys ("b", rest, branch) sort
-    before centred keys ("c", encoding), and those in the table's order.
+    The center test read off the stored shape: a root is the only center
+    when its two tallest branches are equal in height, and one of two
+    centers when the tallest branch is one level taller than the rest.
+    The halves are then that branch and the rest, and only the root of the
+    half that encodes no larger is kept.  Bicentral keys (b"b", rest,
+    branch) sort before centred keys (b"c", encoding), and those in the
+    table's order.
     """
     if not (1 <= n <= ENUM_GUARD):
         raise ValueError(f"n must be in 1..{ENUM_GUARD}")
-    encs, heights, tallest, seconds = _rooted_encodings(n)
     bicentral, centred = [], []
-    for enc, h, i, s in zip(encs, heights, tallest, seconds):
+    for enc, h, a, b, s in zip(*_rooted_encodings(n)):
         if h == s:
             centred.append(enc)
         elif h == s + 1:
-            rest, tall = enc[:i] + enc[i + 1:], enc[i]
+            rest, tall = enc[:a] + enc[b:], enc[a:b]
             if rest <= tall:
-                bicentral.append(((rest, tall), enc))
-    bicentral.sort(key=itemgetter(0))
-    return ([_flatten(enc) for _, enc in bicentral]
+                bicentral.append((rest, tall, enc))
+    bicentral.sort()
+    return ([_flatten(enc) for _, _, enc in bicentral]
             + [_flatten(enc) for enc in centred])
 
 
@@ -219,37 +230,16 @@ def enumerate_free_trees(n: int) -> CanonicalTreeSet:
     return CanonicalTreeSet(n, tuple(map(_parents_to_tree, _free_parents(n))))
 
 
-@lru_cache(maxsize=None)
-def _enc_automorphisms(enc: tuple) -> int:
-    """Order of the automorphism group of a rooted tree given by encoding."""
-    total = 1
-    run = 1
-    for i, child in enumerate(enc):
-        total *= _enc_automorphisms(child)
-        if i > 0 and enc[i] == enc[i - 1]:
-            run += 1
-        else:
-            run = 1
-        if i + 1 == len(enc) or enc[i + 1] != enc[i]:
-            total *= factorial(run)
-    return total
-
-
 def free_tree_automorphisms(tree: RootedTree) -> int:
     """Order of the automorphism group of the underlying free tree."""
-    key = free_canonical_encoding(tree)
-    if key[0] == "c":
-        return _enc_automorphisms(key[1])
-    _, ha, hb = key
-    return _enc_automorphisms(ha) * _enc_automorphisms(hb) * (1 + (ha == hb))
+    return _free_key(tree)[1]
 
 
 def vertex_orbit_reps(tree: RootedTree) -> list[int]:
     """One vertex per orbit of the free-tree automorphism group (smallest id)."""
-    reps: dict[tuple, int] = {}
+    reps: dict[bytes, int] = {}
     for v in range(tree.n):
-        key = _tree_to_enc(tree, v)
-        reps.setdefault(key, v)
+        reps.setdefault(_tree_to_enc(tree, v)[0], v)
     return sorted(reps.values())
 
 

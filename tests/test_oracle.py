@@ -10,10 +10,9 @@ import pytest
 
 from treeverse.balanced_trees import perfect_binary, typed_ternary
 from treeverse.graph_gen import UndirectedGraph, generate, underlying
-from treeverse.oracle import (ENUM_GUARD, _center_key, _enc_height,
-                              _enc_to_tree, _flatten, _free_parents,
-                              _rooted_encodings, _tree_to_enc, brute_embed,
-                              degree_witness,
+from treeverse.oracle import (ENUM_GUARD, _centers, _flatten, _free_parents,
+                              _parents_to_tree, _rooted_encodings,
+                              _tree_to_enc, brute_embed, degree_witness,
                               enumerate_free_trees, free_canonical_encoding,
                               free_tree_automorphisms, is_interval_universal,
                               is_universal, vertex_orbit_reps)
@@ -47,6 +46,18 @@ def test_census_counts():
         assert len(enumerate_free_trees(n).trees) == count
 
 
+def nested_encoding(parent):
+    """Reference encoder: each vertex of a preorder parent tuple as the tuple
+    of its children's encodings, sorted by (size desc, encoding)."""
+    branches = [[] for _ in parent]
+    for v in reversed(range(len(parent))):
+        enc = tuple(e for _, e in sorted(branches[v]))
+        size = 1 - sum(s for s, _ in branches[v])
+        if v:
+            branches[parent[v]].append((-size, enc))
+    return enc
+
+
 def test_rooted_encodings_are_canonical_and_increasing():
     """Every encoding is its own tree's canonical encoding, so the free key
     can be read off it without rebuilding the tree."""
@@ -54,7 +65,18 @@ def test_rooted_encodings_are_canonical_and_increasing():
         encs = _rooted_encodings(n)[0]
         assert all(a < b for a, b in zip(encs, encs[1:]))
         for enc in encs:
-            assert _tree_to_enc(_enc_to_tree(enc), 0) == enc
+            assert len(enc) == 2 * n
+            assert _tree_to_enc(_parents_to_tree(_flatten(enc)), 0)[0] == enc
+
+
+def test_byte_order_is_nested_tuple_order():
+    """The flat encodings of all rooted trees up to 10 vertices, pooled
+    across sizes, sort exactly as the reference nested tuples do."""
+    encs = [enc for n in range(1, 11) for enc in _rooted_encodings(n)[0]]
+    refs = [nested_encoding(_flatten(enc)) for enc in encs]
+    assert len(set(refs)) == len(encs) == 1205
+    by_bytes = sorted(range(len(encs)), key=encs.__getitem__)
+    assert by_bytes == sorted(range(len(refs)), key=refs.__getitem__)
 
 
 def test_free_tree_order_is_pinned():
@@ -65,30 +87,41 @@ def test_free_tree_order_is_pinned():
             digest.update(to_parens(tree).encode() + b"\n")
     assert digest.hexdigest() == \
         "679ebdc0866bdaa7b513c49074f3f817bf00dbc4818c39432d07e2db8bdd0865"
+    digest = hashlib.sha256()
+    for n in (13, 14):
+        for tree in enumerate_free_trees(n).trees:
+            digest.update(to_parens(tree).encode() + b"\n")
+    assert digest.hexdigest() == \
+        "40af729900500495aa80fadafaa88787e6df8a225cb5f2b01231b5783d880661"
 
 
 def test_stored_shape_matches_the_encodings():
-    """The filter inputs stored with the rooted table agree with the
-    encodings, and the filter keeps what `_center_key` keeps, in its order."""
+    """The filter inputs stored with the rooted table agree with the trees
+    the encodings flatten to, and the filter keeps exactly the trees rooted
+    at a center (at the smaller half's center when there are two), in
+    order of free key."""
     for n in range(1, 13):
-        encs, heights, tallest, seconds = _rooted_encodings(n)
-        assert len(encs) == len(heights) == len(tallest) == len(seconds)
-        for enc, h, i, s in zip(encs, heights, tallest, seconds):
-            branch = [_enc_height(c) for c in enc]
-            assert h == _enc_height(enc)
-            assert s == (sorted(branch)[-2] + 1 if len(enc) > 1 else 0)
-            if enc:
-                assert i == branch.index(h - 1)
-            key = _center_key(enc)
-            if h == s:
-                assert key == ("c", enc)
-            elif h == s + 1:
-                assert key is None or key[0] == "b"
-            else:
-                assert key is None
-        keyed = sorted((key, enc) for enc in encs
-                       if (key := _center_key(enc)) is not None)
-        assert _free_parents(n) == [_flatten(enc) for _, enc in keyed]
+        table = _rooted_encodings(n)
+        assert len(set(map(len, table))) == 1
+        kept = []
+        for enc, h, a, b, s in zip(*table):
+            tree = _parents_to_tree(_flatten(enc))
+            branch = [max(tree.levels[c:c + tree.sizes[c]]) - 1
+                      for c in tree.children[0]]
+            assert h == max(tree.levels)
+            assert s == (sorted(branch)[-2] + 1 if len(branch) > 1 else 0)
+            if branch:
+                c = tree.children[0][branch.index(h - 1)]
+                assert (a, b) == (2 * c - 1, 2 * c - 1 + 2 * tree.sizes[c])
+                assert enc[a:b] == _tree_to_enc(tree, c, 0)[0]
+            centers = _centers(tree)
+            if 0 in centers:
+                key = free_canonical_encoding(tree)
+                if (len(centers) == 1
+                        or key[1] == _tree_to_enc(tree, 0, centers[1])[0]):
+                    kept.append((key, enc))
+        assert len(kept) == FREE_TREE_COUNTS[n]
+        assert _free_parents(n) == [_flatten(enc) for _, enc in sorted(kept)]
 
 
 def test_census_guard():
@@ -177,6 +210,38 @@ def test_automorphism_counts_small():
     assert free_tree_automorphisms(path_tree(4)) == 2
     assert free_tree_automorphisms(star_tree(5)) == factorial(4)
     assert free_tree_automorphisms(path_tree(2)) == 2
+
+
+def caterpillar_tree(spine):
+    """A path of `spine` vertices with one leaf hung on each."""
+    children = []
+    for i in range(spine):
+        u = len(children)
+        children += [[u + 1, u + 2] if i + 1 < spine else [u + 1], []]
+    return RootedTree(children)
+
+
+def test_deep_trees_do_not_recurse():
+    """Free keys, automorphism counts and orbits of 400-vertex paths and
+    caterpillars under a recursion limit of 150; a 1500-vertex path under
+    the default limit."""
+    half = b"1" * 200 + b"0" * 200
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        found = [(free_canonical_encoding(tree), free_tree_automorphisms(tree),
+                  vertex_orbit_reps(tree))
+                 for tree in (path_tree(400), caterpillar_tree(200))]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found[0] == ((b"b", half, half), 2, list(range(200)))
+    key, automorphisms, reps = found[1]
+    assert key[0] == b"b" and key[1] == key[2]
+    assert automorphisms == 2 and len(reps) == 200
+    key = free_canonical_encoding(path_tree(1500))
+    assert key == (b"b", b"1" * 750 + b"0" * 750, b"1" * 750 + b"0" * 750)
+    assert free_tree_automorphisms(path_tree(1500)) == 2
+    assert sys.getrecursionlimit() == limit
 
 
 def test_vertex_orbit_reps():
