@@ -4,7 +4,8 @@ Two finders drive the embedder: one returns a pivot vertex together with
 components of bounded total size avoiding a protected vertex, the other
 refines that into a collection that is either `feasible` (union plus pivot
 lands in [x, x+y-2]) or `critical` (union in [x+y-2, 2x-3] with every proper
-sub-union at most x-2).
+sub-union at most x-2).  The critical window is empty when x <= y, so there
+the second finder always returns a feasible collection.
 
 Each finder call makes one sweep over the forest's vertex set, in
 decreasing id order, which relies on every parent having a smaller id than
@@ -220,11 +221,14 @@ def find_feasible_or_critical(forest: Forest, u: int, x: int, y: int,
     Seeds with the bounded walk at x-1; while the union is too large to be
     feasible, either a minimal subcollection of the large components is
     already critical, or the single oversized component is descended into.
-    `within` is as in `find_bounded_components`.
+    When x <= y the critical window [x+y-2, 2x-3] is empty, and the walk's
+    union, at most 2x-3 <= x+y-3, is feasible at once: the result is
+    `find_bounded_components(forest, u, x-1)` whenever the forest has more
+    than x+y-2 vertices.  `within` is as in `find_bounded_components`.
     """
     inside = _inside(forest, within)
-    if x <= y or y < 2:
-        raise ValueError("requires x > y >= 2")
+    if x < 2 or y < 2:
+        raise ValueError("requires x >= 2 and y >= 2")
     if len(inside) < x + 1:
         raise ValueError(f"forest needs at least {x + 1} vertices")
 

@@ -45,7 +45,7 @@ from typing import Optional
 from .tree_core import RootedTree, TreeView, Forest
 from .graph_gen import UndirectedGraph, generate, underlying, merged_tree
 from .balanced_trees import validate_balance
-from .decomposition import classify, find_bounded_components, find_feasible_or_critical
+from .decomposition import find_bounded_components, find_feasible_or_critical
 
 EMBED_RADIUS = 2
 
@@ -72,11 +72,6 @@ class Embedding:
                 and (self.phi2_ok or not self.phi2_applicable))
 
 
-def _neighbors_in(guest: Forest, u: int, piece: frozenset) -> list[int]:
-    """Guest neighbors of u inside the piece, in increasing order."""
-    return sorted(v for v in guest.neighbors(u) if v in piece)
-
-
 def _solve(host: RootedTree, piece: frozenset, guest: Forest,
            anchor: Optional[int], low2: Optional[int]) -> dict:
     """Embed guest[piece] onto the preorder suffix of the host; see module doc.
@@ -91,20 +86,6 @@ def _solve(host: RootedTree, piece: frozenset, guest: Forest,
         else:
             solver.step(*entry)
     return solver.image
-
-
-def _feasible_collection(guest: Forest, piece: frozenset, avoid: int,
-                         x: int, y: int):
-    """A collection avoiding `avoid` that is feasible, or critical with
-    union at least x+y-1 (smaller critical unions are upgraded by treating
-    pivot plus union as one feasible-style block)."""
-    if x > y:
-        return find_feasible_or_critical(guest, avoid, x, y, within=piece)
-    coll = find_bounded_components(guest, avoid, x - 1, within=piece)
-    cls = classify(coll, x, y)
-    if not cls.is_feasible:
-        raise EmbeddingBugError("bounded window must be feasible when x <= y")
-    return coll, cls
 
 
 class _Solver:
@@ -231,22 +212,16 @@ class _Solver:
         v1, v2 = view.children(0)
         special = anchor if anchor is not None else max(piece)
         rest = piece - {special}
-        # a leaf (or isolated vertex) of the remainder has a single neighbor
-        # there, which the sub-task pins at level <= 2 next to the leaf's image
-        leaves = [u for u in rest if len(_neighbors_in(guest, u, rest)) == 1]
-        if leaves:
-            w = max(leaves)
-            wp = _neighbors_in(guest, w, rest)[0]
-        else:
-            # a forest without leaves has only isolated vertices
-            w = max(rest, key=lambda u: (not _neighbors_in(guest, u, rest), u))
-            pool = sorted(rest - {w})
-            wp = pool[0] if pool else None
-        rest = rest - {w}
+        # a leaf of the remainder has a single neighbor there, which the
+        # sub-task pins at level <= 2 next to the leaf's image; a remainder
+        # without leaves has only isolated vertices
+        near = {u: [v for v in guest.neighbors(u) if v in rest] for u in rest}
+        leaves = [u for u in rest if len(near[u]) == 1]
+        w = max(leaves or rest)
+        wp = near[w][0] if leaves else min(rest - {w}, default=None)
         self.place(w, to_top[view.lo + v1])
         self.place(special, to_top[view.vertex(v2 if len(piece) == m - 1 else 0)])
-        self.push(*self.grandchildren(view, to_top), rest,
-                  wp if wp in rest else None)
+        self.push(*self.grandchildren(view, to_top), rest - {w}, wp)
 
     def wide_split(self, view: TreeView, to_top, piece: frozenset,
                    anchor: Optional[int], kids: tuple) -> None:
@@ -258,10 +233,12 @@ class _Solver:
                                     "non-leaf")
 
         avoid = anchor if anchor is not None else min(piece)
-        coll, cls = _feasible_collection(self.guest, piece, avoid, x, y)
+        coll, cls = find_feasible_or_critical(self.guest, avoid, x, y,
+                                              within=piece)
         w = coll.w
         if anchor == w and sigma == m:
             self.push_root_swap(view, to_top, w)
+        # a critical union of exactly x+y-2 is placed as a feasible block
         if not cls.is_feasible and coll.union_size != x + y - 2:
             return self.critical_split(view, to_top, piece, anchor, coll, kids)
 
@@ -282,10 +259,9 @@ class _Solver:
             raise EmbeddingBugError("critical collections have two components "
                                     "under the balance ratio")
         c_one, c_two = coll.components
-        n1 = _neighbors_in(self.guest, w, c_one)
-        n2 = _neighbors_in(self.guest, w, c_two)
-        w1 = n1[0] if n1 else None
-        w2 = n2[0] if n2 else None
+        near = self.guest.neighbors(w)
+        w1 = min((v for v in near if v in c_one), default=None)
+        w2 = min((v for v in near if v in c_two), default=None)
 
         whole = c_one | c_two | {w}
         if sigma >= m - vt2:

@@ -46,7 +46,9 @@ class RootedTree:
                 parent[c] = u
                 end += sizes[c]
             sizes[u] = end - u
-        if any(parent[u] is None for u in range(1, n)):
+        # ids [0, sizes[0]) are the subtree of 0; the first id past them has
+        # no parent, since a parent has a smaller id than its child
+        if sizes[0] != n:
             raise TreeError("input is not a single tree in preorder")
 
         levels = [0] * n

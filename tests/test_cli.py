@@ -90,6 +90,21 @@ def test_verify_command(capsys):
     assert code == 0 and out.startswith("OK")
 
 
+def test_verify_prints_the_oracle_witness(capsys, monkeypatch):
+    from treeverse import oracle
+
+    witness = from_parens("(()(()))")
+    monkeypatch.setattr(oracle, "is_universal",
+                        lambda graph, **kw: (False, witness))
+    monkeypatch.setattr(oracle, "is_interval_universal",
+                        lambda graph, **kw: (False, (2, 4, witness)))
+    code, out = run(capsys, "verify", "--family", "ternary-typed", "--k", "2")
+    assert (code, out) == (1, "FAIL tree=(()(()))\n")
+    code, out = run(capsys, "verify", "--family", "binary", "--k", "1",
+                    "--interval")
+    assert (code, out) == (1, "FAIL interval offset=2 size=4 tree=(()(()))\n")
+
+
 def test_verify_interval_small(capsys):
     code, out = run(capsys, "verify", "--family", "binary", "--k", "1",
                     "--interval")
@@ -138,6 +153,12 @@ def test_decompose_command(tmp_path, capsys):
                     "--y", "2")
     assert code == 0
     assert "kind=feasible" in out or "kind=critical" in out
+    # for x <= y the critical window [x+y-2, 2x-3] is empty
+    code, out = run(capsys, "decompose", "--tree", str(tree), "--x", "3",
+                    "--y", "4")
+    assert code == 0
+    assert out == ("pivot=1 kind=feasible union=2\n"
+                   "  component: [2]\n  component: [3]\n")
 
 
 def test_usage_error_exit_code(capsys):

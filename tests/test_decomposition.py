@@ -201,6 +201,34 @@ def test_randomized_validation():
             outcome(find_feasible_or_critical, sub, pick, xf, ys)
 
 
+def test_feasible_when_x_at_most_y():
+    """The critical window [x+y-2, 2x-3] is empty for x <= y, so the finder
+    returns a feasible collection: the bounded walk at x-1 once the forest
+    has more than x+y-2 vertices, every component of forest - u below that."""
+    rng = random.Random(1515)
+    walked = 0
+    for _ in range(1500):
+        f = random_forest(rng)
+        n = len(f)
+        if n < 3:
+            continue
+        x = rng.randint(2, n - 1)
+        y = rng.randint(x, x + 6)
+        u = rng.choice(f.vertices)
+        coll, cls = find_feasible_or_critical(f, u, x, y)
+        assert cls.kind == "feasible"
+        check_feasible_or_critical(f, coll, cls, u, x, y)
+        if n > x + y - 2:
+            walked += 1
+            assert coll == find_bounded_components(f, u, x - 1)
+        else:
+            assert coll.w == u and coll.union_size == n - 1
+    assert walked > 300
+    for x, y in ((1, 3), (3, 1), (1, 1), (0, 2)):
+        with pytest.raises(ValueError, match="requires x >= 2 and y >= 2"):
+            find_feasible_or_critical(Forest.from_tree(path_tree(9)), 0, x, y)
+
+
 @st.composite
 def forests(draw):
     n = draw(st.integers(min_value=2, max_value=30))

@@ -18,7 +18,10 @@ from treeverse.embedder import (Embedding, embed, host_graph_for, phi2_window,
 from treeverse.graph_gen import merged_tree
 from treeverse.oracle import brute_embed, enumerate_free_trees
 from treeverse.tree_core import (RootedTree, TreeError, TreeView, build_tree,
-                                 nearest_left_cousin, to_parent_csv)
+                                 from_parens, nearest_left_cousin,
+                                 to_parent_csv)
+
+from test_graph_gen import ordered_trees
 
 
 def path_tree(n):
@@ -103,6 +106,41 @@ def test_verifier_rejects_broken_maps(ternary_hosts):
     assert not ok and any("prefix" in p for p in problems)
 
 
+def test_verifier_names_each_broken_guarantee(ternary_hosts):
+    """A real embedding, corrupted four ways, fails with the message for
+    each: `embed` raises EmbeddingBugError on these problems."""
+    host, graph = ternary_hosts[3]
+    guest = path_tree(20)
+    assert phi2_window(host, guest.n)
+    emb = embed(host, guest, 0, 10, host_graph=graph)
+    level = {g: host.levels[h] for g, h in emb.mapping.items()}
+
+    def problems(mapping):
+        bad = Embedding(mapping, host, graph, True, True, True, True)
+        ok, found = verify_embedding(bad, guest, 0, 10)
+        assert not ok
+        return found
+
+    def swapped(a, b):
+        out = dict(emb.mapping)
+        out[a], out[b] = out[b], out[a]
+        return out
+
+    partial = dict(emb.mapping)
+    del partial[7]
+    assert problems(partial) == ["mapping is not total on the guest"]
+    assert problems({**emb.mapping, 7: host.n}) == ["image vertex out of range"]
+
+    deepest = max(level, key=level.get)
+    assert level[deepest] > level[0] == min(level.values())
+    assert (f"x1 sits at level {level[deepest]}, image minimum is {level[0]}"
+            in problems(swapped(0, deepest)))
+
+    third = next(g for g in level if level[g] == 3 and g != 0)
+    assert level[10] <= 2
+    assert "x2 sits at level 3 > 2" in problems(swapped(10, third))
+
+
 def test_embed_rejects_bad_inputs(ternary_hosts):
     host, graph = ternary_hosts[1]
     with pytest.raises(ValueError):
@@ -174,50 +212,57 @@ def test_recursion_reaches_deep_hosts():
     assert ok, problems
 
 
-def reroot_at(tree, root):
-    adj = [list(tree.children[u]) for u in range(tree.n)]
-    for u in range(1, tree.n):
-        adj[u].append(tree.parent[u])
-    children = [[] for _ in range(tree.n)]
-    seen = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                children[u].append(v)
-                stack.append(v)
-    return build_tree(children)
+def balanced_hosts(max_n):
+    """Every (2,1)-balanced ordered host with at most max_n vertices, in
+    every child order."""
+    return [h for n in range(1, max_n + 1)
+            for h in map(from_parens, ordered_trees(n))
+            if validate_balance(h).ok]
 
 
-def small_balanced_hosts():
-    """Every (2,1)-balanced rooted host with at most 7 vertices, by children."""
-    hosts = {}
-    for n in range(1, 8):
-        for free in enumerate_free_trees(n).trees:
-            for root in range(free.n):
-                h = reroot_at(free, root)
-                if validate_balance(h).ok:
-                    hosts[h.children] = h
-    return hosts
-
-
-def test_every_small_balanced_host_hosts_every_guest():
-    """Closure sweep: all balanced rooted hosts up to 7 vertices, all guests,
-    all anchor orbits, verified from scratch."""
+def test_every_small_balanced_host_hosts_every_guest(monkeypatch):
+    """Closure sweep: all balanced ordered hosts up to 8 vertices, all
+    guests, all anchor orbits, verified from scratch; the wide split and the
+    full-host leaf peel with its root swap both run."""
     from treeverse.oracle import vertex_orbit_reps
 
-    hosts = small_balanced_hosts()
-    assert len(hosts) > 40
-    for host in hosts.values():
+    hits = {"wide x<=y": 0, "full peel": 0, "swap": 0}
+    solver = embedder._Solver
+    wide, peel, swap = solver.wide_split, solver.leaf_peel, solver.swap_onto_root
+
+    def wide_split(self, view, to_top, piece, anchor, kids):
+        # x <= y: the finder's critical window is empty
+        hits["wide x<=y"] += view.n - kids[-1] <= kids[-1] - kids[-2]
+        return wide(self, view, to_top, piece, anchor, kids)
+
+    def leaf_peel(self, view, to_top, piece, anchor):
+        hits["full peel"] += len(piece) == view.n
+        return peel(self, view, to_top, piece, anchor)
+
+    def swap_onto_root(self, root, g):
+        hits["swap"] += 1
+        return swap(self, root, g)
+
+    monkeypatch.setattr(solver, "wide_split", wide_split)
+    monkeypatch.setattr(solver, "leaf_peel", leaf_peel)
+    monkeypatch.setattr(solver, "swap_onto_root", swap_onto_root)
+
+    hosts = balanced_hosts(8)
+    assert [sum(h.n == n for h in hosts) for n in range(1, 9)] == \
+        [1, 1, 2, 4, 9, 20, 45, 100]
+    guests = {n: [(g, vertex_orbit_reps(g))
+                  for g in enumerate_free_trees(n).trees] for n in range(1, 9)}
+    for host in hosts:
         graph = host_graph_for(host)
         for size in range(1, host.n + 1):
-            for guest in enumerate_free_trees(size).trees:
-                for x1 in vertex_orbit_reps(guest):
+            for guest, orbits in guests[size]:
+                for x1 in orbits:
                     emb = embed(host, guest, x1, x1, host_graph=graph)
                     ok, problems = verify_embedding(emb, guest, x1, x1)
                     assert ok, (host.children, guest.children, x1, problems)
+    # 196 wide splits and 7028 full-host leaf peels when this was written
+    assert hits["wide x<=y"] > 0, hits
+    assert hits["full peel"] > 0 and hits["swap"] >= hits["full peel"], hits
 
 
 # Swaps two images of the top-level `_solve` result; the recursion calls
@@ -446,7 +491,7 @@ def assert_view_is(view, tree, ids):
 
 def test_views_match_materialised_subtrees_and_merges():
     hosts = [typed_ternary(3).tree, path_tree(40),
-             *small_balanced_hosts().values()]
+             *balanced_hosts(7)]
     for host in hosts:
         whole = TreeView(host)
         for u in range(host.n):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -96,6 +97,45 @@ def test_children_lists_must_be_in_preorder():
             assert list(tree.descendant_interval(u)) == \
                 sorted(dfs_order(children, u))
     assert min(seen.values()) > 500
+
+
+def scan_verdict(children):
+    """RootedTree's refusal message, or None, with the single-tree check
+    made by scanning every vertex for a parent."""
+    n = len(children)
+    parent, sizes = [None] * n, [1] * n
+    for u in range(n - 1, -1, -1):
+        end = u + 1
+        for c in children[u]:
+            if c != end or c == n:
+                return "children lists are not in preorder"
+            if parent[c] is not None:
+                return f"vertex {c} has two parents"
+            parent[c] = u
+            end += sizes[c]
+        sizes[u] = end - u
+    if any(parent[u] is None for u in range(1, n)):
+        return "input is not a single tree in preorder"
+    return None
+
+
+def test_single_tree_check_reads_the_root_size():
+    for children in ([[], []], [[1], [], []], [[1], [2], [], [4], []]):
+        with pytest.raises(TreeError,
+                           match="^input is not a single tree in preorder$"):
+            RootedTree(children)
+    # every assignment of sorted child lists with n <= 4: the size check
+    # refuses exactly what the scan refused, with the same message
+    for n in range(1, 5):
+        lists = [[c for c in range(n) if mask >> c & 1]
+                 for mask in range(1 << n)]
+        for children in itertools.product(lists, repeat=n):
+            try:
+                RootedTree(children)
+                got = None
+            except TreeError as exc:
+                got = str(exc)
+            assert got == scan_verdict(children), children
 
 
 def test_level_examples():
