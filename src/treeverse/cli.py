@@ -20,6 +20,9 @@ from .tree_core import Forest, RootedTree
 
 FAMILY_K_GUARDS = {"binary": analytics.BINARY_K_GUARD,
                    "ternary-typed": analytics.TERNARY_K_GUARD}
+# the pairs of the radius-2 graph of typed_ternary(9), the largest family
+# graph at radius <= 2
+GEN_GRAPH_PAIR_CAP = 927_699
 
 
 def _family_tree(family: str, k: int) -> RootedTree:
@@ -51,6 +54,10 @@ def cmd_gen_tree(args) -> int:
 def cmd_gen_graph(args) -> int:
     tree = (_load_tree(args.tree) if args.tree
             else _family_tree(args.family, args.k))
+    pairs = graph_gen.prefix_counts(tree, args.r, args.legacy).pairs[tree.n]
+    if pairs > GEN_GRAPH_PAIR_CAP:
+        raise ValueError(f"guard: the graph has {pairs} pairs, above the cap "
+                         f"of {GEN_GRAPH_PAIR_CAP}")
     dig = generate(tree, args.r, legacy=args.legacy)
     if args.prefix is not None:
         sub = underlying(dig).induced_prefix(args.prefix)

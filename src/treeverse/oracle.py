@@ -9,6 +9,16 @@ call checks it, and the first failure cancels the work still pending.
 Trees are built only at the edge: `enumerate_free_trees`, and the witness
 a decider returns.
 
+The stream leaves out every block that its in-block degrees settle: when
+each edge missing from an m-vertex block meets one vertex v, and v keeps a
+neighbour w, the block holds every m-vertex tree.  Put a leaf of the tree
+on v and the leaf's neighbour on w; every other tree edge joins two
+vertices off v, and those are all adjacent.  A complete block, with no
+missing edge, is settled too.  The free trees of a size are enumerated
+only when the first block of that size is left to search, so a graph
+whose blocks are all settled is decided with no enumeration and no
+search, at any size.
+
 A rooted tree is encoded as one `bytes` object, its preorder open/close
 tokens, so close sorts before open.  A primitive balanced string is never
 a proper prefix of another, so byte order is the order of the trees as
@@ -323,13 +333,37 @@ def _search(parent: tuple, nbrs: tuple) -> Optional[list]:
     return None
 
 
+def _settled(adj, lo: int, m: int) -> bool:
+    """The degree test of `_blocks` on the block of ids lo..lo+m-1.  With
+    missing[u] = m - 1 - (u's degree in the block), the missing edges all
+    meet one vertex exactly when sum(missing) == 2 * max(missing), and that
+    vertex keeps a neighbour when max(missing) < m - 1."""
+    block = range(lo, lo + m)
+    missing = [m - 1 - len(adj[u].intersection(block)) for u in block]
+    top = max(missing)
+    return top == 0 or (sum(missing) == 2 * top and top < m - 1)
+
+
 def _blocks(graph: UndirectedGraph, sizes):
-    """Lazily, for each size m in turn, each block of m consecutive ids as
-    (offset, m, the block's sorted neighbour tuples, the parent tuples of
-    the free trees on m vertices)."""
+    """Lazily, for each size m in turn, each block of m consecutive ids left
+    to search, as (offset, m, the block's sorted neighbour tuples, the
+    parent tuples of the free trees on m vertices).
+
+    A block is settled, and yields nothing, when every edge missing from it
+    meets one vertex v and v keeps a neighbour w in the block (`_settled`):
+    it holds every m-vertex tree, since a leaf of the tree can go on v and
+    the leaf's neighbour on w, and every other tree edge then joins two
+    vertices off v, which are all adjacent.  A settled block never fails,
+    so the stream order of the others and the first failure are unchanged.
+    The free trees of size m are enumerated only when the first block of
+    that size is left to search."""
     for m in sizes:
-        parents = _free_parents(m)
+        parents = None
         for i in range(graph.n - m + 1):
+            if _settled(graph.adj, i, m):
+                continue
+            if parents is None:
+                parents = _free_parents(m)
             yield i, m, _sorted_neighbours(graph.adj, i, m), parents
 
 

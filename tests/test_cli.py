@@ -192,6 +192,25 @@ def test_family_k_guards_refuse_before_building(capsys, monkeypatch):
         assert "guard" in capsys.readouterr().err
 
 
+def test_gen_graph_counts_pairs_before_generating(tmp_path, capsys,
+                                                 monkeypatch):
+    import treeverse.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("graph generated above the pair cap")
+
+    monkeypatch.setattr(cli, "generate", never)
+    path = tmp_path / "path.csv"
+    path.write_text(",".join(map(str, range(1499))) + "\n")
+    assert parse_tree(path.read_text()).n == 1500
+    assert main(["gen-graph", "--tree", str(path), "--r", "2"]) == 2
+    assert capsys.readouterr().err == ("error: guard: the graph has 1124250 "
+                                       "pairs, above the cap of 927699\n")
+    assert main(["gen-graph", "--family", "ternary-typed", "--k", "9",
+                 "--r", "3"]) == 2
+    assert "1713279 pairs" in capsys.readouterr().err
+
+
 def test_verify_checks_size_before_generating(capsys, monkeypatch):
     import treeverse.cli as cli
 

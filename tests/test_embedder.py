@@ -265,8 +265,8 @@ def test_every_small_balanced_host_hosts_every_guest(monkeypatch):
     assert hits["full peel"] > 0 and hits["swap"] >= hits["full peel"], hits
 
 
-# Swaps two images of the top-level `_solve` result; the recursion calls
-# `_solve` through the module, so the depth counter keeps inner calls intact.
+# Swaps two images of the `_solve` result; `embed` calls `_solve` once,
+# through the module, and must then refuse the broken map.
 SWAPPED_IMAGES = textwrap.dedent("""
     import sys
     from treeverse import embedder
@@ -278,23 +278,18 @@ SWAPPED_IMAGES = textwrap.dedent("""
     graph = embedder.host_graph_for(host)
     n = 60
     guest = RootedTree([[u + 1] if u + 1 < n else [] for u in range(n)])
-    solve, depth = embedder._solve, [0]
+    solve = embedder._solve
 
     def breaks(m):
         return any(not graph.has_edge(m[u - 1], m[u]) for u in range(1, n))
 
     def swapped(*args):
-        depth[0] += 1
-        try:
-            mapping = solve(*args)
-        finally:
-            depth[0] -= 1
-        if depth[0] == 0:
-            for b in range(1, n):
-                trial = dict(mapping)
-                trial[0], trial[b] = mapping[b], mapping[0]
-                if breaks(trial):
-                    return trial
+        mapping = solve(*args)
+        for b in range(1, n):
+            trial = dict(mapping)
+            trial[0], trial[b] = mapping[b], mapping[0]
+            if breaks(trial):
+                return trial
         return mapping
 
     embedder._solve = swapped

@@ -8,15 +8,19 @@ from math import factorial
 
 import pytest
 
+from treeverse import oracle
 from treeverse.balanced_trees import perfect_binary, typed_ternary
 from treeverse.graph_gen import UndirectedGraph, generate, underlying
 from treeverse.oracle import (ENUM_GUARD, _centers, _flatten, _free_parents,
-                              _parents_to_tree, _rooted_encodings,
-                              _tree_to_enc, brute_embed, degree_witness,
+                              _parents_to_tree, _rooted_encodings, _search,
+                              _settled, _sorted_neighbours, _tree_to_enc,
+                              brute_embed, degree_witness,
                               enumerate_free_trees, free_canonical_encoding,
                               free_tree_automorphisms, is_interval_universal,
                               is_universal, vertex_orbit_reps)
 from treeverse.tree_core import RootedTree, build_tree, from_parens, to_parens
+
+from test_embedder import balanced_hosts
 
 # free trees per vertex count up to the enumeration guard (OEIS A000055)
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,
@@ -522,3 +526,124 @@ def test_deep_path_guest_does_not_recurse():
     assert mapping is not None
     assert_valid_map(path_tree(n), path_graph, mapping)
     assert sys.getrecursionlimit() == limit
+
+
+def settled_by_definition(nbrs):
+    """The degree rule read off the missing edges themselves: none is
+    missing, or all of them meet one vertex that keeps a neighbour."""
+    m = len(nbrs)
+    missing = [(a, b) for b in range(m) for a in range(b) if b not in nbrs[a]]
+    return not missing or any(nbrs[v] and all(v in e for e in missing)
+                              for v in range(m))
+
+
+def dense_graphs(rng, count):
+    """Seeded graphs on 3..9 vertices: half are cliques missing some edges
+    at one random vertex, half keep each edge with probability 0.8..1."""
+    for s in range(count):
+        m = rng.randint(3, 9)
+        if s % 2:
+            v = rng.randrange(m)
+            cut = set(rng.sample([u for u in range(m) if u != v],
+                                 rng.randint(0, m - 1)))
+            yield UndirectedGraph(m, [(a, b) for b in range(m)
+                                      for a in range(b)
+                                      if v not in (a, b) or a + b - v not in cut])
+        else:
+            p = rng.uniform(0.8, 1.0)
+            yield UndirectedGraph(m, [(a, b) for b in range(m)
+                                      for a in range(b) if rng.random() < p])
+
+
+def test_degree_rule_settles_only_blocks_that_hold_every_tree():
+    """Every block of the radius-0, 1 and 2 graphs, legacy or not, of every
+    balanced host up to 8 vertices, and of seeded dense graphs: the rule
+    agrees with its definition, and wherever it settles a block the search
+    embeds every free tree of the block's size there."""
+    graphs = [underlying(generate(host, radius, legacy=legacy))
+              for host in balanced_hosts(8) for radius in (0, 1, 2)
+              for legacy in (False, True)]
+    graphs += dense_graphs(random.Random(29), 1000)
+    settled, searched = set(), set()
+    for graph in graphs:
+        for m in range(1, graph.n + 1):
+            for i in range(graph.n - m + 1):
+                nbrs = _sorted_neighbours(graph.adj, i, m)
+                fires = _settled(graph.adj, i, m)
+                assert fires == settled_by_definition(nbrs), nbrs
+                (settled if fires else searched).add(nbrs)
+    for nbrs in settled:
+        for parent in _free_parents(len(nbrs)):
+            assert _search(parent, nbrs) is not None, (nbrs, parent)
+    # 702 distinct settled blocks and 655 searched ones when written
+    assert len(settled) > 500 and len(searched) > 500
+
+
+def search_only(graph):
+    """`is_universal` without the degree rule: the free trees in order, each
+    by the reference search, and the first that does not embed."""
+    for tree in enumerate_free_trees(graph.n).trees:
+        if reference_embed(tree, graph) is None:
+            return False, to_parens(tree)
+    return True, None
+
+
+def shown(result):
+    ok, witness = result
+    return ok, witness if witness is None else to_parens(witness)
+
+
+def test_degree_rule_leaves_near_misses_to_the_search(monkeypatch):
+    """A clique plus an isolated vertex (every missing edge meets the
+    isolated vertex, which keeps no neighbour) and a clique missing two
+    disjoint edges are both searched, with the reference verdict."""
+    calls = []
+
+    def counted(parent, nbrs):
+        calls.append(1)
+        return _search(parent, nbrs)
+
+    monkeypatch.setattr(oracle, "_search", counted)
+    for m in range(3, 9):
+        for lone in (0, m - 1):
+            graph = UndirectedGraph(m, [(a, b) for b in range(m)
+                                        for a in range(b) if lone not in (a, b)])
+            assert not _settled(graph.adj, 0, m)
+            calls.clear()
+            result = shown(is_universal(graph))
+            assert calls and result == search_only(graph)
+            assert result[0] is False
+    for m in range(4, 9):
+        graph = UndirectedGraph(m, [(a, b) for b in range(m) for a in range(b)
+                                    if (a, b) not in ((0, 1), (2, 3))])
+        assert not _settled(graph.adj, 0, m)
+        calls.clear()
+        result = shown(is_universal(graph))
+        assert calls and result == search_only(graph)
+
+
+def test_settled_sizes_enumerate_nothing(monkeypatch):
+    """Graphs whose every block the degree rule settles are decided without
+    enumerating a single free tree, also past the enumeration guard."""
+    def never(n):
+        raise AssertionError(f"enumerated the free trees on {n} vertices")
+
+    monkeypatch.setattr(oracle, "_free_parents", never)
+    binary = underlying(generate(perfect_binary(4), 0)).induced_prefix(12)
+    # four edges missing, all at one vertex
+    assert sorted(map(len, binary.adj)) == [7] + [10] * 4 + [11] * 7
+    assert is_universal(complete_graph(12)) == (True, None)
+    assert is_universal(binary) == (True, None)
+    ternary = underlying(generate(typed_ternary(3).tree, 2)).induced_prefix(11)
+    assert is_interval_universal(ternary) == (True, None)
+    assert is_universal(complete_graph(17), unsafe_large=True) == (True, None)
+
+
+def test_every_small_balanced_host_is_interval_universal():
+    """The oracle side of the rule sweep: the radius-2 graph of every
+    ordered (2,1)-balanced host up to 9 vertices is interval-universal."""
+    hosts = balanced_hosts(9)
+    assert len(hosts) == 404
+    for host in hosts:
+        graph = underlying(generate(host, 2))
+        assert is_interval_universal(graph) == (True, None), host.children
