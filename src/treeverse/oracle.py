@@ -10,14 +10,17 @@ Trees are built only at the edge: `enumerate_free_trees`, and the witness
 a decider returns.
 
 The stream leaves out every block that its in-block degrees settle: when
-each edge missing from an m-vertex block meets one vertex v, and v keeps a
-neighbour w, the block holds every m-vertex tree.  Put a leaf of the tree
-on v and the leaf's neighbour on w; every other tree edge joins two
-vertices off v, and those are all adjacent.  A complete block, with no
-missing edge, is settled too.  The free trees of a size are enumerated
-only when the first block of that size is left to search, so a graph
-whose blocks are all settled is decided with no enumeration and no
-search, at any size.
+a set S of at most two vertices meets each edge missing from an m-vertex
+block, and the vertices of S have |S| common neighbours outside S, the
+block holds every m-vertex tree.  With S = {v}, put a leaf of the tree on
+v and the leaf's neighbour on v's neighbour.  With S = {a, b}, common
+neighbours c1 and c2, and so m >= 4, put two leaves of the tree on a and
+b, and their neighbours on c1 and c2, or on c1 alone when the leaves
+share it.  Either way every other tree edge joins two vertices off S, and
+those are all adjacent.  With S empty the block is complete.  The free
+trees of a size are enumerated only when the first block of that size is
+left to search, so a graph whose blocks are all settled is decided with
+no enumeration and no search, at any size.
 
 A rooted tree is encoded as one `bytes` object, its preorder open/close
 tokens, so close sorts before open.  A primitive balanced string is never
@@ -334,14 +337,34 @@ def _search(parent: tuple, nbrs: tuple) -> Optional[list]:
 
 
 def _settled(adj, lo: int, m: int) -> bool:
-    """The degree test of `_blocks` on the block of ids lo..lo+m-1.  With
-    missing[u] = m - 1 - (u's degree in the block), the missing edges all
-    meet one vertex exactly when sum(missing) == 2 * max(missing), and that
-    vertex keeps a neighbour when max(missing) < m - 1."""
+    """The rule of `_blocks` on the block of ids lo..lo+m-1, read off
+    missing[u] = m - 1 - (u's degree in the block).
+
+    One vertex first: the missing edges all meet one vertex exactly when
+    sum(missing) == 2 * max(missing), and that vertex keeps a neighbour
+    when max(missing) < m - 1.  Then two, only when that fails: a pair
+    {a, b} meets every missing edge when missing[a] + missing[b], less one
+    when a and b are not adjacent, counts them all, and it settles the
+    block when a and b have two common neighbours in it.  Only O(m) pairs
+    can be the cover: those that hold a vertex v of largest missing degree,
+    and v's two missing neighbours when it has exactly two.  A cover
+    without v holds every missing neighbour of v, so v has at most two.
+    With one, the missing edges are a matching, and one that two vertices
+    meet but one does not is two disjoint edges; each of its four covers
+    has the same m - 4 common neighbours, so the covers that hold v
+    decide."""
     block = range(lo, lo + m)
     missing = [m - 1 - len(adj[u].intersection(block)) for u in block]
-    top = max(missing)
-    return top == 0 or (sum(missing) == 2 * top and top < m - 1)
+    top, total = max(missing), sum(missing)
+    if top == 0 or (total == 2 * top and top < m - 1):
+        return True
+    v = lo + missing.index(top)
+    pairs = [(v, x) for x in block if x != v]
+    if top == 2:
+        pairs.append(tuple(x for x in block if x != v and x not in adj[v]))
+    return any(missing[a - lo] + missing[b - lo] - (b not in adj[a])
+               == total // 2 and len(adj[a].intersection(adj[b], block)) >= 2
+               for a, b in pairs)
 
 
 def _blocks(graph: UndirectedGraph, sizes):
@@ -349,12 +372,15 @@ def _blocks(graph: UndirectedGraph, sizes):
     to search, as (offset, m, the block's sorted neighbour tuples, the
     parent tuples of the free trees on m vertices).
 
-    A block is settled, and yields nothing, when every edge missing from it
-    meets one vertex v and v keeps a neighbour w in the block (`_settled`):
-    it holds every m-vertex tree, since a leaf of the tree can go on v and
-    the leaf's neighbour on w, and every other tree edge then joins two
-    vertices off v, which are all adjacent.  A settled block never fails,
-    so the stream order of the others and the first failure are unchanged.
+    A block is settled, and yields nothing, when a set S of at most two of
+    its vertices meets every edge missing from it and the vertices of S
+    have |S| common neighbours in the block outside S (`_settled`): it
+    holds every m-vertex tree, since |S| leaves of the tree can go on S and
+    their neighbours on those common neighbours (one of them, if the
+    leaves share their neighbour), and every other tree edge then joins
+    two vertices off S, which are all adjacent.  A settled block never
+    fails, so the stream order of the others and the first failure are
+    unchanged.
     The free trees of size m are enumerated only when the first block of
     that size is left to search."""
     for m in sizes:

@@ -3,7 +3,7 @@ import hashlib
 import multiprocessing
 import random
 import sys
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 import pytest
@@ -496,11 +496,17 @@ def test_brute_embed_returns_the_reference_mapping():
 
 
 def test_universality_does_not_depend_on_vertex_labels():
+    """A universal graph and a non-universal one, both left to the search,
+    decided the same way in ten relabellings.  The universal one is the
+    radius-0 graph of an 11-vertex balanced host; no two vertices cover
+    its missing edges with two common neighbours."""
     n = 12
     matching = {(a, a + 1) for a in range(0, n, 2)}
     no_dominating = UndirectedGraph(n, [(a, b) for b in range(n) for a in range(b)
                                         if (a, b) not in matching])
-    for graph, verdict in ((binary_prefix(12), True), (no_dominating, False)):
+    searched = underlying(generate(from_parens("((())(())(()())(()()))"), 0))
+    for graph, verdict in ((searched, True), (no_dominating, False)):
+        assert not _settled(graph.adj, 0, graph.n)
         want = is_universal(graph)
         assert want[0] is verdict
         for seed in range(10):
@@ -529,12 +535,20 @@ def test_deep_path_guest_does_not_recurse():
 
 
 def settled_by_definition(nbrs):
-    """The degree rule read off the missing edges themselves: none is
-    missing, or all of them meet one vertex that keeps a neighbour."""
+    """The degree rule read off the missing edges themselves, by brute force
+    over every vertex and every pair: a set S of at most two vertices meets
+    all of them, and the vertices of S have |S| common neighbours outside
+    S.  With S empty, no edge is missing."""
     m = len(nbrs)
     missing = [(a, b) for b in range(m) for a in range(b) if b not in nbrs[a]]
-    return not missing or any(nbrs[v] and all(v in e for e in missing)
-                              for v in range(m))
+    for size in (0, 1, 2):
+        for cover in combinations(range(m), size):
+            common = set(range(m)).difference(cover).intersection(
+                *(nbrs[v] for v in cover))
+            if (len(common) >= size
+                    and all(set(edge) & set(cover) for edge in missing)):
+                return True
+    return False
 
 
 def dense_graphs(rng, count):
@@ -555,15 +569,32 @@ def dense_graphs(rng, count):
                                       for a in range(b) if rng.random() < p])
 
 
+def matching_cliques(rng, count):
+    """Seeded cliques on 6..9 vertices missing three or more disjoint edges,
+    which no two vertices cover, and each other edge with probability at
+    most 0.1."""
+    for _ in range(count):
+        m = rng.randint(6, 9)
+        order = rng.sample(range(m), m)
+        cut = {frozenset(order[j:j + 2])
+               for j in range(0, 2 * rng.randint(3, m // 2), 2)}
+        p = rng.uniform(0.9, 1.0)
+        yield UndirectedGraph(m, [(a, b) for b in range(m) for a in range(b)
+                                  if frozenset((a, b)) not in cut
+                                  and rng.random() < p])
+
+
 def test_degree_rule_settles_only_blocks_that_hold_every_tree():
     """Every block of the radius-0, 1 and 2 graphs, legacy or not, of every
-    balanced host up to 8 vertices, and of seeded dense graphs: the rule
-    agrees with its definition, and wherever it settles a block the search
-    embeds every free tree of the block's size there."""
+    balanced host up to 8 vertices, and of seeded dense graphs and cliques
+    missing a matching: the rule agrees with its definition, and wherever
+    it settles a block the search embeds every free tree of the block's
+    size there."""
     graphs = [underlying(generate(host, radius, legacy=legacy))
               for host in balanced_hosts(8) for radius in (0, 1, 2)
               for legacy in (False, True)]
     graphs += dense_graphs(random.Random(29), 1000)
+    graphs += matching_cliques(random.Random(31), 300)
     settled, searched = set(), set()
     for graph in graphs:
         for m in range(1, graph.n + 1):
@@ -575,7 +606,7 @@ def test_degree_rule_settles_only_blocks_that_hold_every_tree():
     for nbrs in settled:
         for parent in _free_parents(len(nbrs)):
             assert _search(parent, nbrs) is not None, (nbrs, parent)
-    # 702 distinct settled blocks and 655 searched ones when written
+    # 1175 distinct settled blocks and 1119 searched ones when written
     assert len(settled) > 500 and len(searched) > 500
 
 
@@ -593,10 +624,20 @@ def shown(result):
     return ok, witness if witness is None else to_parens(witness)
 
 
+def clique_without(m, cut):
+    """K_m less the edges in `cut`, each given as (smaller, larger)."""
+    return UndirectedGraph(m, [(a, b) for b in range(m) for a in range(b)
+                               if (a, b) not in cut])
+
+
 def test_degree_rule_leaves_near_misses_to_the_search(monkeypatch):
-    """A clique plus an isolated vertex (every missing edge meets the
-    isolated vertex, which keeps no neighbour) and a clique missing two
-    disjoint edges are both searched, with the reference verdict."""
+    """Near misses of the rule are searched, with the verdict and witness
+    of a reference decider: a clique plus an isolated vertex (every missing
+    edge meets it, and it has no neighbour), a clique missing two disjoint
+    edges while their covers have under two common neighbours (m = 4, 5),
+    a clique missing three disjoint edges, and a pair that meets every
+    missing edge with one common neighbour.  From m = 6 the clique missing
+    two disjoint edges is settled, and its verdict is the reference's."""
     calls = []
 
     def counted(parent, nbrs):
@@ -604,46 +645,62 @@ def test_degree_rule_leaves_near_misses_to_the_search(monkeypatch):
         return _search(parent, nbrs)
 
     monkeypatch.setattr(oracle, "_search", counted)
+
+    def decide(graph, searched):
+        assert _settled(graph.adj, 0, graph.n) is not searched
+        calls.clear()
+        result = shown(is_universal(graph))
+        assert bool(calls) is searched
+        assert result == search_only(graph)
+        return result
+
     for m in range(3, 9):
         for lone in (0, m - 1):
             graph = UndirectedGraph(m, [(a, b) for b in range(m)
                                         for a in range(b) if lone not in (a, b)])
-            assert not _settled(graph.adj, 0, m)
-            calls.clear()
-            result = shown(is_universal(graph))
-            assert calls and result == search_only(graph)
-            assert result[0] is False
+            assert decide(graph, True)[0] is False
     for m in range(4, 9):
-        graph = UndirectedGraph(m, [(a, b) for b in range(m) for a in range(b)
-                                    if (a, b) not in ((0, 1), (2, 3))])
-        assert not _settled(graph.adj, 0, m)
-        calls.clear()
-        result = shown(is_universal(graph))
-        assert calls and result == search_only(graph)
+        decide(clique_without(m, {(0, 1), (2, 3)}), m < 6)
+    for m in range(6, 9):
+        decide(clique_without(m, {(0, 1), (2, 3), (4, 5)}), True)
+    # 0 and 1 meet every missing edge; 7 is their one common neighbour
+    decide(clique_without(8, {(0, 2), (0, 3), (0, 4), (1, 5), (1, 6)}), True)
 
 
 def test_settled_sizes_enumerate_nothing(monkeypatch):
     """Graphs whose every block the degree rule settles are decided without
-    enumerating a single free tree, also past the enumeration guard."""
-    def never(n):
-        raise AssertionError(f"enumerated the free trees on {n} vertices")
+    enumerating a single free tree or searching, also past the enumeration
+    guard."""
+    def never(*args):
+        raise AssertionError(f"enumerated or searched: {args}")
 
     monkeypatch.setattr(oracle, "_free_parents", never)
+    monkeypatch.setattr(oracle, "_search", never)
     binary = underlying(generate(perfect_binary(4), 0)).induced_prefix(12)
     # four edges missing, all at one vertex
     assert sorted(map(len, binary.adj)) == [7] + [10] * 4 + [11] * 7
+    # eight edges missing, all at 10 or 11, whose common neighbours are
+    # 0 and 5..9
+    depth3 = binary_prefix(12)
+    assert sorted(depth3.adj[10] & depth3.adj[11]) == [0, 5, 6, 7, 8, 9]
+    assert {a for a in range(10) if not depth3.has_edge(a, 10)} == \
+        {a for a in range(10) if not depth3.has_edge(a, 11)} == {1, 2, 3, 4}
     assert is_universal(complete_graph(12)) == (True, None)
     assert is_universal(binary) == (True, None)
+    assert is_universal(depth3) == (True, None)
     ternary = underlying(generate(typed_ternary(3).tree, 2)).induced_prefix(11)
     assert is_interval_universal(ternary) == (True, None)
     assert is_universal(complete_graph(17), unsafe_large=True) == (True, None)
 
 
 def test_every_small_balanced_host_is_interval_universal():
-    """The oracle side of the rule sweep: the radius-2 graph of every
-    ordered (2,1)-balanced host up to 9 vertices is interval-universal."""
+    """The oracle side of the rule sweep: the radius-0, 1 and 2 graphs and
+    the legacy radius-2 graph of every ordered (2,1)-balanced host up to 9
+    vertices are interval-universal."""
     hosts = balanced_hosts(9)
     assert len(hosts) == 404
-    for host in hosts:
-        graph = underlying(generate(host, 2))
-        assert is_interval_universal(graph) == (True, None), host.children
+    for radius, legacy in ((0, False), (1, False), (2, False), (2, True)):
+        for host in hosts:
+            graph = underlying(generate(host, radius, legacy=legacy))
+            assert is_interval_universal(graph) == (True, None), \
+                (radius, legacy, host.children)
