@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, asdict
 
 from .balanced_trees import perfect_binary, typed_ternary
-from .graph_gen import generate, legacy_generate, prefix_counts, underlying
+from .graph_gen import generate, prefix_counts, underlying
 
 FLOAT_GUARD = 1e-6
 
@@ -149,13 +149,13 @@ def reproduce_counterexample() -> CounterexampleReport:
     prefix miss exactly three edges, although every 6-vertex admissible graph
     of the legacy generator (levels 2..5) is complete.  Also reports, without
     asserting, the same slice under the corrected rules."""
-    legacy3 = underlying(legacy_generate(3)).induced_prefix(11)
-    missing = _slice_missing(legacy3, LEGACY_SLICE)
+    legacy3 = underlying(generate(perfect_binary(3), 0, legacy=True))
+    missing = _slice_missing(legacy3.induced_prefix(11), LEGACY_SLICE)
 
     six_complete = {}
     for lvl in range(2, 6):
-        pref6 = underlying(legacy_generate(lvl)).induced_prefix(6)
-        six_complete[lvl] = pref6.is_complete()
+        legacy = underlying(generate(perfect_binary(lvl), 0, legacy=True))
+        six_complete[lvl] = legacy.induced_prefix(6).is_complete()
 
     corrected = underlying(generate(perfect_binary(3), 0)).induced_prefix(11)
     corrected_missing = _slice_missing(corrected, LEGACY_SLICE)

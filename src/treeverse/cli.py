@@ -54,17 +54,14 @@ def cmd_gen_tree(args) -> int:
 def cmd_gen_graph(args) -> int:
     tree = (_load_tree(args.tree) if args.tree
             else _family_tree(args.family, args.k))
+    if args.prefix is not None:
+        # a prefix's induced graph is the graph of the prefix tree
+        tree = tree.prefix(args.prefix)
     pairs = graph_gen.prefix_counts(tree, args.r, args.legacy).pairs[tree.n]
     if pairs > GEN_GRAPH_PAIR_CAP:
         raise ValueError(f"guard: the graph has {pairs} pairs, above the cap "
                          f"of {GEN_GRAPH_PAIR_CAP}")
     dig = generate(tree, args.r, legacy=args.legacy)
-    if args.prefix is not None:
-        sub = underlying(dig).induced_prefix(args.prefix)
-        payload = {"n": sub.n, "r": dig.radius,
-                   "edges": sorted([list(e) for e in sub.edges])}
-        print(json.dumps(payload, indent=2))
-        return 0
     print(graph_gen.to_dot(dig) if args.format == "dot"
           else graph_gen.to_json(dig))
     return 0
@@ -80,8 +77,7 @@ def cmd_decompose(args) -> int:
         coll = find_bounded_components(forest, args.u, args.x)
         kind = "bounded"
     else:
-        coll, cls = find_feasible_or_critical(forest, args.u, args.x, args.y)
-        kind = cls.kind
+        coll, kind = find_feasible_or_critical(forest, args.u, args.x, args.y)
     print(f"pivot={coll.w} kind={kind} union={coll.union_size}")
     for comp in coll.components:
         print("  component:", sorted(comp))

@@ -58,26 +58,18 @@ class ComponentCollection:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
-class CollectionClass:
-    kind: str  # "feasible" | "critical" | "plain"
-
-    @property
-    def is_feasible(self) -> bool:
-        return self.kind == "feasible"
-
-
-def classify(coll: ComponentCollection, x: int, y: int) -> CollectionClass:
-    """Exact set arithmetic for the feasible/critical windows."""
+def classify(coll: ComponentCollection, x: int, y: int) -> str:
+    """The collection's kind, "feasible", "critical" or "plain", by exact
+    set arithmetic for the feasible/critical windows."""
     total = coll.union_size
     if x <= total + 1 <= x + y - 2:
-        return CollectionClass("feasible")
+        return "feasible"
     t = len(coll.components)
     if t >= 2 and x + y - 2 <= total <= 2 * x - 3:
         # drop-one subsets are the largest proper sub-unions
         if all(total - len(c) <= x - 2 for c in coll.components):
-            return CollectionClass("critical")
-    return CollectionClass("plain")
+            return "critical"
+    return "plain"
 
 
 class _RootedPass:
@@ -176,14 +168,14 @@ def _bounded_walk(rooted: _RootedPass, x: int) -> tuple[int, list[int]]:
 
 
 def _checked(rooted: _RootedPass, w: int, roots, x: int, y: int,
-             kind: str) -> tuple[ComponentCollection, CollectionClass]:
+             kind: str) -> tuple[ComponentCollection, str]:
     coll = rooted.collection(w, roots)
-    cls = classify(coll, x, y)
-    if cls.kind != kind:
+    found = classify(coll, x, y)
+    if found != kind:
         raise DecompositionBugError(
             f"walk chose a {kind} collection at pivot {w} that classifies "
-            f"{cls.kind}")
-    return coll, cls
+            f"{found}")
+    return coll, kind
 
 
 def _inside(forest: Forest, within) -> frozenset | dict:
@@ -215,8 +207,9 @@ def find_bounded_components(forest: Forest, u: int, x: int,
 
 def find_feasible_or_critical(forest: Forest, u: int, x: int, y: int,
                               within=None
-                              ) -> tuple[ComponentCollection, CollectionClass]:
-    """Find a u-avoiding collection that classifies feasible or critical.
+                              ) -> tuple[ComponentCollection, str]:
+    """Find a u-avoiding collection that classifies feasible or critical,
+    and return it with that kind.
 
     Seeds with the bounded walk at x-1; while the union is too large to be
     feasible, either a minimal subcollection of the large components is

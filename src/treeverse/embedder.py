@@ -233,13 +233,13 @@ class _Solver:
                                     "non-leaf")
 
         avoid = anchor if anchor is not None else min(piece)
-        coll, cls = find_feasible_or_critical(self.guest, avoid, x, y,
-                                              within=piece)
+        coll, kind = find_feasible_or_critical(self.guest, avoid, x, y,
+                                               within=piece)
         w = coll.w
         if anchor == w and sigma == m:
             self.push_root_swap(view, to_top, w)
         # a critical union of exactly x+y-2 is placed as a feasible block
-        if not cls.is_feasible and coll.union_size != x + y - 2:
+        if kind == "critical" and coll.union_size != x + y - 2:
             return self.critical_split(view, to_top, piece, anchor, coll, kids)
 
         # pivot and union go into the merge of the last two subtrees, the

@@ -28,7 +28,6 @@ from itertools import accumulate
 from typing import Sequence
 
 from .tree_core import RootedTree, TreeView, ith_ancestor, nearest_left_cousin
-from .balanced_trees import perfect_binary
 
 # Arc tag bits.  One arc may carry several tags; tag counts are therefore
 # with multiplicity while undirected totals count each pair once.
@@ -189,11 +188,6 @@ def generate(tree: RootedTree, radius: int,
                     key = (u, w)
                     arcs[key] = get(key, 0) | tag
     return GeneratedDigraph(tree, radius, arcs, legacy=legacy)
-
-
-def legacy_generate(k: int) -> GeneratedDigraph:
-    """The legacy (sibling-rule) radius-0 graph of the perfect binary tree."""
-    return generate(perfect_binary(k), 0, legacy=True)
 
 
 def underlying(digraph: GeneratedDigraph) -> UndirectedGraph:

@@ -33,6 +33,7 @@ recursion limit.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import groupby, repeat
@@ -134,13 +135,12 @@ def _parents_to_tree(parent: tuple) -> RootedTree:
     return RootedTree(children)
 
 
-def _tree_to_enc(tree: RootedTree, root: int,
-                 avoid: int = -1) -> tuple[bytes, int]:
-    """Canonical encoding of the tree re-rooted at `root`, without the
-    branch at its neighbour `avoid`, and the order of that rooted tree's
-    automorphism group: the product, over its vertices, of k! for each run
-    of k equal child encodings.  One bottom-up pass, no recursion."""
-    up = [-1] * tree.n  # each vertex's neighbour towards the root
+def _walk(tree: RootedTree, root: int,
+          avoid: int = -1) -> tuple[list[int], list[int]]:
+    """The tree without the branch at root's neighbour `avoid`, walked
+    breadth-first from `root`: its vertices in that order, and each vertex's
+    neighbour towards the root (`avoid` for the root, -1 off the walk)."""
+    up = [-1] * tree.n
     up[root] = avoid
     order = [root]
     for u in order:  # grows while it is read: a breadth-first order
@@ -148,6 +148,16 @@ def _tree_to_enc(tree: RootedTree, root: int,
             if v is not None and v != up[u]:
                 up[v] = u
                 order.append(v)
+    return order, up
+
+
+def _tree_to_enc(tree: RootedTree, root: int,
+                 avoid: int = -1) -> tuple[bytes, int]:
+    """Canonical encoding of the tree re-rooted at `root`, without the
+    branch at its neighbour `avoid`, and the order of that rooted tree's
+    automorphism group: the product, over its vertices, of k! for each run
+    of k equal child encodings.  One bottom-up pass, no recursion."""
+    order, up = _walk(tree, root, avoid)
     branches: list = [[] for _ in range(tree.n)]
     automorphisms = 1
     for u in reversed(order):
@@ -162,30 +172,15 @@ def _tree_to_enc(tree: RootedTree, root: int,
 
 
 def _centers(tree: RootedTree) -> list[int]:
-    """The one or two middle vertices of a longest path (unrooted)."""
-    n = tree.n
-    if n == 1:
-        return [0]
-    deg = [len(tree.children[u]) + (tree.parent[u] is not None)
-           for u in range(n)]
-    alive = n
-    removed = [False] * n
-    layer = [u for u in range(n) if deg[u] == 1]
-    while alive > 2:
-        nxt = []
-        for u in layer:
-            removed[u] = True
-            alive -= 1
-            nbrs = list(tree.children[u])
-            if tree.parent[u] is not None:
-                nbrs.append(tree.parent[u])
-            for v in nbrs:
-                if not removed[v]:
-                    deg[v] -= 1
-                    if deg[v] == 1:
-                        nxt.append(v)
-        layer = nxt
-    return sorted(u for u in range(n) if not removed[u])
+    """The one or two middle vertices of a longest path (unrooted).  A
+    breadth-first walk ends at one end of a longest path; a second walk,
+    from there, ends at the other, and leads back along the path."""
+    end = _walk(tree, 0)[0][-1]
+    order, up = _walk(tree, end)
+    path = [order[-1]]
+    while path[-1] != end:
+        path.append(up[path[-1]])
+    return sorted(path[(len(path) - 1) // 2:len(path) // 2 + 1])
 
 
 def _free_key(tree: RootedTree) -> tuple[tuple, int]:
@@ -396,12 +391,15 @@ def _blocks(graph: UndirectedGraph, sizes):
 def _first_failure(blocks, jobs: int):
     """(offset, m, tree) for the first tree in stream order that does not
     embed in its block, or None.  Blocks are read one at a time, none past
-    the first failure.  With jobs > 1 one pool checks every block; the
-    first failure shuts it down and cancels the work still pending."""
+    the first failure.  With jobs > 1 one pool, of at most one worker per
+    CPU, checks every block; the first failure shuts it down and cancels the
+    work still pending.  A jobs value below 1 is refused."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     pool = None
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=jobs)
+        pool = ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
     run = partial(pool.map, chunksize=8) if pool else map
     try:
         for i, m, nbrs, parents in blocks:

@@ -157,11 +157,10 @@ def test_criterion_6_decomposition_properties():
         if n >= 5:
             y = rng.randint(2, max(2, n // 2))
             x2 = rng.randint(y + 1, n - 1)
-            coll, cls = find_feasible_or_critical(forest, u, x2, y)
+            coll, kind = find_feasible_or_critical(forest, u, x2, y)
             real = {frozenset(c) for c in forest.components(removed=coll.w)}
-            defn = classify(coll, x2, y)
-            if (u in coll.union or defn.kind != cls.kind
-                    or cls.kind not in ("feasible", "critical")
+            if (u in coll.union or classify(coll, x2, y) != kind
+                    or kind not in ("feasible", "critical")
                     or any(c not in real for c in coll.components)):
                 bad += 1
     report(6, f"{trials} random forests, both finders within their windows",

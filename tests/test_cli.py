@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from treeverse.balanced_trees import typed_ternary
+from treeverse.balanced_trees import perfect_binary, typed_ternary
 from treeverse.cli import main
-from treeverse.graph_gen import generate, to_json
+from treeverse.graph_gen import generate, to_dot, to_json
 from treeverse.tree_core import from_parens, parse_tree
 
 
@@ -52,7 +52,43 @@ def test_gen_graph_legacy_prefix(capsys):
 def test_gen_graph_refuses_a_prefix_outside_the_graph(capsys):
     code = main(["gen-graph", "--family", "binary", "--k", "2", "--prefix", "8"])
     assert code == 2
-    assert capsys.readouterr().err == "error: prefix size 8 out of range 0..7\n"
+    assert capsys.readouterr().err == "error: prefix size 8 out of range 1..7\n"
+
+
+def test_gen_graph_prefix_prints_the_prefix_tree_graph(capsys, monkeypatch):
+    """`--prefix m` prints the graph of the prefix tree, through the same
+    export as a whole graph, and generates no graph larger than m."""
+    import treeverse.cli as cli
+
+    sizes = []
+
+    def recording(tree, radius, legacy=False):
+        sizes.append(tree.n)
+        return generate(tree, radius, legacy=legacy)
+
+    monkeypatch.setattr(cli, "generate", recording)
+    for family, tree in (("binary", perfect_binary(3)),
+                         ("ternary-typed", typed_ternary(2).tree)):
+        for r in range(4):
+            for legacy in (False, True):
+                for m in range(1, tree.n + 1):
+                    argv = ["gen-graph", "--family", family, "--k",
+                            str(max(tree.levels)), "--r", str(r),
+                            "--prefix", str(m)] + ["--legacy"] * legacy
+                    sizes.clear()
+                    code, out = run(capsys, *argv)
+                    assert code == 0
+                    want = generate(tree.prefix(m), r, legacy)
+                    assert out == to_json(want) + "\n"
+                    assert sizes == [m]
+    code, out = run(capsys, "gen-graph", "--k", "3", "--prefix", "11",
+                    "--legacy", "--format", "dot")
+    assert code == 0
+    assert out == to_dot(generate(perfect_binary(3).prefix(11), 0,
+                                  legacy=True)) + "\n"
+    assert main(["gen-graph", "--k", "3", "--prefix", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "error: prefix size 0 out of range 1..15\n"
 
 
 def test_gen_graph_legacy_honours_family_radius_and_tree(tmp_path, capsys):
@@ -103,6 +139,15 @@ def test_verify_prints_the_oracle_witness(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--family", "binary", "--k", "1",
                     "--interval")
     assert (code, out) == (1, "FAIL interval offset=2 size=4 tree=(()(()))\n")
+
+
+def test_verify_refuses_jobs_below_one(capsys):
+    for jobs in ("0", "-2"):
+        code = main(["verify", "--family", "binary", "--k", "1", "--jobs",
+                     jobs])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: jobs must be at least 1, got {jobs}\n"
 
 
 def test_verify_interval_small(capsys):

@@ -12,15 +12,9 @@ from treeverse.decomposition import (ComponentCollection, classify,
                                      find_bounded_components,
                                      find_feasible_or_critical)
 import treeverse
-from treeverse.tree_core import Forest, RootedTree, build_tree
+from treeverse.tree_core import Forest, build_tree
 
-
-def path_tree(n):
-    return RootedTree([[u + 1] if u + 1 < n else [] for u in range(n)])
-
-
-def star_tree(n):
-    return RootedTree([list(range(1, n))] + [[] for _ in range(n - 1)])
+from trees import path_tree, star_tree
 
 
 def spider(leg, legs=2):
@@ -47,16 +41,16 @@ def check_bounded(forest, coll, u, x):
         seen |= c
 
 
-def check_feasible_or_critical(forest, coll, cls, u, x, y):
+def check_feasible_or_critical(forest, coll, kind, u, x, y):
     assert u not in coll.union
     real = {frozenset(c) for c in forest.components(removed=coll.w)}
     for c in coll.components:
         assert c in real
     total = coll.union_size
-    if cls.kind == "feasible":
+    if kind == "feasible":
         assert x <= total + 1 <= x + y - 2
     else:
-        assert cls.kind == "critical"
+        assert kind == "critical"
         assert len(coll.components) >= 2
         assert x + y - 2 <= total <= 2 * x - 3
         for c in coll.components:
@@ -98,43 +92,43 @@ def test_bounded_minimum_size_forest():
 def test_classify_examples():
     mk = lambda comps: ComponentCollection(0, tuple(map(frozenset, comps)))
     # union+pivot lands exactly on both window ends
-    assert classify(mk([{1, 2, 3, 4, 5}]), 5, 3).kind == "feasible"
-    assert classify(mk([{1, 2, 3}, {4, 5, 6}]), 5, 3).kind == "critical"
+    assert classify(mk([{1, 2, 3, 4, 5}]), 5, 3) == "feasible"
+    assert classify(mk([{1, 2, 3}, {4, 5, 6}]), 5, 3) == "critical"
     # a single component is never critical
-    assert classify(mk([{1, 2, 3, 4, 5, 6}]), 5, 3).kind == "plain"
+    assert classify(mk([{1, 2, 3, 4, 5, 6}]), 5, 3) == "plain"
     # oversized proper subset disqualifies
-    assert classify(mk([{1, 2, 3, 4}, {5, 6}]), 5, 3).kind == "plain"
+    assert classify(mk([{1, 2, 3, 4}, {5, 6}]), 5, 3) == "plain"
 
 
 def test_feasible_small_forest_uses_all_components():
     t = star_tree(6)  # 6 vertices, x=4, y=3: |T| = x+y-1... use x=5,y=3
     f = Forest.from_tree(t)
-    coll, cls = find_feasible_or_critical(f, 0, 5, 3)
-    assert cls.kind == "feasible"
+    coll, kind = find_feasible_or_critical(f, 0, 5, 3)
+    assert kind == "feasible"
     assert coll.w == 0 and coll.union_size == 5
-    check_feasible_or_critical(f, coll, cls, 0, 5, 3)
+    check_feasible_or_critical(f, coll, kind, 0, 5, 3)
 
 
 def test_feasible_star():
     f = Forest.from_tree(star_tree(12))
-    coll, cls = find_feasible_or_critical(f, 0, 5, 3)
-    assert cls.kind == "feasible"
-    check_feasible_or_critical(f, coll, cls, 0, 5, 3)
+    coll, kind = find_feasible_or_critical(f, 0, 5, 3)
+    assert kind == "feasible"
+    check_feasible_or_critical(f, coll, kind, 0, 5, 3)
 
 
 def test_spider_two_long_legs():
     t = spider(5, 2)
     f = Forest.from_tree(t)
-    coll, cls = find_feasible_or_critical(f, 0, 4, 3)
-    check_feasible_or_critical(f, coll, cls, 0, 4, 3)
+    coll, kind = find_feasible_or_critical(f, 0, 4, 3)
+    check_feasible_or_critical(f, coll, kind, 0, 4, 3)
 
 
 def test_critical_shape():
     # pivot with three legs of length 3 forces a critical pair for (5, 3)
     t = spider(3, 3)
     f = Forest.from_tree(t)
-    coll, cls = find_feasible_or_critical(f, 0, 5, 3)
-    check_feasible_or_critical(f, coll, cls, 0, 5, 3)
+    coll, kind = find_feasible_or_critical(f, 0, 5, 3)
+    check_feasible_or_critical(f, coll, kind, 0, 5, 3)
 
 
 def random_forest(rng, max_n=60):
@@ -176,8 +170,8 @@ def test_randomized_validation():
         if n >= 5:
             y = rng.randint(2, max(2, n // 2))
             x2 = rng.randint(y + 1, n - 1)
-            coll, cls = find_feasible_or_critical(f, u, x2, y)
-            check_feasible_or_critical(f, coll, cls, u, x2, y)
+            coll, kind = find_feasible_or_critical(f, u, x2, y)
+            check_feasible_or_critical(f, coll, kind, u, x2, y)
 
         keep = {v for v in f.vertices if sub_rng.random() < 0.8} or {u}
         if sub_rng.random() < 0.02:
@@ -215,9 +209,9 @@ def test_feasible_when_x_at_most_y():
         x = rng.randint(2, n - 1)
         y = rng.randint(x, x + 6)
         u = rng.choice(f.vertices)
-        coll, cls = find_feasible_or_critical(f, u, x, y)
-        assert cls.kind == "feasible"
-        check_feasible_or_critical(f, coll, cls, u, x, y)
+        coll, kind = find_feasible_or_critical(f, u, x, y)
+        assert kind == "feasible"
+        check_feasible_or_critical(f, coll, kind, u, x, y)
         if n > x + y - 2:
             walked += 1
             assert coll == find_bounded_components(f, u, x - 1)
@@ -270,8 +264,8 @@ def test_critical_pair_when_ratio_bounded():
         if x <= y:
             continue
         u = rng.choice(f.vertices)
-        coll, cls = find_feasible_or_critical(f, u, x, y)
-        if cls.kind == "critical":
+        coll, kind = find_feasible_or_critical(f, u, x, y)
+        if kind == "critical":
             found += 1
             assert len(coll.components) == 2
     assert found > 0
@@ -304,9 +298,9 @@ def test_walks_are_linear_in_the_forest():
     check_bounded(base, coll, 0, 1)
 
     calls[0] = 0
-    coll, cls = find_feasible_or_critical(f, 0, 4, 2)
+    coll, kind = find_feasible_or_critical(f, 0, 4, 2)
     assert calls[0] <= 2 * n
-    check_feasible_or_critical(base, coll, cls, 0, 4, 2)
+    check_feasible_or_critical(base, coll, kind, 0, 4, 2)
 
     # the whole path, and the path without vertex 500 (two pieces), walked
     # from either end
@@ -319,9 +313,9 @@ def test_walks_are_linear_in_the_forest():
             check_bounded(reference, coll, u, 1)
 
             reads[0] = 0
-            coll, cls = find_feasible_or_critical(f, u, 4, 2, within=within)
+            coll, kind = find_feasible_or_critical(f, u, 4, 2, within=within)
             assert reads[0] <= 6 * n, (within is None, u, reads[0])
-            check_feasible_or_critical(reference, coll, cls, u, 4, 2)
+            check_feasible_or_critical(reference, coll, kind, u, 4, 2)
 
 
 MISCLASSIFIED = textwrap.dedent("""
@@ -332,8 +326,7 @@ MISCLASSIFIED = textwrap.dedent("""
     if __debug__:
         sys.exit("asserts are still on")
 
-    decomposition.classify = lambda coll, x, y: decomposition.CollectionClass(
-        "plain")
+    decomposition.classify = lambda coll, x, y: "plain"
     # a star gives a feasible pick, three legs of length 3 a critical pair
     for text in ("(" + "()" * 11 + ")", "(" + "((()))" * 3 + ")"):
         forest = Forest.from_tree(from_parens(text))

@@ -12,24 +12,15 @@ import pytest
 import treeverse
 
 from treeverse import embedder
-from treeverse.balanced_trees import typed_ternary, validate_balance
+from treeverse.balanced_trees import typed_ternary
 from treeverse.embedder import (Embedding, embed, host_graph_for, phi2_window,
                                 verify_embedding)
 from treeverse.graph_gen import merged_tree
 from treeverse.oracle import brute_embed, enumerate_free_trees
 from treeverse.tree_core import (RootedTree, TreeError, TreeView, build_tree,
-                                 from_parens, nearest_left_cousin,
-                                 to_parent_csv)
+                                 nearest_left_cousin, to_parent_csv)
 
-from test_graph_gen import ordered_trees
-
-
-def path_tree(n):
-    return RootedTree([[u + 1] if u + 1 < n else [] for u in range(n)])
-
-
-def star_tree(n):
-    return RootedTree([list(range(1, n))] + [[] for _ in range(n - 1)])
+from trees import balanced_hosts, path_tree, star_tree
 
 
 def rand_tree(rng, n):
@@ -210,14 +201,6 @@ def test_recursion_reaches_deep_hosts():
     emb = embed(host, guest, 7, 11, host_graph=graph)
     ok, problems = verify_embedding(emb, guest, 7, 11)
     assert ok, problems
-
-
-def balanced_hosts(max_n):
-    """Every (2,1)-balanced ordered host with at most max_n vertices, in
-    every child order."""
-    return [h for n in range(1, max_n + 1)
-            for h in map(from_parens, ordered_trees(n))
-            if validate_balance(h).ok]
 
 
 def test_every_small_balanced_host_hosts_every_guest(monkeypatch):

@@ -6,16 +6,12 @@ import pytest
 
 from treeverse.balanced_trees import perfect_binary, typed_ternary
 from treeverse.graph_gen import (TAG_COUSIN_SUBTREE, TAG_NAMES, PrefixCounts,
-                                 UndirectedGraph, generate, legacy_generate,
-                                 merged_tree, prefix_counts, to_dot, to_json,
-                                 underlying)
+                                 UndirectedGraph, generate, merged_tree,
+                                 prefix_counts, to_dot, to_json, underlying)
 from treeverse.oracle import enumerate_free_trees
-from treeverse.tree_core import (RootedTree, build_tree, from_parens,
-                                 nearest_left_cousin)
+from treeverse.tree_core import build_tree, from_parens, nearest_left_cousin
 
-
-def path_tree(n):
-    return RootedTree([[u + 1] if u + 1 < n else [] for u in range(n)])
+from trees import ordered_trees, path_tree
 
 
 def naive_rule_edges(tree, radius):
@@ -144,19 +140,6 @@ def test_prefix_counts_match_a_recount_at_every_prefix():
                 for bit, name in TAG_NAMES.items()}
 
 
-def ordered_trees(n):
-    """Every ordered rooted tree on n vertices, in parenthesis form."""
-    def forests(m):
-        if m == 0:
-            yield ""
-        for first in range(1, m + 1):
-            for head in ordered_trees(first):
-                for rest in forests(m - first):
-                    yield head + rest
-    for inner in forests(n - 1):
-        yield "(" + inner + ")"
-
-
 def arc_prefix_counts(d):
     """The one pass over the arcs that `prefix_counts` used to make."""
     n, arcs = d.n, d.arcs
@@ -206,17 +189,18 @@ def test_legacy_setting_only_weakens_the_cousin_rule():
 
 
 def test_legacy_k2_equals_corrected():
-    assert (underlying(legacy_generate(2)).edges
+    assert (underlying(generate(perfect_binary(2), 0, legacy=True)).edges
             == underlying(generate(perfect_binary(2), 0)).edges)
 
 
 def test_legacy_k0_single_vertex():
-    g = underlying(legacy_generate(0))
+    g = underlying(generate(perfect_binary(0), 0, legacy=True))
     assert g.n == 1 and g.edge_count == 0
 
 
 def test_legacy_counterexample_slice():
-    pref = underlying(legacy_generate(3)).induced_prefix(11)
+    legacy = underlying(generate(perfect_binary(3), 0, legacy=True))
+    pref = legacy.induced_prefix(11)
     ids = (5, 6, 7, 8, 9, 10)
     missing = [(a, b) for a, b in combinations(ids, 2) if not pref.has_edge(a, b)]
     assert missing == [(5, 10), (6, 10), (7, 10)]
@@ -227,8 +211,8 @@ def test_admissible_induced():
     assert g.induced_prefix(7).edge_count == 21
     assert g.induced_prefix(1).n == 1
     assert g.induced_prefix(0).n == 0
-    g3_11 = underlying(legacy_generate(3)).induced_prefix(11)
-    assert g3_11.n == 11
+    legacy = underlying(generate(perfect_binary(3), 0, legacy=True))
+    assert legacy.induced_prefix(11).n == 11
     for m in (8, -1):
         with pytest.raises(ValueError, match=f"prefix size {m} out of range 0..7"):
             g.induced_prefix(m)
@@ -319,12 +303,15 @@ def _small_tree_pool():
 
 
 def test_prefix_compatibility():
+    """The graph induced on a preorder prefix is the prefix tree's graph, at
+    radii 0 to 3 and under both third rules."""
     for tree in _small_tree_pool():
-        for r in (0, 2):
-            full = underlying(generate(tree, r))
-            for m in range(1, tree.n + 1):
-                direct = underlying(generate(tree.prefix(m), r))
-                assert full.induced_prefix(m).edges == direct.edges
+        for r in range(4):
+            for legacy in (False, True):
+                full = underlying(generate(tree, r, legacy))
+                for m in range(1, tree.n + 1):
+                    direct = underlying(generate(tree.prefix(m), r, legacy))
+                    assert full.induced_prefix(m) == direct
 
 
 def test_root_degree_is_n_minus_1():

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import multiprocessing
+import os
 import random
 import sys
 from itertools import combinations, product
@@ -20,20 +21,12 @@ from treeverse.oracle import (ENUM_GUARD, _centers, _flatten, _free_parents,
                               is_universal, vertex_orbit_reps)
 from treeverse.tree_core import RootedTree, build_tree, from_parens, to_parens
 
-from test_embedder import balanced_hosts
+from trees import balanced_hosts, path_tree, star_tree
 
 # free trees per vertex count up to the enumeration guard (OEIS A000055)
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,
                     9: 47, 10: 106, 11: 235, 12: 551, 13: 1301, 14: 3159,
                     15: 7741, 16: 19320}
-
-
-def path_tree(n):
-    return RootedTree([[u + 1] if u + 1 < n else [] for u in range(n)])
-
-
-def star_tree(n):
-    return RootedTree([list(range(1, n))] + [[] for _ in range(n - 1)])
 
 
 def complete_graph(n):
@@ -339,6 +332,34 @@ def test_one_pool_per_decider_call(monkeypatch):
             assert decide(graph, jobs=2)[0] is verdict
             assert len(starts) == 1
             assert not multiprocessing.active_children()
+
+
+def test_jobs_are_refused_below_one_and_bounded_by_the_cpus(monkeypatch):
+    """A pool never gets more workers than there are CPUs; the fake pool
+    records its size, maps in this process and starts nothing."""
+    workers = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    cycle = cycle_graph(6)
+    for decide in (is_universal, is_interval_universal):
+        workers.clear()
+        assert decide(cycle, jobs=10 ** 6) == decide(cycle, jobs=1)
+        assert workers == [os.cpu_count() or 1]
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                decide(cycle, jobs=jobs)
+    assert not multiprocessing.active_children()
 
 
 def decider_cases():

@@ -12,3 +12,44 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# each module and the package modules it may import: the generator and the
+# oracle know no tree family, and only the front ends see everything
+ALLOWED_IMPORTS = {
+    "tree_core": set(),
+    "graph_gen": {"tree_core"},
+    "balanced_trees": {"tree_core"},
+    "decomposition": {"tree_core"},
+    "oracle": {"tree_core", "graph_gen"},
+    "embedder": {"tree_core", "graph_gen", "balanced_trees", "decomposition"},
+    "analytics": {"balanced_trees", "graph_gen"},
+    "cli": {"tree_core", "graph_gen", "balanced_trees", "decomposition",
+            "oracle", "embedder", "analytics"},
+    "__init__": {"tree_core", "graph_gen", "balanced_trees", "decomposition",
+                 "oracle", "embedder", "analytics"},
+}
+
+
+def package_imports(path):
+    """The package modules a source file imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module.split(".")[0]] if node.module
+                         else (alias.name for alias in node.names))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] == "treeverse":
+                found.update(node.module.split(".")[1:2]
+                             or (alias.name for alias in node.names))
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("treeverse."))
+    return found
+
+
+def test_modules_import_only_their_lower_layers():
+    paths = sorted(Path(treeverse.__file__).parent.glob("*.py"))
+    assert {path.stem for path in paths} == set(ALLOWED_IMPORTS)
+    for path in paths:
+        assert package_imports(path) <= ALLOWED_IMPORTS[path.stem], path.name

@@ -10,13 +10,7 @@ from treeverse.tree_core import (Forest, RootedTree, TreeError, build_tree,
                                  to_parent_csv)
 from treeverse.balanced_trees import perfect_binary
 
-
-def path_tree(n):
-    return RootedTree([[u + 1] if u + 1 < n else [] for u in range(n)])
-
-
-def star_tree(n):
-    return RootedTree([list(range(1, n))] + [[] for _ in range(n - 1)])
+from trees import path_tree, star_tree
 
 
 @st.composite
