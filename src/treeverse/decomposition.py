@@ -17,9 +17,12 @@ from u up to its top changes: a vertex there owns its tree minus the side
 toward u, so its size is the top's minus that side's and its smallest id is
 the top; every other vertex keeps its sweep size and is its own smallest id.
 A component of forest - w avoiding u is then the subtree of a child of w in
-that rooting, or, when w is u, a whole other tree, so a walk step costs
-O(degree of w): it ranks the candidates by decreasing size, ties by smallest
-id, and moves to the root of the largest.  Only the returned components are
+that rooting, or, when w is u, a whole other tree.  A walk step moves to
+the root of the largest, ties by smallest id, while it has at least 2x
+vertices.  On the path to the top a step ranks the candidates, in O(degree
+of w); off the path it takes w's heavy child, in O(1): the largest sweep
+child, which the sweep records when it is that large.  Where the walk stops
+it ranks all candidates once.  Only the returned components are
 built, by a search from each root that does not cross w, and each result is
 checked against the classifier by a raise of `DecompositionBugError`, which
 `python -O` keeps.  A finder given `within` works on the forest induced on that set,
@@ -74,24 +77,33 @@ def classify(coll: ComponentCollection, x: int, y: int) -> str:
 
 class _RootedPass:
     """One sweep over a forest's sorted vertex set, read as rooted away from
-    the protected vertex u (see the module doc).  Every other tree hangs
-    under u as one more child, so the u-free components of forest - w are the
-    subtrees of w's children in that rooting."""
+    the protected vertex u (see the module doc), for a bounded walk at x.
+    Every other tree hangs under u as one more child, so the u-free
+    components of forest - w are the subtrees of w's children in that
+    rooting."""
 
-    def __init__(self, forest: Forest, u: int, inside):
+    def __init__(self, forest: Forest, u: int, inside, x: int):
         if u not in inside:
             raise ValueError(f"vertex {u} not in forest")
         parent = forest.parent
         # children follow their parents in id order, so a reverse sweep
         # finishes every subtree before it reaches the subtree's top
         size = dict.fromkeys(inside, 1)
+        # each vertex's largest sweep child of at least 2x vertices, the
+        # least the walk steps into; smaller ids come later, so `>=` hands a
+        # tie to the smaller id, as `below` ranks it
+        heavy = {}
+        big = 2 * x
         tops = []
         for v in sorted(inside, reverse=True):
             p = parent[v]
             if p not in inside:
                 tops.append(v)
             elif p < v:
-                size[p] += size[v]
+                s = size[v]
+                size[p] += s
+                if s >= big and s >= size[heavy.get(p, v)]:
+                    heavy[p] = v
             else:
                 raise ValueError(f"forest vertex {v} has the larger id "
                                  f"{p} as parent")
@@ -109,9 +121,11 @@ class _RootedPass:
             if c is not None:
                 size[w] = whole - size[c]
         self.u = u
+        self.x = x
         self.forest = forest
         self.inside = inside
         self.size = size
+        self.heavy = heavy
         self.toward = toward
         self.top = top
         self.others = [t for t in reversed(tops) if t != top]
@@ -135,6 +149,18 @@ class _RootedPass:
                 cands += self.others
         return sorted(cands, key=lambda c: (-self.size[c], self.low(c)))
 
+    def step(self, w: int) -> int | None:
+        """Where the bounded walk goes from w: `below(w)[0]` when that
+        component has at least 2x vertices, else None.  Off the path to u's
+        top, w's sweep children are all its candidates, so that is w's heavy
+        child."""
+        if w in self.toward:
+            cands = self.below(w)
+            if cands and self.size[cands[0]] >= 2 * self.x:
+                return cands[0]
+            return None
+        return self.heavy.get(w)
+
     def component(self, c: int, w: int) -> frozenset:
         """The component of forest - w that holds c, a root from `below(w)`:
         the sweep subtree of c or, when c is on the path to the top, the
@@ -149,22 +175,22 @@ class _RootedPass:
         return ComponentCollection(w, tuple(self.component(c, w) for c in roots))
 
 
-def _bounded_walk(rooted: _RootedPass, x: int) -> tuple[int, list[int]]:
+def _bounded_walk(rooted: _RootedPass) -> tuple[int, list[int]]:
     """Walk away from u while some u-free component of forest - w has at
     least 2x vertices, stepping to its root; then pick components largest
-    first until the union reaches x, which keeps it within [x, 2x-1]."""
+    first until the union reaches x, which keeps it within [x, 2x-1].  A
+    step reads only the largest component, so `below` ranks all of them
+    only on the path to u's top and where the walk stops."""
     w = rooted.u
-    while True:
-        cands = rooted.below(w)
-        if cands and rooted.size[cands[0]] >= 2 * x:
-            w = cands[0]
-            continue
-        total = 0
-        for j, c in enumerate(cands, 1):
-            total += rooted.size[c]
-            if total >= x:
-                return w, cands[:j]
-        raise DecompositionBugError("greedy window unreachable: total below x")
+    while (c := rooted.step(w)) is not None:
+        w = c
+    cands = rooted.below(w)
+    total = 0
+    for j, c in enumerate(cands, 1):
+        total += rooted.size[c]
+        if total >= rooted.x:
+            return w, cands[:j]
+    raise DecompositionBugError("greedy window unreachable: total below x")
 
 
 def _checked(rooted: _RootedPass, w: int, roots, x: int, y: int,
@@ -201,8 +227,8 @@ def find_bounded_components(forest: Forest, u: int, x: int,
     if len(inside) < x + 1:
         raise ValueError(f"forest needs at least {x + 1} vertices")
 
-    rooted = _RootedPass(forest, u, inside)
-    return rooted.collection(*_bounded_walk(rooted, x))
+    rooted = _RootedPass(forest, u, inside, x)
+    return rooted.collection(*_bounded_walk(rooted))
 
 
 def find_feasible_or_critical(forest: Forest, u: int, x: int, y: int,
@@ -225,7 +251,7 @@ def find_feasible_or_critical(forest: Forest, u: int, x: int, y: int,
     if len(inside) < x + 1:
         raise ValueError(f"forest needs at least {x + 1} vertices")
 
-    rooted = _RootedPass(forest, u, inside)
+    rooted = _RootedPass(forest, u, inside, x - 1)
     if len(inside) <= x + y - 2:
         # every component of forest - u, in order of smallest id
         return _checked(rooted, u, sorted(rooted.below(u), key=rooted.low),
@@ -234,7 +260,7 @@ def find_feasible_or_critical(forest: Forest, u: int, x: int, y: int,
     # the union stays in [x-1, 2x-3]: the walk's greedy window at x-1 is
     # there, and a descent below a component of s <= 2x-3 vertices, taken
     # only when s >= x+y-2, leaves s-1 of them below
-    w, comps = _bounded_walk(rooted, x - 1)
+    w, comps = _bounded_walk(rooted)
     while True:
         prefixes = list(accumulate(rooted.size[c] for c in comps))
 

@@ -9,10 +9,12 @@ when the parent's nearest-left cousin is also its sibling.  It is kept because
 its failure on an 11-vertex prefix is reproduced by the analytics module.
 
 The rules are stated once, in `rule_intervals`, as each vertex's runs of ids:
-its children, `range`s of ids and slices of level rows.  `generate` expands
-the runs into tagged arcs.  Edge counts of every preorder prefix, undirected
-and per rule tag, are read from the runs without building any arcs
-(`prefix_counts`).
+its children, `range`s of ids and slices of level rows.  `generate` only
+checks the radius; the digraph expands the runs into its tagged arcs when
+`arcs` is first read, which only the JSON export and tests do.  The
+undirected view (`underlying`) and the edge counts of every preorder prefix,
+undirected and per rule tag (`prefix_counts`), are read from the runs
+without building any arcs.
 
 An undirected view (`UndirectedGraph`) keeps one neighbour set per vertex and
 nothing else; its pair set `edges` is built only when read, for output and
@@ -23,8 +25,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from itertools import accumulate
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain, repeat
 from typing import Sequence
 
 from .tree_core import RootedTree, TreeView, ith_ancestor, nearest_left_cousin
@@ -117,16 +120,31 @@ class UndirectedGraph:
 
 @dataclass
 class GeneratedDigraph:
-    """Arcs generated from a rooted tree, each tagged by the rules producing it."""
+    """The digraph generated from a rooted tree at a radius.  Its arcs, each
+    tagged by the rules producing it, are built on first read and then kept;
+    `underlying` never reads them."""
 
     source: RootedTree
     radius: int
-    arcs: dict = field(repr=False)  # (u, w) -> tag bitmask
     legacy: bool = False
 
     @property
     def n(self) -> int:
         return self.source.n
+
+    @cached_property
+    def arcs(self) -> dict:
+        """(u, w) -> tag bitmask, in the order of u and of u's runs."""
+        tree, radius, legacy = self.source, self.radius, self.legacy
+        arcs: dict = {}
+        get = arcs.get
+        for u in range(tree.n):
+            for tag, ids in rule_intervals(tree, radius, u, legacy):
+                for w in ids:
+                    if w != u:
+                        key = (u, w)
+                        arcs[key] = get(key, 0) | tag
+        return arcs
 
 
 def rule_intervals(tree: RootedTree, radius: int, u: int,
@@ -179,20 +197,23 @@ def generate(tree: RootedTree, radius: int,
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    arcs: dict = {}
-    get = arcs.get
-    for u in range(tree.n):
-        for tag, ids in rule_intervals(tree, radius, u, legacy):
-            for w in ids:
-                if w != u:
-                    key = (u, w)
-                    arcs[key] = get(key, 0) | tag
-    return GeneratedDigraph(tree, radius, arcs, legacy=legacy)
+    return GeneratedDigraph(tree, radius, legacy=legacy)
 
 
 def underlying(digraph: GeneratedDigraph) -> UndirectedGraph:
-    """Forget orientations and tags; deduplicate pairs."""
-    return UndirectedGraph(digraph.n, digraph.arcs.keys())
+    """Forget orientations and tags: u's out-neighbours are the union of its
+    runs minus u, read without building the digraph's arcs."""
+    tree, radius, legacy = digraph.source, digraph.radius, digraph.legacy
+
+    def out(u: int) -> set:
+        ids: set[int] = set()
+        for _, run in rule_intervals(tree, radius, u, legacy):
+            ids.update(run)
+        ids.discard(u)
+        return ids
+
+    return UndirectedGraph(tree.n, chain.from_iterable(
+        zip(repeat(u), out(u)) for u in range(tree.n)))
 
 
 @dataclass
@@ -371,16 +392,20 @@ def to_dot(digraph: GeneratedDigraph) -> str:
 
 
 def to_json(digraph: GeneratedDigraph) -> str:
-    g = underlying(digraph)
+    """The undirected pairs as sorted [min, max] arrays, and every arc's
+    tags; both are read off the tagged arcs."""
+    arcs = digraph.arcs
     arc_types = {
         f"{u},{w}": [TAG_NAMES[bit] for bit in TAG_NAMES if tags & bit]
-        for (u, w), tags in sorted(digraph.arcs.items())
+        for (u, w), tags in sorted(arcs.items())
     }
     payload = {
         "n": digraph.n,
         "r": digraph.radius,
         "legacy": digraph.legacy,
-        "edges": sorted([list(e) for e in g.edges]),
+        # an arc key already in order is its own pair; json writes a tuple
+        # as an array
+        "edges": sorted({a if a[0] < a[1] else (a[1], a[0]) for a in arcs}),
         "arc_types": arc_types,
     }
     return json.dumps(payload, indent=2)

@@ -51,17 +51,18 @@ class RootedTree:
         if sizes[0] != n:
             raise TreeError("input is not a single tree in preorder")
 
+        # a parent precedes its children, so its level is set first, and a
+        # level's first vertex opens its row
         levels = [0] * n
-        for u in range(1, n):
-            levels[u] = levels[parent[u]] + 1
-
-        depth = max(levels)
-        level_order: list[list[int]] = [[] for _ in range(depth + 1)]
+        level_order: list[list[int]] = [[0]]
         pos = [0] * n
-        for u in range(n):
-            lst = level_order[levels[u]]
-            pos[u] = len(lst)
-            lst.append(u)
+        for u in range(1, n):
+            lvl = levels[u] = levels[parent[u]] + 1
+            if lvl == len(level_order):
+                level_order.append([])
+            row = level_order[lvl]
+            pos[u] = len(row)
+            row.append(u)
 
         self.n = n
         self.parent = tuple(parent)

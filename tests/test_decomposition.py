@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeverse.decomposition import (ComponentCollection, classify,
+from treeverse.decomposition import (ComponentCollection, _bounded_walk,
+                                     _RootedPass, classify,
                                      find_bounded_components,
                                      find_feasible_or_critical)
 import treeverse
@@ -193,6 +194,39 @@ def test_randomized_validation():
         assert outcome(find_feasible_or_critical, f, pick, xf, ys,
                        within=keep) == \
             outcome(find_feasible_or_critical, sub, pick, xf, ys)
+
+
+def reference_walk(rooted, x):
+    """The bounded walk that ranks every candidate at every step."""
+    w = rooted.u
+    while True:
+        cands = rooted.below(w)
+        if cands and rooted.size[cands[0]] >= 2 * x:
+            w = cands[0]
+            continue
+        total = 0
+        for j, c in enumerate(cands, 1):
+            total += rooted.size[c]
+            if total >= x:
+                return w, cands[:j]
+
+
+def test_heavy_child_walk_matches_the_ranking_walk():
+    """Stepping to the heavy child off the path to u's top picks the same
+    pivot and components as ranking every candidate at every step, ties to
+    the smaller id included."""
+    rng = random.Random(808)
+    for i in range(1500):
+        # spiders give many equal-sized children
+        f = random_forest(rng) if i % 3 else Forest.from_tree(spider(
+            rng.randint(1, 6), rng.randint(2, 6)))
+        n = len(f)
+        u = rng.choice(f.vertices)
+        x = rng.randint(1, max(1, n // 2))
+        if n < x + 1:
+            continue
+        rooted = _RootedPass(f, u, f.parent, x)
+        assert _bounded_walk(rooted) == reference_walk(rooted, x)
 
 
 def test_feasible_when_x_at_most_y():

@@ -193,6 +193,24 @@ def test_random_hosts_and_guests_verify():
         assert ok, problems
 
 
+def test_host_graph_builds_no_tagged_arcs(monkeypatch):
+    """The embedder's host graph comes from the rule runs: the digraph it is
+    read from never builds its arc dictionary."""
+    made = []
+    embedder_generate = embedder.generate
+
+    def recording_generate(*args, **kwargs):
+        made.append(embedder_generate(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(embedder, "generate", recording_generate)
+    host = typed_ternary(4).tree
+    graph = host_graph_for(host)
+    assert len(made) == 1 and made[0].source is host
+    assert "arcs" not in vars(made[0])
+    assert graph.edge_count == len({frozenset(a) for a in made[0].arcs})
+
+
 def test_recursion_reaches_deep_hosts():
     host = typed_ternary(5).tree
     graph = host_graph_for(host)

@@ -371,3 +371,28 @@ def test_generate_matches_the_pinned_hash():
                 arcs = generate(tree, r, legacy).arcs
                 digest.update(repr(list(arcs.items())).encode())
     assert digest.hexdigest() == PINNED_ARCS_SHA256
+
+
+def test_underlying_equals_the_symmetrised_arcs():
+    """The graph read from the runs has exactly the pairs of the tagged
+    arcs, each in both directions."""
+    for tree in pinned_generator_trees():
+        for r in range(4):
+            for legacy in (False, True):
+                d = generate(tree, r, legacy)
+                adj = [set() for _ in range(tree.n)]
+                for u, w in d.arcs:
+                    adj[u].add(w)
+                    adj[w].add(u)
+                assert underlying(d).adj == tuple(map(frozenset, adj))
+
+
+def test_arcs_are_built_only_when_read():
+    """Neither the undirected view nor the DOT export builds the tagged arc
+    dictionary; the JSON export and a direct read do, once."""
+    d = generate(typed_ternary(3).tree, 2)
+    underlying(d)
+    to_dot(d)
+    assert "arcs" not in vars(d)
+    to_json(d)
+    assert vars(d)["arcs"] is d.arcs

@@ -211,6 +211,22 @@ def test_descendant_interval_property(t):
 
 
 @given(random_trees())
+def test_levels_and_level_rows_match_a_recount(t):
+    levels = []
+    for u in range(t.n):
+        depth, v = 0, u
+        while t.parent[v] is not None:
+            depth, v = depth + 1, t.parent[v]
+        levels.append(depth)
+    assert t.levels == tuple(levels)
+    rows = tuple(tuple(u for u in range(t.n) if levels[u] == lvl)
+                 for lvl in range(max(levels) + 1))
+    assert t.level_order == rows
+    assert t._pos_in_level == tuple(rows[levels[u]].index(u)
+                                    for u in range(t.n))
+
+
+@given(random_trees())
 def test_root_children_sizes_sum(t):
     assert sum(t.sizes[c] for c in t.children[0]) == t.n - 1
 
