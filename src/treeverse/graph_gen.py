@@ -391,21 +391,37 @@ def to_dot(digraph: GeneratedDigraph) -> str:
     return "\n".join(lines)
 
 
+def _json_block(brackets: str, items: list, indent: str) -> str:
+    """A JSON array or object of items already written, in the layout of
+    `json.dumps(..., indent=2)`: one item a line, two spaces deeper than
+    the closing bracket, which `indent` precedes."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return (brackets[0] + inner + ("," + inner).join(items)
+            + "\n" + indent + brackets[1])
+
+
 def to_json(digraph: GeneratedDigraph) -> str:
     """The undirected pairs as sorted [min, max] arrays, and every arc's
-    tags; both are read off the tagged arcs."""
+    tags; both are read off the tagged arcs.  The text is what
+    `json.dumps(payload, indent=2)` writes, written here directly, since
+    that call never takes CPython's C encoder."""
     arcs = digraph.arcs
-    arc_types = {
-        f"{u},{w}": [TAG_NAMES[bit] for bit in TAG_NAMES if tags & bit]
-        for (u, w), tags in sorted(arcs.items())
-    }
-    payload = {
-        "n": digraph.n,
-        "r": digraph.radius,
-        "legacy": digraph.legacy,
-        # an arc key already in order is its own pair; json writes a tuple
-        # as an array
-        "edges": sorted({a if a[0] < a[1] else (a[1], a[0]) for a in arcs}),
-        "arc_types": arc_types,
-    }
-    return json.dumps(payload, indent=2)
+    # an arc key already in order is its own pair
+    pairs = sorted({a if a[0] < a[1] else (a[1], a[0]) for a in arcs})
+    tag_lists = {tags: _json_block("[]", [f'"{TAG_NAMES[bit]}"'
+                                          for bit in TAG_NAMES if tags & bit],
+                                   "    ")
+                 for tags in set(arcs.values())}
+    fields = [
+        f'"n": {json.dumps(digraph.n)}',
+        f'"r": {json.dumps(digraph.radius)}',
+        f'"legacy": {json.dumps(digraph.legacy)}',
+        '"edges": ' + _json_block(
+            "[]", [f"[\n      {a},\n      {b}\n    ]" for a, b in pairs], "  "),
+        '"arc_types": ' + _json_block(
+            "{}", [f'"{u},{w}": {tag_lists[tags]}'
+                   for (u, w), tags in sorted(arcs.items())], "  "),
+    ]
+    return _json_block("{}", fields, "")

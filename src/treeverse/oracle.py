@@ -17,10 +17,14 @@ v and the leaf's neighbour on v's neighbour.  With S = {a, b}, common
 neighbours c1 and c2, and so m >= 4, put two leaves of the tree on a and
 b, and their neighbours on c1 and c2, or on c1 alone when the leaves
 share it.  Either way every other tree edge joins two vertices off S, and
-those are all adjacent.  With S empty the block is complete.  The free
-trees of a size are enumerated only when the first block of that size is
-left to search, so a graph whose blocks are all settled is decided with
-no enumeration and no search, at any size.
+those are all adjacent.  With S empty the block is complete.  When the
+sizes run 1, 2, 3, ..., as in `is_interval_universal`, the complete blocks
+are read off a table built in stream order, one step per block, and only
+the blocks it leaves open reach the degree test.  The free trees of a size
+are enumerated only when the first block of that size is left to search,
+so a graph whose blocks are all settled is decided with no enumeration
+and no search, at any size; each size's free trees are flattened to
+parent tuples once per process and kept.
 
 A rooted tree is encoded as one `bytes` object, its preorder open/close
 tokens, so close sorts before open.  A primitive balanced string is never
@@ -205,9 +209,11 @@ def free_canonical_encoding(tree: RootedTree) -> tuple:
     return _free_key(tree)[0]
 
 
-def _free_parents(n: int) -> list[tuple]:
+@lru_cache(maxsize=None)
+def _free_parents(n: int) -> tuple[tuple, ...]:
     """One preorder parent tuple per isomorphism class of free n-vertex
-    trees, rooted at a center, in order of free key.
+    trees, rooted at a center, in order of free key.  Each size is
+    flattened once and kept, beside the rooted table it is read from.
 
     The center test read off the stored shape: a root is the only center
     when its two tallest branches are equal in height, and one of two
@@ -228,8 +234,7 @@ def _free_parents(n: int) -> list[tuple]:
             if rest <= tall:
                 bicentral.append((rest, tall, enc))
     bicentral.sort()
-    return ([_flatten(enc) for _, _, enc in bicentral]
-            + [_flatten(enc) for enc in centred])
+    return tuple(map(_flatten, [enc for _, _, enc in bicentral] + centred))
 
 
 def enumerate_free_trees(n: int) -> CanonicalTreeSet:
@@ -335,7 +340,8 @@ def _settled(adj, lo: int, m: int) -> bool:
     """The rule of `_blocks` on the block of ids lo..lo+m-1, read off
     missing[u] = m - 1 - (u's degree in the block).
 
-    One vertex first: the missing edges all meet one vertex exactly when
+    A block missing no edge is complete, the empty block included.  One
+    vertex next: the missing edges all meet one vertex exactly when
     sum(missing) == 2 * max(missing), and that vertex keeps a neighbour
     when max(missing) < m - 1.  Then two, only when that fails: a pair
     {a, b} meets every missing edge when missing[a] + missing[b], less one
@@ -350,7 +356,7 @@ def _settled(adj, lo: int, m: int) -> bool:
     decide."""
     block = range(lo, lo + m)
     missing = [m - 1 - len(adj[u].intersection(block)) for u in block]
-    top, total = max(missing), sum(missing)
+    top, total = max(missing, default=0), sum(missing)
     if top == 0 or (total == 2 * top and top < m - 1):
         return True
     v = lo + missing.index(top)
@@ -376,16 +382,35 @@ def _blocks(graph: UndirectedGraph, sizes):
     two vertices off S, which are all adjacent.  A settled block never
     fails, so the stream order of the others and the first failure are
     unchanged.
+
+    Complete blocks (S empty) are read off a table, `whole`, of which
+    blocks of the previous size are complete.  While the sizes run 1, 2,
+    3, ..., a block of m >= 2 ids is complete exactly when both blocks of
+    m - 1 ids inside it are, and its two end ids are adjacent; so each
+    block costs one step, and only the blocks the table leaves open reach
+    `_settled`.  A size that does not follow the previous one, such as
+    `is_universal`'s single [n], has no table: `_settled` tests each of its
+    blocks, its own complete case included.
     The free trees of size m are enumerated only when the first block of
     that size is left to search."""
+    adj, n = graph.adj, graph.n
+    whole, prev = None, 0
     for m in sizes:
+        if m == 1:
+            whole = [True] * n
+        elif whole is not None and m == prev + 1:
+            whole = [a and b and i + m - 1 in adj[i]
+                     for i, (a, b) in enumerate(zip(whole, whole[1:]))]
+        else:
+            whole = None
+        prev = m
         parents = None
-        for i in range(graph.n - m + 1):
-            if _settled(graph.adj, i, m):
+        for i in range(n - m + 1):
+            if whole and whole[i] or _settled(adj, i, m):
                 continue
             if parents is None:
                 parents = _free_parents(m)
-            yield i, m, _sorted_neighbours(graph.adj, i, m), parents
+            yield i, m, _sorted_neighbours(adj, i, m), parents
 
 
 def _first_failure(blocks, jobs: int):

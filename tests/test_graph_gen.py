@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from itertools import accumulate, combinations
 
@@ -396,3 +397,25 @@ def test_arcs_are_built_only_when_read():
     assert "arcs" not in vars(d)
     to_json(d)
     assert vars(d)["arcs"] is d.arcs
+
+
+def test_json_export_is_the_indented_dump_of_its_payload():
+    """The directly written JSON equals `json.dumps(payload, indent=2)` byte
+    for byte, for every tree of `pinned_generator_trees`, r = 0..3 and both
+    legacy settings."""
+    for tree in pinned_generator_trees():
+        for r in range(4):
+            for legacy in (False, True):
+                d = generate(tree, r, legacy)
+                arcs = d.arcs
+                payload = {
+                    "n": d.n,
+                    "r": d.radius,
+                    "legacy": d.legacy,
+                    "edges": sorted({tuple(sorted(a)) for a in arcs}),
+                    "arc_types": {
+                        f"{u},{w}": [TAG_NAMES[bit] for bit in TAG_NAMES
+                                     if tags & bit]
+                        for (u, w), tags in sorted(arcs.items())},
+                }
+                assert to_json(d) == json.dumps(payload, indent=2)

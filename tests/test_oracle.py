@@ -118,7 +118,7 @@ def test_stored_shape_matches_the_encodings():
                         or key[1] == _tree_to_enc(tree, 0, centers[1])[0]):
                     kept.append((key, enc))
         assert len(kept) == FREE_TREE_COUNTS[n]
-        assert _free_parents(n) == [_flatten(enc) for _, enc in sorted(kept)]
+        assert _free_parents(n) == tuple(_flatten(enc) for _, enc in sorted(kept))
 
 
 def test_census_guard():
@@ -275,6 +275,8 @@ def test_is_universal():
     assert brute_embed(witness, cycle_graph(6)) is None
     with pytest.raises(ValueError):
         is_universal(complete_graph(13))
+    # no tree has 0 vertices, so the empty graph holds all of them
+    assert is_universal(UndirectedGraph(0, [])) == (True, None)
 
 
 def test_is_interval_universal():
@@ -288,6 +290,7 @@ def test_is_interval_universal():
     assert m == 4
     with pytest.raises(ValueError):
         is_interval_universal(complete_graph(12))
+    assert is_interval_universal(UndirectedGraph(0, [])) == (True, None)
 
 
 def test_two_worker_processes_give_the_serial_verdict_and_witness():
@@ -605,19 +608,24 @@ def matching_cliques(rng, count):
                                   and rng.random() < p])
 
 
-def test_degree_rule_settles_only_blocks_that_hold_every_tree():
-    """Every block of the radius-0, 1 and 2 graphs, legacy or not, of every
-    balanced host up to 8 vertices, and of seeded dense graphs and cliques
-    missing a matching: the rule agrees with its definition, and wherever
-    it settles a block the search embeds every free tree of the block's
-    size there."""
+def rule_corpus():
+    """The radius-0, 1 and 2 graphs, legacy or not, of every balanced host
+    up to 8 vertices, and seeded dense graphs and cliques missing a
+    matching."""
     graphs = [underlying(generate(host, radius, legacy=legacy))
               for host in balanced_hosts(8) for radius in (0, 1, 2)
               for legacy in (False, True)]
     graphs += dense_graphs(random.Random(29), 1000)
     graphs += matching_cliques(random.Random(31), 300)
+    return graphs
+
+
+def test_degree_rule_settles_only_blocks_that_hold_every_tree():
+    """Every block of every graph of `rule_corpus`: the rule agrees with its
+    definition, and wherever it settles a block the search embeds every
+    free tree of the block's size there."""
     settled, searched = set(), set()
-    for graph in graphs:
+    for graph in rule_corpus():
         for m in range(1, graph.n + 1):
             for i in range(graph.n - m + 1):
                 nbrs = _sorted_neighbours(graph.adj, i, m)
@@ -686,6 +694,61 @@ def test_degree_rule_leaves_near_misses_to_the_search(monkeypatch):
         decide(clique_without(m, {(0, 1), (2, 3), (4, 5)}), True)
     # 0 and 1 meet every missing edge; 7 is their one common neighbour
     decide(clique_without(8, {(0, 2), (0, 3), (0, 4), (1, 5), (1, 6)}), True)
+
+
+def reference_blocks(graph, sizes):
+    """The stream of `_blocks` with `_settled` run on every block, and no
+    table of complete blocks."""
+    for m in sizes:
+        for i in range(graph.n - m + 1):
+            if not _settled(graph.adj, i, m):
+                yield i, m, _sorted_neighbours(graph.adj, i, m)
+
+
+def test_the_complete_block_table_changes_no_block_of_the_stream():
+    """Over `rule_corpus`, both deciders' streams yield exactly the blocks,
+    in the order, of a stream that runs `_settled` on every block, each
+    with the free trees of its size."""
+    for graph in rule_corpus():
+        for sizes in (range(1, graph.n + 1), [graph.n]):
+            got = list(oracle._blocks(graph, sizes))
+            assert [b[:3] for b in got] == list(reference_blocks(graph, sizes))
+            assert all(b[3] == _free_parents(b[1]) for b in got)
+
+
+def test_complete_blocks_never_reach_the_degree_test(monkeypatch):
+    """Interval passes whose every block is complete are decided off the
+    table alone: K11, and the 11-vertex prefix of the radius-2 graph of
+    typed_ternary(3)."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _settled(*args)
+
+    monkeypatch.setattr(oracle, "_settled", counted)
+    ternary = underlying(generate(typed_ternary(3).tree, 2)).induced_prefix(11)
+    for graph in (complete_graph(11), ternary):
+        assert is_interval_universal(graph) == (True, None)
+    assert calls == []
+
+
+def test_free_trees_are_flattened_once_per_size(monkeypatch):
+    """Two decider calls on K12 minus a perfect matching, which has no
+    two-vertex cover and so is searched, flatten the 551 free trees on 12
+    vertices once between them."""
+    calls = []
+
+    def counted(enc):
+        calls.append(enc)
+        return _flatten(enc)
+
+    monkeypatch.setattr(oracle, "_flatten", counted)
+    _free_parents.cache_clear()
+    graph = clique_without(12, {(a, a + 1) for a in range(0, 12, 2)})
+    first, second = shown(is_universal(graph)), shown(is_universal(graph))
+    assert len(calls) == FREE_TREE_COUNTS[12] == 551
+    assert first == second
 
 
 def test_settled_sizes_enumerate_nothing(monkeypatch):
