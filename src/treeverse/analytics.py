@@ -2,8 +2,8 @@
 failure on an 11-vertex prefix.
 
 Every edge count, for a whole graph or any preorder prefix, is read from
-`graph_gen.prefix_counts`, which counts from the rules' intervals and builds
-no arcs.
+`graph_gen.prefix_counts`, which counts from the rules' block sizes and
+radius spans, expanding no run and building no arcs.
 
 Counts are exact integers; bound values are floats with two hundred vertices
 of linear slack, so a 1e-6 guard on the bound side is immaterial and only

@@ -9,12 +9,15 @@ when the parent's nearest-left cousin is also its sibling.  It is kept because
 its failure on an 11-vertex prefix is reproduced by the analytics module.
 
 The rules are stated once, in `rule_intervals`, as each vertex's runs of ids:
-its children, `range`s of ids and slices of level rows.  `generate` only
-checks the radius; the digraph expands the runs into its tagged arcs when
-`arcs` is first read, which only the JSON export and tests do.  The
-undirected view (`underlying`) and the edge counts of every preorder prefix,
-undirected and per rule tag (`prefix_counts`), are read from the runs
-without building any arcs.
+its children, `range`s of ids and slices of level rows.  Rule 3's target
+(`_cousin_target`) and rule 4's row spans, which depend only on the
+vertex's anchor (`_radius_spans`), are helpers that the edge counter shares.
+`generate` only checks the radius; the digraph expands the runs into its
+tagged arcs when `arcs` is first read, which only the JSON export and tests
+do.  The undirected view (`underlying`) is read from the runs without
+building any arcs.  The edge counts of every preorder prefix, undirected and
+per rule tag (`prefix_counts`), expand no run at all: they are counted from
+block sizes and from each anchor's spans, with a few bisects per span.
 
 An undirected view (`UndirectedGraph`) keeps one neighbour set per vertex and
 nothing else; its pair set `edges` is built only when read, for output and
@@ -167,23 +170,42 @@ def rule_intervals(tree: RootedTree, radius: int, u: int,
         # are exactly the ids between the parent and u
         yield TAG_LEFT_SIBLING, range(p + 1, u)
         # rule 3: the subtree of the parent's nearest-left cousin
-        lc = nearest_left_cousin(tree, p)
-        if lc is not None and (not legacy or tree.parent[lc] == tree.parent[p]):
+        lc = _cousin_target(tree, p, legacy)
+        if lc is not None:
             yield TAG_COUSIN_SUBTREE, tree.descendant_interval(lc)
-    # rule 4: descendants within `radius` levels below the (clamped)
-    # radius-th ancestor and below its nearest-left cousin
+    # rule 4: the spans of u's (clamped) radius-th ancestor
     if radius > 0:
-        levels, depth = tree.levels, tree.depth
-        anchor = ith_ancestor(tree, u, radius)
-        targets = [anchor]
-        alc = nearest_left_cousin(tree, anchor)
-        if alc is not None:
-            targets.append(alc)
-        for t in targets:
-            last = t + sizes[t] - 1
-            for lvl in range(levels[t] + 1, min(levels[t] + radius, depth) + 1):
-                row = tree.level_order[lvl]
-                yield TAG_RADIUS, row[bisect_left(row, t):bisect_right(row, last)]
+        rows = tree.level_order
+        for lvl, lo, hi in _radius_spans(tree, radius,
+                                         ith_ancestor(tree, u, radius)):
+            yield TAG_RADIUS, rows[lvl][lo:hi]
+
+
+def _cousin_target(tree: RootedTree, p: int, legacy: bool) -> int | None:
+    """Rule 3's target for the children of p: p's nearest-left cousin, which
+    the legacy setting takes only when it is also p's sibling."""
+    lc = nearest_left_cousin(tree, p)
+    if lc is not None and (not legacy or tree.parent[lc] == tree.parent[p]):
+        return lc
+    return None
+
+
+def _radius_spans(tree: RootedTree, radius: int,
+                  anchor: int) -> list[tuple[int, int, int]]:
+    """Rule 4's runs of every vertex whose (clamped) radius-th ancestor is
+    `anchor`: the descendants within `radius` levels below the anchor and
+    below its nearest-left cousin, as `(level, lo, hi)` for the positions
+    lo..hi-1 of that level's row, one span per level."""
+    sizes, levels, rows = tree.sizes, tree.levels, tree.level_order
+    depth = len(rows) - 1
+    alc = nearest_left_cousin(tree, anchor)
+    spans = []
+    for t in (anchor,) if alc is None else (anchor, alc):
+        last = t + sizes[t] - 1
+        for lvl in range(levels[t] + 1, min(levels[t] + radius, depth) + 1):
+            row = rows[lvl]
+            spans.append((lvl, bisect_left(row, t), bisect_right(row, last)))
+    return spans
 
 
 def generate(tree: RootedTree, radius: int,
@@ -232,11 +254,17 @@ class PrefixCounts:
 def prefix_counts(tree: RootedTree, radius: int,
                   legacy: bool = False) -> PrefixCounts:
     """Edge counts of every preorder prefix of `generate(tree, radius,
-    legacy)`, read from the `rule_intervals` runs without building the arcs.
+    legacy)`, counted from block sizes and radius spans without expanding
+    any run into its ids.
 
-    An arc lies in the prefixes of size max(u, w) + 1 and up: a run's ids
-    below u all land at u + 1, its ids above u one by one, and a `range`
-    above u as one step of a difference array.
+    An arc lies in the prefixes of size max(u, w) + 1 and up.  The block
+    rules are counted by size: the tree arc into each non-root w and the
+    level(w) descendant arcs into w land at w + 1, and u's left-sibling
+    block and cousin subtree, all below u, at u + 1.  The radius spans of a
+    vertex depend only on its anchor, the clamped radius-th ancestor, so
+    they are read once per anchor and shared.  A span's ids below u land at
+    u + 1 by one bisect; its ids above u take one step of a difference array
+    along their level row, and each row is summed once at the end.
 
     A pair is counted at its larger end v, as one of v's lower neighbours.
     Rules 2 and 3 only point to smaller ids and rule 1 only to larger ones,
@@ -247,54 +275,87 @@ def prefix_counts(tree: RootedTree, radius: int,
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    n, sizes, levels = tree.n, tree.sizes, tree.levels
+    n, parent, sizes, levels = tree.n, tree.parent, tree.sizes, tree.levels
+    rows = tree.level_order
     pairs = [0] * (n + 1)
-    cols = {bit: [0] * (n + 1) for bit in TAG_NAMES}
-    steps = [0] * (n + 2)  # difference array of the descendant column
+    left = [0] * (n + 1)
+    cousin = [0] * (n + 1)
+    near = [0] * (n + 1)  # radius arcs, at their larger end
+    # radius arcs to ids above u, as a difference array along each level row
+    steps = [[0] * (len(row) + 1) for row in rows]
+    # each vertex's clamped radius-th ancestor (`ith_ancestor`)
+    anchors = list(range(n))
+    for _ in range(min(radius, len(rows) - 1)):
+        anchors = [parent[a] if a else 0 for a in anchors]
+    spans_of: dict = {}
     for u in range(n):
         lower = levels[u]
-        blocks = []
-        for tag, ids in rule_intervals(tree, radius, u, legacy):
-            col = cols[tag]
-            if tag == TAG_TREE:
-                for c in ids:
-                    col[c + 1] += 1
-            elif tag == TAG_DESCENDANT:
-                steps[ids.start + 1] += 1
-                steps[ids.stop + 1] -= 1
-            elif tag != TAG_RADIUS:  # left-sibling block, cousin subtree
-                col[u + 1] += len(ids)
-                lower += len(ids)
-                blocks.append(ids)
-            else:
-                below = bisect_left(ids, u)
-                col[u + 1] += below
-                if below:
+        p = parent[u]
+        blocks = ()
+        if p is not None:
+            # a block is whole subtrees whose roots sit at its top level, so
+            # only rows from that level down can meet it
+            if u - p - 1:
+                left[u + 1] = u - p - 1
+                lower += u - p - 1
+                blocks = ((levels[u], p + 1, u),)
+            lc = _cousin_target(tree, p, legacy)
+            if lc is not None:
+                cousin[u + 1] = sizes[lc]
+                lower += sizes[lc]
+                blocks += ((levels[p], lc, lc + sizes[lc]),)
+        if radius:
+            a = anchors[u]
+            spans = spans_of.get(a)
+            if spans is None:
+                spans = spans_of[a] = [
+                    (lvl, rows[lvl], steps[lvl], lo, hi)
+                    for lvl, lo, hi in _radius_spans(tree, radius, a)
+                    if lo < hi]
+            for lvl, row, step, lo, hi in spans:
+                mid = bisect_left(row, u, lo, hi)
+                if mid > lo:
+                    near[u + 1] += mid - lo
                     # the last id below u is the only one that can be its
                     # ancestor
-                    a = ids[below - 1]
-                    lower += below - (a + sizes[a] > u)
-                    for b in blocks:
-                        lower -= (bisect_left(ids, b.stop, 0, below)
-                                  - bisect_left(ids, b.start, 0, below))
-                above = ids[below + (below < len(ids) and ids[below] == u):]
-                for w in above:
-                    col[w + 1] += 1
-                # Every id above u lies under u's radius-th ancestor (the
-                # subtree of its cousin precedes u).  A w on u's own level
-                # has that same ancestor, so w's radius rule reaches u and w
-                # counts the pair; only other levels can hold one it misses.
-                if above and levels[above[0]] != levels[u]:
-                    for w in above:
-                        if _new_upward_pair(tree, radius, legacy, u, w):
-                            pairs[w + 1] += 1
+                    b = row[mid - 1]
+                    lower += mid - lo - (b + sizes[b] > u)
+                    for top, start, stop in blocks:
+                        if lvl >= top:
+                            lower -= (bisect_left(row, stop, lo, mid)
+                                      - bisect_left(row, start, lo, mid))
+                if mid < hi and row[mid] == u:
+                    mid += 1
+                if mid < hi:
+                    step[mid] += 1
+                    step[hi] -= 1
+                    # Every id above u lies under u's anchor (the subtree
+                    # of its cousin precedes u).  A w with that same anchor
+                    # counts the pair itself: any w on u's own level, and
+                    # every w when the anchor is the root (then u is the
+                    # root, and so w's ancestor, or lies within radius of
+                    # the root, where w's radius rule reaches).  Otherwise the
+                    # row lies above u's level, row[mid - 1] is u's
+                    # ancestor there, and the children of that ancestor's
+                    # parent hold u in their left-sibling block.  Only the
+                    # ids after them can make a pair that w misses.
+                    if a and lvl != levels[u]:
+                        x = parent[row[mid - 1]]
+                        first = bisect_left(row, x + sizes[x], mid, hi)
+                        for w in row[first:hi]:
+                            if _new_upward_pair(tree, radius, legacy, u, w):
+                                pairs[w + 1] += 1
         pairs[u + 1] += lower
-    desc = cols[TAG_DESCENDANT]
-    for m, step in enumerate(accumulate(steps[:n + 1])):
-        desc[m] += step
-    return PrefixCounts(list(accumulate(pairs)),
-                        {TAG_NAMES[bit]: list(accumulate(col))
-                         for bit, col in cols.items()})
+    for row, step in zip(rows, steps):
+        for w, above in zip(row, accumulate(step)):
+            near[w + 1] += above
+    return PrefixCounts(list(accumulate(pairs)), {
+        TAG_NAMES[TAG_TREE]: [0, *range(n)],
+        TAG_NAMES[TAG_DESCENDANT]: [0, *accumulate(levels)],
+        TAG_NAMES[TAG_LEFT_SIBLING]: list(accumulate(left)),
+        TAG_NAMES[TAG_COUSIN_SUBTREE]: list(accumulate(cousin)),
+        TAG_NAMES[TAG_RADIUS]: list(accumulate(near)),
+    })
 
 
 def _new_upward_pair(tree: RootedTree, radius: int, legacy: bool,

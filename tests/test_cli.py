@@ -255,6 +255,26 @@ def test_gen_graph_counts_pairs_before_generating(tmp_path, capsys,
                  "--r", "3"]) == 2
     assert "1713279 pairs" in capsys.readouterr().err
 
+    # a star's vertices all share the root's radius spans, so the count is
+    # linear in n, with at most one upward-pair test per vertex
+    import treeverse.graph_gen as graph_gen
+
+    calls = []
+    upward = graph_gen._new_upward_pair
+
+    def counted(*args):
+        calls.append(args)
+        return upward(*args)
+
+    monkeypatch.setattr(graph_gen, "_new_upward_pair", counted)
+    n = 40_000
+    star = tmp_path / "star.csv"
+    star.write_text(",".join(["0"] * (n - 1)) + "\n")
+    assert main(["gen-graph", "--tree", str(star), "--r", "2"]) == 2
+    assert capsys.readouterr().err == ("error: guard: the graph has 799980000 "
+                                       "pairs, above the cap of 927699\n")
+    assert len(calls) <= n
+
 
 def test_verify_checks_size_before_generating(capsys, monkeypatch):
     import treeverse.cli as cli

@@ -10,9 +10,10 @@ from treeverse.graph_gen import (TAG_COUSIN_SUBTREE, TAG_NAMES, PrefixCounts,
                                  UndirectedGraph, generate, merged_tree,
                                  prefix_counts, to_dot, to_json, underlying)
 from treeverse.oracle import enumerate_free_trees
-from treeverse.tree_core import build_tree, from_parens, nearest_left_cousin
+from treeverse.tree_core import (RootedTree, build_tree, from_parens,
+                                 nearest_left_cousin)
 
-from trees import ordered_trees, path_tree
+from trees import balanced_hosts, ordered_trees, path_tree, star_tree
 
 
 def naive_rule_edges(tree, radius):
@@ -158,12 +159,44 @@ def arc_prefix_counts(d):
                          for bit, col in tags.items()})
 
 
+def _wide_trees():
+    """Stars, brooms, spiders, caterpillars and paths of 20 to 60 vertices:
+    long level rows, where many vertices share one anchor's radius spans."""
+    trees = []
+    for n in (20, 37, 57):
+        trees += [star_tree(n), path_tree(n)]
+        # brooms: a handle of h vertices, the last one holding n - h leaves
+        for h in (2, n // 3):
+            trees.append(RootedTree([[u + 1] for u in range(h - 1)]
+                                    + [list(range(h, n))]
+                                    + [[] for _ in range(n - h)]))
+        # spiders: legs of `leg` vertices on a centre
+        for leg in (2, 3):
+            legs = -(-(n - 1) // leg)
+            trees.append(RootedTree(
+                [[1 + i * leg for i in range(legs)]]
+                + [[v + 1] if v % leg else [] for v in range(1, 1 + legs * leg)]))
+        # caterpillars: a spine with leaves dealt round it, the spine's
+        # next vertex first or last among the children
+        for spine, first in ((n // 4, True), (n // 2, False)):
+            children = [[] for _ in range(n)]
+            for leaf in range(spine, n):
+                children[leaf % spine].append(leaf)
+            for v in range(spine - 1):
+                children[v].insert(0 if first else len(children[v]), v + 1)
+            trees.append(build_tree(children))
+    assert all(20 <= t.n <= 60 for t in trees)
+    return trees
+
+
 def test_prefix_counts_match_the_arc_counter():
-    """Counting from the runs equals counting the arcs, at every prefix."""
+    """Counting from block sizes and spans equals counting the arcs, at
+    every prefix."""
     trees = [from_parens(s) for n in range(1, 10) for s in ordered_trees(n)]
     assert len(trees) == 2056
     trees += [typed_ternary(k).tree for k in range(6)]
     trees += [perfect_binary(k) for k in range(8)]
+    trees += _wide_trees()
     for tree in trees:
         for r in range(4):
             for legacy in (False, True):
@@ -179,14 +212,24 @@ def test_prefix_counts_refuse_a_negative_radius():
 
 
 def test_legacy_setting_only_weakens_the_cousin_rule():
-    for k in range(5):
-        tree = perfect_binary(k)
-        legacy, corrected = generate(tree, 0, legacy=True), generate(tree, 0)
-        assert legacy.legacy and not corrected.legacy
-        assert set(legacy.arcs) <= set(corrected.arcs)
-        for arc, tags in corrected.arcs.items():
-            assert (legacy.arcs.get(arc, 0) | TAG_COUSIN_SUBTREE
-                    == tags | TAG_COUSIN_SUBTREE)
+    """At every radius the legacy graph lies inside the corrected one, arc
+    for arc, and differs from it only in cousin tags; no prefix has more
+    legacy pairs than corrected ones."""
+    trees = [perfect_binary(k) for k in range(5)]
+    trees += balanced_hosts(8) + _small_tree_pool()
+    for tree in trees:
+        for r in range(4):
+            legacy = generate(tree, r, legacy=True)
+            corrected = generate(tree, r)
+            assert legacy.legacy and not corrected.legacy
+            assert set(legacy.arcs) <= set(corrected.arcs)
+            for arc, tags in corrected.arcs.items():
+                assert (legacy.arcs.get(arc, 0) | TAG_COUSIN_SUBTREE
+                        == tags | TAG_COUSIN_SUBTREE)
+            weak = prefix_counts(tree, r, True).pairs
+            strong = prefix_counts(tree, r).pairs
+            assert all(w <= s for w, s in zip(weak, strong))
+            assert len(weak) == len(strong) == tree.n + 1
 
 
 def test_legacy_k2_equals_corrected():
