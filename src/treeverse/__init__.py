@@ -1,7 +1,7 @@
 """Sparse universal graphs for trees: generators, constructive embeddings,
 and exhaustive verification."""
 
-from .tree_core import (RootedTree, Forest, TreeError, build_tree,
+from .tree_core import (RootedTree, TreeError, build_tree,
                         nearest_left_cousin, ith_ancestor, to_parens,
                         from_parens, to_parent_csv, from_parent_csv, parse_tree)
 from .graph_gen import (GeneratedDigraph, UndirectedGraph, generate,

@@ -13,9 +13,10 @@ from pathlib import Path
 
 from . import analytics, graph_gen, oracle, tree_core
 from .balanced_trees import perfect_binary, typed_ternary, validate_balance
+from .decomposition import find_bounded_components, find_feasible_or_critical
 from .embedder import embed
 from .graph_gen import generate, underlying
-from .tree_core import Forest, RootedTree
+from .tree_core import RootedTree
 
 
 FAMILY_K_GUARDS = {"binary": analytics.BINARY_K_GUARD,
@@ -68,16 +69,12 @@ def cmd_gen_graph(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    from .decomposition import find_bounded_components, \
-        find_feasible_or_critical
-
     tree = _load_tree(args.tree)
-    forest = Forest.from_tree(tree)
     if args.y is None:
-        coll = find_bounded_components(forest, args.u, args.x)
+        coll = find_bounded_components(tree, args.u, args.x)
         kind = "bounded"
     else:
-        coll, kind = find_feasible_or_critical(forest, args.u, args.x, args.y)
+        coll, kind = find_feasible_or_critical(tree, args.u, args.x, args.y)
     print(f"pivot={coll.w} kind={kind} union={coll.union_size}")
     for comp in coll.components:
         print("  component:", sorted(comp))

@@ -1,15 +1,20 @@
 """Separator-style component selection inside forests.
 
-Two finders drive the embedder: one returns a pivot vertex together with
-components of bounded total size avoiding a protected vertex, the other
-refines that into a collection that is either `feasible` (union plus pivot
-lands in [x, x+y-2]) or `critical` (union in [x+y-2, 2x-3] with every proper
-sub-union at most x-2).  The critical window is empty when x <= y, so there
-the second finder always returns a feasible collection.
+A finder's first argument is a tree read through three fields, each indexed
+by vertex id: `parent[v]` (None at a root), `children[v]` and `vertices`.
+The embedder and the `decompose` command pass the guest `RootedTree` itself;
+the tests also pass forests cut out of a tree.  Two finders drive the
+embedder: one returns a pivot vertex together with components of bounded
+total size avoiding a protected vertex, the other refines that into a
+collection that is either `feasible` (union plus pivot lands in
+[x, x+y-2]) or `critical` (union in [x+y-2, 2x-3] with every proper
+sub-union at most x-2).  The critical window is empty when x <= y, so
+there the second finder always returns a feasible collection.
 
 Each finder call makes one sweep over the forest's vertex set, in
 decreasing id order, which relies on every parent having a smaller id than
-its children (the preorder ids a `Forest` keeps; anything else is refused).
+its children (the preorder ids a `RootedTree` has and a forest cut from it
+keeps; anything else is refused).
 The sweep adds each subtree size to the parent's and collects the trees'
 tops.  The forest is then read as rooted away from the protected vertex u:
 u's tree at u and every other tree hung under u from its top.  Only the path
@@ -22,11 +27,13 @@ the root of the largest, ties by smallest id, while it has at least 2x
 vertices.  On the path to the top a step ranks the candidates, in O(degree
 of w); off the path it takes w's heavy child, in O(1): the largest sweep
 child, which the sweep records when it is that large.  Where the walk stops
-it ranks all candidates once.  Only the returned components are
-built, by a search from each root that does not cross w, and each result is
-checked against the classifier by a raise of `DecompositionBugError`, which
-`python -O` keeps.  A finder given `within` works on the forest induced on that set,
-reading the whole forest's maps instead of building the induced copy.
+it ranks all candidates once.  Only the returned components are built, by a
+search from each root that does not cross w, and each result is checked
+against the classifier by a raise of `DecompositionBugError`, which
+`python -O` keeps.  A finder given `within` works on the forest induced on
+that set, reading the whole tree's maps instead of building the induced
+copy.  The set is checked against `vertices` one id at a time, which on a
+`RootedTree` (whose `vertices` is a range) costs O(|within|), not O(n).
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .tree_core import Forest
+from .tree_core import TreeError
 
 
 class DecompositionBugError(AssertionError):
@@ -82,10 +89,10 @@ class _RootedPass:
     components of forest - w are the subtrees of w's children in that
     rooting."""
 
-    def __init__(self, forest: Forest, u: int, inside, x: int):
+    def __init__(self, tree, u: int, inside: frozenset, x: int):
         if u not in inside:
             raise ValueError(f"vertex {u} not in forest")
-        parent = forest.parent
+        parent = tree.parent
         # children follow their parents in id order, so a reverse sweep
         # finishes every subtree before it reaches the subtree's top
         size = dict.fromkeys(inside, 1)
@@ -122,7 +129,7 @@ class _RootedPass:
                 size[w] = whole - size[c]
         self.u = u
         self.x = x
-        self.forest = forest
+        self.parent, self.children = parent, tree.children
         self.inside = inside
         self.size = size
         self.heavy = heavy
@@ -137,12 +144,12 @@ class _RootedPass:
     def below(self, w: int) -> list[int]:
         """Roots of the u-free components of forest - w, in decreasing size,
         ties by smallest contained id."""
-        forest, inside, toward = self.forest, self.inside, self.toward
-        cands = [c for c in forest.children[w] if c in inside]
+        inside, toward = self.inside, self.toward
+        cands = [c for c in self.children[w] if c in inside]
         if w in toward:
             if toward[w] is not None:
                 cands.remove(toward[w])
-            p = forest.parent[w]
+            p = self.parent[w]
             if p in inside:
                 cands.append(p)
             if w == self.u:
@@ -165,7 +172,7 @@ class _RootedPass:
         """The component of forest - w that holds c, a root from `below(w)`:
         the sweep subtree of c or, when c is on the path to the top, the
         top's tree without the sweep subtree of w."""
-        children, inside = self.forest.children, self.inside
+        children, inside = self.children, self.inside
         comp = [self.top if c in self.toward else c]
         for v in comp:   # grows while it is read: a breadth-first search
             comp += [x for x in children[v] if x in inside and x != w]
@@ -204,13 +211,17 @@ def _checked(rooted: _RootedPass, w: int, roots, x: int, y: int,
     return coll, kind
 
 
-def _inside(forest: Forest, within) -> frozenset | dict:
-    """The vertex set a finder works on: the whole forest, or `within`,
-    refused as `forest.induced(within)` refuses it."""
-    return forest.parent if within is None else forest.members(within)
+def _inside(tree, within) -> frozenset:
+    """The vertex set a finder works on: the whole tree, or `within`,
+    refused, before any other check, when it holds an id that is not in
+    `tree.vertices`."""
+    ks = frozenset(tree.vertices if within is None else within)
+    if within is not None and not all(map(tree.vertices.__contains__, ks)):
+        raise TreeError("induced set is not a subset of the forest")
+    return ks
 
 
-def find_bounded_components(forest: Forest, u: int, x: int,
+def find_bounded_components(tree, u: int, x: int,
                             within=None) -> ComponentCollection:
     """Find w and components of forest - w avoiding u with union in [x, 2x-1].
 
@@ -219,7 +230,7 @@ def find_bounded_components(forest: Forest, u: int, x: int,
     components greedily until the union reaches x.  With `within`, works on
     the forest induced on that vertex set without building it.
     """
-    inside = _inside(forest, within)
+    inside = _inside(tree, within)
     if u not in inside:
         raise ValueError(f"vertex {u} not in forest")
     if x < 1:
@@ -227,11 +238,11 @@ def find_bounded_components(forest: Forest, u: int, x: int,
     if len(inside) < x + 1:
         raise ValueError(f"forest needs at least {x + 1} vertices")
 
-    rooted = _RootedPass(forest, u, inside, x)
+    rooted = _RootedPass(tree, u, inside, x)
     return rooted.collection(*_bounded_walk(rooted))
 
 
-def find_feasible_or_critical(forest: Forest, u: int, x: int, y: int,
+def find_feasible_or_critical(tree, u: int, x: int, y: int,
                               within=None
                               ) -> tuple[ComponentCollection, str]:
     """Find a u-avoiding collection that classifies feasible or critical,
@@ -242,16 +253,16 @@ def find_feasible_or_critical(forest: Forest, u: int, x: int, y: int,
     already critical, or the single oversized component is descended into.
     When x <= y the critical window [x+y-2, 2x-3] is empty, and the walk's
     union, at most 2x-3 <= x+y-3, is feasible at once: the result is
-    `find_bounded_components(forest, u, x-1)` whenever the forest has more
+    `find_bounded_components(tree, u, x-1)` whenever the forest has more
     than x+y-2 vertices.  `within` is as in `find_bounded_components`.
     """
-    inside = _inside(forest, within)
+    inside = _inside(tree, within)
     if x < 2 or y < 2:
         raise ValueError("requires x >= 2 and y >= 2")
     if len(inside) < x + 1:
         raise ValueError(f"forest needs at least {x + 1} vertices")
 
-    rooted = _RootedPass(forest, u, inside, x - 1)
+    rooted = _RootedPass(tree, u, inside, x - 1)
     if len(inside) <= x + y - 2:
         # every component of forest - u, in order of smallest id
         return _checked(rooted, u, sorted(rooted.below(u), key=rooted.low),

@@ -21,8 +21,9 @@ Sub-hosts are views, not copies: the last root subtree, every prefix and
 every merge of a sibling run (a tail: the root over the subtrees from one
 child to the last) are `TreeView`s of one tree, made in O(1).  Only a merge
 of a cousin run builds a tree, and its `to_top` map sends its vertices to
-input-host ids.  The guest is one `Forest`, and each piece goes to the
-decomposition finders as a vertex set within it, not as a copy.
+input-host ids.  The guest is the input `RootedTree` itself, and each piece
+goes to the decomposition finders as a vertex set within it, not as a copy;
+no other form of the guest is built.
 The steps run from one work stack of tasks (view, to_top, piece, anchor,
 low2).  A step writes the images it decides straight into one image map
 (guest vertex -> input-host vertex) and its inverse `occupant`, and pushes
@@ -42,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .tree_core import RootedTree, TreeView, Forest
+from .tree_core import RootedTree, TreeView
 from .graph_gen import UndirectedGraph, generate, underlying, merged_tree
 from .balanced_trees import validate_balance
 from .decomposition import find_bounded_components, find_feasible_or_critical
@@ -72,7 +73,7 @@ class Embedding:
                 and (self.phi2_ok or not self.phi2_applicable))
 
 
-def _solve(host: RootedTree, piece: frozenset, guest: Forest,
+def _solve(host: RootedTree, piece: frozenset, guest: RootedTree,
            anchor: Optional[int], low2: Optional[int]) -> dict:
     """Embed guest[piece] onto the preorder suffix of the host; see module doc.
     Returns the image map."""
@@ -92,7 +93,7 @@ class _Solver:
     """One `_solve` call: the guest, the image map and its inverse, and the
     work stack.  Each case method takes one task and pushes its sub-tasks."""
 
-    def __init__(self, host: RootedTree, guest: Forest):
+    def __init__(self, host: RootedTree, guest: RootedTree):
         self.guest = guest
         self.image: dict = {}
         self.occupant: list = [None] * host.n
@@ -214,8 +215,10 @@ class _Solver:
         rest = piece - {special}
         # a leaf of the remainder has a single neighbor there, which the
         # sub-task pins at level <= 2 next to the leaf's image; a remainder
-        # without leaves has only isolated vertices
-        near = {u: [v for v in guest.neighbors(u) if v in rest] for u in rest}
+        # without leaves has only isolated vertices; None, the root's
+        # parent, is never in a piece
+        near = {u: [v for v in (*guest.children[u], guest.parent[u])
+                    if v in rest] for u in rest}
         leaves = [u for u in rest if len(near[u]) == 1]
         w = max(leaves or rest)
         wp = near[w][0] if leaves else min(rest - {w}, default=None)
@@ -259,7 +262,7 @@ class _Solver:
             raise EmbeddingBugError("critical collections have two components "
                                     "under the balance ratio")
         c_one, c_two = coll.components
-        near = self.guest.neighbors(w)
+        near = (*self.guest.children[w], self.guest.parent[w])
         w1 = min((v for v in near if v in c_one), default=None)
         w2 = min((v for v in near if v in c_two), default=None)
 
@@ -347,8 +350,7 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
         x2 = x1
     guest.check_vertex(x2)
 
-    mapping = _solve(host, frozenset(range(guest.n)), Forest.from_tree(guest),
-                     x1, x2)
+    mapping = _solve(host, frozenset(range(guest.n)), guest, x1, x2)
 
     if host_graph is None:
         host_graph = host_graph_for(host)

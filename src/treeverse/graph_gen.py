@@ -102,6 +102,8 @@ class UndirectedGraph:
         idx = {v: i for i, v in enumerate(vertices)}
         if any(not (0 <= v < self.n) for v in idx):
             raise ValueError("induced vertex out of range")
+        if len(idx) != len(vertices):
+            raise ValueError("induced vertex repeated")
         adj = self.adj
         return UndirectedGraph(len(vertices), [
             (i, idx[b]) for a, i in idx.items() for b in adj[a]

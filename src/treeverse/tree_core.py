@@ -23,7 +23,7 @@ class RootedTree:
     right; ids within each list are strictly increasing.
     """
 
-    __slots__ = ("n", "parent", "children", "levels", "sizes",
+    __slots__ = ("n", "vertices", "parent", "children", "levels", "sizes",
                  "level_order", "_pos_in_level")
 
     def __init__(self, children: Sequence[Sequence[int]]):
@@ -65,6 +65,7 @@ class RootedTree:
             row.append(u)
 
         self.n = n
+        self.vertices = range(n)   # every id, as a `Forest` lists its own
         self.parent = tuple(parent)
         self.children = kids
         self.levels = tuple(levels)
@@ -266,6 +267,11 @@ class Forest:
 
     `parent[u]` is u's parent inside the forest or None when u is a root
     (either the original root or a vertex whose parent was cut away).
+
+    The package builds none: the decomposition finders read the guest
+    `RootedTree` itself.  The class stays as the tests' reference for
+    components and for a finder's `within`, and the benchmark tracer
+    wraps its methods by name.
     """
 
     vertices: tuple[int, ...]
@@ -282,15 +288,10 @@ class Forest:
             roots=(0,),
         )
 
-    def members(self, keep: Iterable[int]) -> frozenset:
-        """`keep` as a set, refused unless it lies inside the forest."""
+    def induced(self, keep: Iterable[int]) -> "Forest":
         ks = frozenset(keep)
         if not self.parent.keys() >= ks:
             raise TreeError("induced set is not a subset of the forest")
-        return ks
-
-    def induced(self, keep: Iterable[int]) -> "Forest":
-        ks = self.members(keep)
         verts = tuple(sorted(ks))
         parent = {u: (self.parent[u] if self.parent[u] in ks else None)
                   for u in verts}
@@ -301,9 +302,6 @@ class Forest:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def __contains__(self, u: int) -> bool:
-        return u in self.parent
 
     def neighbors(self, u: int) -> list[int]:
         out = list(self.children[u])

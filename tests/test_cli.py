@@ -6,7 +6,7 @@ import pytest
 from treeverse.balanced_trees import perfect_binary, typed_ternary
 from treeverse.cli import main
 from treeverse.graph_gen import generate, to_dot, to_json
-from treeverse.tree_core import from_parens, parse_tree
+from treeverse.tree_core import Forest, from_parens, parse_tree
 
 
 def run(capsys, *argv):
@@ -189,7 +189,16 @@ def test_balance_reports_a_cousin_ratio_violation(tmp_path, capsys):
     assert "violation cousin_ratio: vertices (2, 1)" in out.splitlines()
 
 
-def test_decompose_command(tmp_path, capsys):
+def test_decompose_command(tmp_path, capsys, monkeypatch):
+    # the finders read the loaded tree itself: no Forest is built
+    forests = []
+    init = Forest.__init__
+
+    def counting(self, *args, **kwargs):
+        forests.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Forest, "__init__", counting)
     tree = tmp_path / "t.tree"
     tree.write_text("((()()())(()()()))\n")
     code, out = run(capsys, "decompose", "--tree", str(tree), "--x", "3")
@@ -204,6 +213,7 @@ def test_decompose_command(tmp_path, capsys):
     assert code == 0
     assert out == ("pivot=1 kind=feasible union=2\n"
                    "  component: [2]\n  component: [3]\n")
+    assert forests == []
 
 
 def test_usage_error_exit_code(capsys):

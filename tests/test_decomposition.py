@@ -132,7 +132,9 @@ def test_critical_shape():
     check_feasible_or_critical(f, coll, kind, 0, 5, 3)
 
 
-def random_forest(rng, max_n=60):
+def cut_tree(rng, max_n=60):
+    """A random tree and the forest cut from it, each non-root vertex
+    losing its parent edge with probability 0.15."""
     n = rng.randint(2, max_n)
     children = [[] for _ in range(n)]
     for u in range(1, n):
@@ -145,7 +147,11 @@ def random_forest(rng, max_n=60):
     child = {u: tuple(c for c in tree.children[u] if parent[c] == u)
              for u in range(n)}
     roots = tuple(u for u in range(n) if parent[u] is None)
-    return Forest(tuple(range(n)), parent, child, roots)
+    return tree, Forest(tuple(range(n)), parent, child, roots)
+
+
+def random_forest(rng, max_n=60):
+    return cut_tree(rng, max_n)[1]
 
 
 def outcome(find, *args, **kwargs):
@@ -161,28 +167,49 @@ def test_randomized_validation():
     # a vertex subset of each forest, some picks outside it, and window
     # arguments that the finders refuse: `within` must act as `induced`
     sub_rng = random.Random(2025)
+    negative = 0
     for _ in range(1500):
-        f = random_forest(rng)
+        tree, f = cut_tree(rng)
+        whole = Forest.from_tree(tree)
+
+        def same_on_the_uncut_tree(find, *args, **kwargs):
+            """The finder reads the uncut tree itself as it reads the
+            tree's Forest: equal results, or equal refusal texts."""
+            got = outcome(find, tree, *args, **kwargs)
+            assert got == outcome(find, whole, *args, **kwargs)
+            return got
+
         n = len(f)
         u = rng.choice(f.vertices)
         x = rng.randint(1, n - 1)
         coll = find_bounded_components(f, u, x)
         check_bounded(f, coll, u, x)
+        same_on_the_uncut_tree(find_bounded_components, u, x)
         if n >= 5:
             y = rng.randint(2, max(2, n // 2))
             x2 = rng.randint(y + 1, n - 1)
             coll, kind = find_feasible_or_critical(f, u, x2, y)
             check_feasible_or_critical(f, coll, kind, u, x2, y)
+            same_on_the_uncut_tree(find_feasible_or_critical, u, x2, y)
 
         keep = {v for v in f.vertices if sub_rng.random() < 0.8} or {u}
-        if sub_rng.random() < 0.02:
+        outside = sub_rng.random()
+        if outside < 0.02:
             keep.add(n + 3)
+        elif outside < 0.03:
+            # a tree's parent tuple would read -1 as vertex n-1
+            keep.add(-1)
+            negative += 1
         sub = outcome(f.induced, keep)
         if isinstance(sub, str):
             # the same refusal, before any other check
             assert outcome(find_bounded_components, f, u, 1, within=keep) == sub
             assert outcome(find_feasible_or_critical, f, u, 3, 2,
                            within=keep) == sub
+            assert same_on_the_uncut_tree(find_bounded_components, u, 1,
+                                          within=keep) == sub
+            assert same_on_the_uncut_tree(find_feasible_or_critical, u, 3, 2,
+                                          within=keep) == sub
             continue
         s = len(keep)
         pick = sub_rng.choice(f.vertices)
@@ -194,6 +221,10 @@ def test_randomized_validation():
         assert outcome(find_feasible_or_critical, f, pick, xf, ys,
                        within=keep) == \
             outcome(find_feasible_or_critical, sub, pick, xf, ys)
+        same_on_the_uncut_tree(find_bounded_components, pick, xs, within=keep)
+        same_on_the_uncut_tree(find_feasible_or_critical, pick, xf, ys,
+                               within=keep)
+    assert negative > 0
 
 
 def reference_walk(rooted, x):

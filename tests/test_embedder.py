@@ -17,8 +17,9 @@ from treeverse.embedder import (Embedding, embed, host_graph_for, phi2_window,
                                 verify_embedding)
 from treeverse.graph_gen import merged_tree
 from treeverse.oracle import brute_embed, enumerate_free_trees
-from treeverse.tree_core import (RootedTree, TreeError, TreeView, build_tree,
-                                 nearest_left_cousin, to_parent_csv)
+from treeverse.tree_core import (Forest, RootedTree, TreeError, TreeView,
+                                 build_tree, nearest_left_cousin,
+                                 to_parent_csv)
 
 from trees import balanced_hosts, path_tree, star_tree
 
@@ -132,13 +133,21 @@ def test_verifier_names_each_broken_guarantee(ternary_hosts):
     assert "x2 sits at level 3 > 2" in problems(swapped(10, third))
 
 
-def test_embed_rejects_bad_inputs(ternary_hosts):
+def test_embed_rejects_bad_inputs(ternary_hosts, monkeypatch):
     host, graph = ternary_hosts[1]
     with pytest.raises(ValueError):
         embed(host, path_tree(4), 0, 0, host_graph=graph)
     lopsided = RootedTree([[1, 2], [], [3, 4, 5, 6], [], [], [], []])
     with pytest.raises(ValueError):
         embed(lopsided, path_tree(3), 0, 0)
+
+    # the sizes are compared before the balance check reads the host
+    def never(tree):
+        raise AssertionError("balance checked before the sizes")
+
+    monkeypatch.setattr(embedder, "validate_balance", never)
+    with pytest.raises(ValueError, match="guest has 4 vertices, host only 3"):
+        embed(host, path_tree(4), 0, 0)
 
 
 def test_phi2_window_detection(ternary_hosts):
@@ -429,25 +438,33 @@ def test_deep_host_needs_no_recursion_limit():
 
 def test_path_host_builds_linear_trees(monkeypatch):
     """Sub-hosts are views: embedding into a path host builds O(n) tree
-    vertices in all, not a copy of the host per level."""
+    vertices in all, not a copy of the host per level.  The finders read the
+    guest tree itself, so no `Forest` is built."""
     host = path_tree(300)
     graph = host_graph_for(host)
     rng = random.Random(300)
     guests = [path_tree(300), prufer_tree(rng, 300), prufer_tree(rng, 200),
               rand_tree(rng, 299), rand_tree(rng, 150)]
     built = [0, 0]
-    init = RootedTree.__init__
+    forests = [0]
+    init, forest_init = RootedTree.__init__, Forest.__init__
 
     def counting(self, children):
         built[0] += 1
         built[1] += len(children)
         init(self, children)
 
+    def counting_forests(self, *args, **kwargs):
+        forests[0] += 1
+        forest_init(self, *args, **kwargs)
+
     monkeypatch.setattr(RootedTree, "__init__", counting)
+    monkeypatch.setattr(Forest, "__init__", counting_forests)
     for guest in guests:
         built[:] = [0, 0]
         embed(host, guest, 0, guest.n - 1, host_graph=graph)
         assert built[1] <= 2 * host.n, (guest.n, built)
+    assert forests == [0]
 
 
 def view_runs(tree):

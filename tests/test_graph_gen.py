@@ -113,6 +113,9 @@ def test_graph_refuses_self_loops_and_outside_endpoints():
             UndirectedGraph(3, [bad])
     with pytest.raises(ValueError):
         UndirectedGraph(3, [(0, 1)]).induced([2, -1])
+    # a repeated vertex would take two labels, the first left isolated
+    with pytest.raises(ValueError, match="induced vertex repeated"):
+        UndirectedGraph(3, [(0, 1), (1, 2), (0, 2)]).induced([0, 1, 0])
 
 
 def test_count_edges_by_type():
