@@ -14,8 +14,7 @@ from .decomposition import (ComponentCollection, DecompositionBugError,
 from .embedder import (Embedding, EmbeddingBugError, embed, verify_embedding,
                        host_graph_for, phi2_window)
 from .oracle import (CanonicalTreeSet, enumerate_free_trees, brute_embed,
-                     is_universal, is_interval_universal, degree_witness,
-                     free_tree_automorphisms, vertex_orbit_reps)
+                     is_universal, is_interval_universal)
 from .analytics import (BoundReport, BoundRow, bound_table_ternary,
                         bound_table_binary, reproduce_counterexample,
                         edge_gap_summary)

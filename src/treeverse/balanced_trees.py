@@ -55,7 +55,9 @@ def typed_ternary(k: int) -> TypedTree:
 
 
 def descendant_count(level: int, vtype: int, k: int) -> int:
-    """Closed form for the descendant count of a typed-ternary vertex."""
+    """Closed form for the descendant count of a typed-ternary vertex.  Only
+    tests call it; it stays for the pair count per vertex context that the
+    ROADMAP plans, which needs the closed form."""
     if not (0 <= level <= k):
         raise ValueError(f"level {level} out of range 0..{k}")
     if vtype not in (1, 2):

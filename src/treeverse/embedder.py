@@ -342,6 +342,9 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
     """
     if guest.n > host.n:
         raise ValueError(f"guest has {guest.n} vertices, host only {host.n}")
+    if host_graph is not None and host_graph.n != host.n:
+        raise ValueError(f"host graph has {host_graph.n} vertices, "
+                         f"host {host.n}")
     report = validate_balance(host)
     if not report.ok:
         raise ValueError(f"host is not (2,1)-balanced: {report.violations[:3]}")

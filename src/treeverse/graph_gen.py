@@ -98,7 +98,9 @@ class UndirectedGraph:
                 for b in nbrs if a < b < m])
 
     def induced(self, vertices: Sequence[int]) -> "UndirectedGraph":
-        """Induced subgraph relabeled along the given vertex order."""
+        """Induced subgraph relabeled along the given vertex order.  Only
+        tests call it; it stays because the benchmark tracer wraps it by
+        name."""
         idx = {v: i for i, v in enumerate(vertices)}
         if any(not (0 <= v < self.n) for v in idx):
             raise ValueError("induced vertex out of range")
@@ -363,11 +365,13 @@ def prefix_counts(tree: RootedTree, radius: int,
 def _new_upward_pair(tree: RootedTree, radius: int, legacy: bool,
                      u: int, w: int) -> bool:
     """Whether the radius arc u -> w, u < w, makes a pair that w does not
-    count among its lower neighbours: u is not w's ancestor, and no run of w
-    holds u (the left-sibling block is tested first, as it is the common
-    case)."""
-    if u + tree.sizes[u] > w or tree.parent[w] < u:
-        return False
+    count among its lower neighbours: no run of w holds u (the left-sibling
+    block is tested first, as it is the common case).
+
+    The caller passes only a w on a row above u's level that comes after
+    the subtree of x, the parent of u's ancestor on that row.  So u's
+    subtree ends before w (u + sizes[u] <= x + sizes[x] <= w), and w's
+    parent, on x's level after x's subtree, comes after u."""
     for _, ids in rule_intervals(tree, radius, w, legacy):
         i = bisect_left(ids, u)
         if i < len(ids) and ids[i] == u:

@@ -29,10 +29,11 @@ parent tuples once per process and kept.
 A rooted tree is encoded as one `bytes` object, its preorder open/close
 tokens, so close sorts before open.  A primitive balanced string is never
 a proper prefix of another, so byte order is the order of the trees as
-nested tuples of their children, also across sizes.  Only the table of
-all small trees recurses, at most `ENUM_GUARD` deep; a given tree is
-encoded and read by loops, so trees of any depth work under the default
-recursion limit.
+nested tuples of their children, also across sizes.  Trees are encoded
+one way: a table of all rooted trees of each size, in increasing order,
+built by a recursion at most `ENUM_GUARD` deep, from which the free trees
+are read.  No given tree is encoded here; the tests' per-tree encoder
+(`tests/trees.py`) is their reference for the table.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import groupby, repeat
-from math import factorial
+from itertools import repeat
 from typing import Optional
 
 from .tree_core import RootedTree
@@ -55,7 +55,9 @@ _OPEN = ord("1")  # the open token of a rooted encoding, as a byte value
 
 @dataclass(frozen=True)
 class CanonicalTreeSet:
-    """One canonically-rooted representative per free-tree isomorphism class."""
+    """One canonically-rooted representative per free-tree isomorphism class.
+    Kept with `enumerate_free_trees`: the benchmark's `verify` set-up and
+    its tracer call that function."""
 
     n: int
     trees: tuple
@@ -139,81 +141,13 @@ def _parents_to_tree(parent: tuple) -> RootedTree:
     return RootedTree(children)
 
 
-def _walk(tree: RootedTree, root: int,
-          avoid: int = -1) -> tuple[list[int], list[int]]:
-    """The tree without the branch at root's neighbour `avoid`, walked
-    breadth-first from `root`: its vertices in that order, and each vertex's
-    neighbour towards the root (`avoid` for the root, -1 off the walk)."""
-    up = [-1] * tree.n
-    up[root] = avoid
-    order = [root]
-    for u in order:  # grows while it is read: a breadth-first order
-        for v in (*tree.children[u], tree.parent[u]):
-            if v is not None and v != up[u]:
-                up[v] = u
-                order.append(v)
-    return order, up
-
-
-def _tree_to_enc(tree: RootedTree, root: int,
-                 avoid: int = -1) -> tuple[bytes, int]:
-    """Canonical encoding of the tree re-rooted at `root`, without the
-    branch at its neighbour `avoid`, and the order of that rooted tree's
-    automorphism group: the product, over its vertices, of k! for each run
-    of k equal child encodings.  One bottom-up pass, no recursion."""
-    order, up = _walk(tree, root, avoid)
-    branches: list = [[] for _ in range(tree.n)]
-    automorphisms = 1
-    for u in reversed(order):
-        subs = sorted(branches[u], key=lambda e: (-len(e), e))
-        branches[u] = None  # its children's encodings are no longer needed
-        for _, run in groupby(subs):
-            automorphisms *= factorial(len(list(run)))
-        enc = b"".join((b"1", *subs, b"0"))
-        if u != root:
-            branches[up[u]].append(enc)
-    return enc, automorphisms
-
-
-def _centers(tree: RootedTree) -> list[int]:
-    """The one or two middle vertices of a longest path (unrooted).  A
-    breadth-first walk ends at one end of a longest path; a second walk,
-    from there, ends at the other, and leads back along the path."""
-    end = _walk(tree, 0)[0][-1]
-    order, up = _walk(tree, end)
-    path = [order[-1]]
-    while path[-1] != end:
-        path.append(up[path[-1]])
-    return sorted(path[(len(path) - 1) // 2:len(path) // 2 + 1])
-
-
-def _free_key(tree: RootedTree) -> tuple[tuple, int]:
-    """The free key of `free_canonical_encoding` and the order of the free
-    tree's automorphism group.  Two centers are adjacent, so the tree is
-    their two halves joined by an edge; swapping the halves is one more
-    automorphism when they are equal."""
-    centers = _centers(tree)
-    if len(centers) == 1:
-        enc, automorphisms = _tree_to_enc(tree, centers[0])
-        return (b"c", enc), automorphisms
-    a, b = centers
-    ha, aut_a = _tree_to_enc(tree, a, b)
-    hb, aut_b = _tree_to_enc(tree, b, a)
-    return (b"b", *sorted((ha, hb))), aut_a * aut_b * (1 + (ha == hb))
-
-
-def free_canonical_encoding(tree: RootedTree) -> tuple:
-    """Key invariant under free-tree isomorphism: (b"c", the encoding rooted
-    at the center), or (b"b", the two half encodings in increasing order)
-    for bicentral trees.  The tags keep the two shapes apart."""
-    return _free_key(tree)[0]
-
-
 @lru_cache(maxsize=None)
 def _free_parents(n: int) -> tuple[tuple, ...]:
     """One preorder parent tuple per isomorphism class of free n-vertex
-    trees, rooted at a center, in order of free key.  Each size is
-    flattened once and kept, beside the rooted table it is read from.
+    trees, rooted at a center, in order of free key: (b"c", the encoding
+    rooted at the center), or (b"b", the two half encodings in increasing
+    order) for bicentral trees.  Each size is flattened once and kept,
+    beside the rooted table it is read from.
 
     The center test read off the stored shape: a root is the only center
     when its two tallest branches are equal in height, and one of two
@@ -239,21 +173,9 @@ def _free_parents(n: int) -> tuple[tuple, ...]:
 
 def enumerate_free_trees(n: int) -> CanonicalTreeSet:
     """Exactly one representative per isomorphism class of free n-vertex trees,
-    rooted at a center, in order of free key."""
+    rooted at a center, in order of free key.  No package code calls it; it
+    stays because the benchmark's `verify` set-up and its tracer do."""
     return CanonicalTreeSet(n, tuple(map(_parents_to_tree, _free_parents(n))))
-
-
-def free_tree_automorphisms(tree: RootedTree) -> int:
-    """Order of the automorphism group of the underlying free tree."""
-    return _free_key(tree)[1]
-
-
-def vertex_orbit_reps(tree: RootedTree) -> list[int]:
-    """One vertex per orbit of the free-tree automorphism group (smallest id)."""
-    reps: dict[bytes, int] = {}
-    for v in range(tree.n):
-        reps.setdefault(_tree_to_enc(tree, v)[0], v)
-    return sorted(reps.values())
 
 
 # -- brute-force embedding -------------------------------------------------
@@ -467,10 +389,3 @@ def is_interval_universal(graph: UndirectedGraph, unsafe_large: bool = False,
     failure = _first_failure(_blocks(graph, range(1, graph.n + 1)), jobs)
     return failure is None, failure
 
-
-def degree_witness(graph: UndirectedGraph) -> Optional[int]:
-    """A vertex adjacent to everything else, if one exists."""
-    for u in range(graph.n):
-        if graph.degree(u) == graph.n - 1:
-            return u
-    return None

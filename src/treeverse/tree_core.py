@@ -97,7 +97,9 @@ class RootedTree:
                            for u in range(m)])
 
     def subtree(self, u: int) -> "RootedTree":
-        """The subtree rooted at u, relabeled so that u becomes id 0."""
+        """The subtree rooted at u, relabeled so that u becomes id 0.  Only
+        tests call it: it is the built form that `TreeView` is checked
+        against."""
         self.check_vertex(u)
         return RootedTree([[c - u for c in self.children[v]]
                            for v in self.descendant_interval(u)])
@@ -221,12 +223,10 @@ def build_tree(children_lists: Sequence[Sequence[int]]) -> RootedTree:
 
     order: list[int] = []
     stack = [roots[0]]
-    on_path: set[int] = set()
+    # every vertex has at most one parent, so the walk meets none twice; a
+    # cycle's vertices are never reached, and the length check refuses them
     while stack:
         u = stack.pop()
-        if u in on_path:
-            raise TreeError("cycle detected")
-        on_path.add(u)
         order.append(u)
         for c in reversed(children_lists[u]):
             stack.append(c)

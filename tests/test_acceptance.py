@@ -17,8 +17,10 @@ from treeverse.embedder import (embed, host_graph_for, phi2_window,
                                 verify_embedding)
 from treeverse.graph_gen import generate, merged_tree, underlying
 from treeverse.oracle import (enumerate_free_trees, is_interval_universal,
-                              is_universal, vertex_orbit_reps)
+                              is_universal)
 from treeverse.tree_core import Forest, RootedTree, build_tree, nearest_left_cousin
+
+from trees import vertex_orbit_reps
 
 
 def report(criterion, name, ok):

@@ -10,6 +10,8 @@ def test_perfect_binary_sizes():
     assert perfect_binary(0).n == 1
     assert perfect_binary(2).n == 7
     assert perfect_binary(10).n == 2047
+    with pytest.raises(ValueError, match="^k must be non-negative$"):
+        perfect_binary(-1)
     b = perfect_binary(3)
     for u in range(b.n):
         assert len(b.children[u]) in (0, 2)
@@ -29,6 +31,8 @@ def test_typed_ternary_shape():
 
     assert typed_ternary(3).tree.n == 27
     assert typed_ternary(0).tree.n == 1
+    with pytest.raises(ValueError, match="^k must be non-negative$"):
+        typed_ternary(-1)
 
 
 def test_typed_ternary_leaves_at_level_k():

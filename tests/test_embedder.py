@@ -21,7 +21,7 @@ from treeverse.tree_core import (Forest, RootedTree, TreeError, TreeView,
                                  build_tree, nearest_left_cousin,
                                  to_parent_csv)
 
-from trees import balanced_hosts, path_tree, star_tree
+from trees import balanced_hosts, path_tree, star_tree, vertex_orbit_reps
 
 
 def rand_tree(rng, n):
@@ -148,6 +148,11 @@ def test_embed_rejects_bad_inputs(ternary_hosts, monkeypatch):
     monkeypatch.setattr(embedder, "validate_balance", never)
     with pytest.raises(ValueError, match="guest has 4 vertices, host only 3"):
         embed(host, path_tree(4), 0, 0)
+    big, big_graph = ternary_hosts[3]
+    for wrong in (ternary_hosts[2][1], big_graph.induced_prefix(20)):
+        with pytest.raises(ValueError, match=f"host graph has {wrong.n} "
+                                             "vertices, host 27"):
+            embed(big, path_tree(4), 0, 0, host_graph=wrong)
 
 
 def test_phi2_window_detection(ternary_hosts):
@@ -230,12 +235,28 @@ def test_recursion_reaches_deep_hosts():
     assert ok, problems
 
 
+def test_a_seeded_guest_takes_the_critical_split(monkeypatch):
+    """A case that requires `_Solver.critical_split`: a seeded 26-vertex
+    guest, marked at vertex 0, into `typed_ternary(4)` takes it once."""
+    hits = []
+    split = embedder._Solver.critical_split
+
+    def critical_split(self, *args):
+        hits.append(args)
+        return split(self, *args)
+
+    monkeypatch.setattr(embedder._Solver, "critical_split", critical_split)
+    guest = rand_tree(random.Random(0), 26)
+    emb = embed(typed_ternary(4).tree, guest, 0, 0)
+    assert len(hits) == 1
+    ok, problems = verify_embedding(emb, guest, 0, 0)
+    assert ok, problems
+
+
 def test_every_small_balanced_host_hosts_every_guest(monkeypatch):
     """Closure sweep: all balanced ordered hosts up to 8 vertices, all
     guests, all anchor orbits, verified from scratch; the wide split and the
     full-host leaf peel with its root swap both run."""
-    from treeverse.oracle import vertex_orbit_reps
-
     hits = {"wide x<=y": 0, "full peel": 0, "swap": 0}
     solver = embedder._Solver
     wide, peel, swap = solver.wide_split, solver.leaf_peel, solver.swap_onto_root

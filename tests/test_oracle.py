@@ -12,16 +12,16 @@ import pytest
 from treeverse import oracle
 from treeverse.balanced_trees import perfect_binary, typed_ternary
 from treeverse.graph_gen import UndirectedGraph, generate, underlying
-from treeverse.oracle import (ENUM_GUARD, _centers, _flatten, _free_parents,
+from treeverse.oracle import (ENUM_GUARD, _flatten, _free_parents,
                               _parents_to_tree, _rooted_encodings, _search,
-                              _settled, _sorted_neighbours, _tree_to_enc,
-                              brute_embed, degree_witness,
-                              enumerate_free_trees, free_canonical_encoding,
-                              free_tree_automorphisms, is_interval_universal,
-                              is_universal, vertex_orbit_reps)
+                              _settled, _sorted_neighbours, brute_embed,
+                              enumerate_free_trees, is_interval_universal,
+                              is_universal)
 from treeverse.tree_core import RootedTree, build_tree, from_parens, to_parens
 
-from trees import balanced_hosts, path_tree, star_tree
+from trees import (_centers, _tree_to_enc, balanced_hosts, degree_witness,
+                   free_canonical_encoding, free_tree_automorphisms, path_tree,
+                   star_tree, vertex_orbit_reps)
 
 # free trees per vertex count up to the enumeration guard (OEIS A000055)
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,

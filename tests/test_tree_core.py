@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from treeverse.tree_core import (Forest, RootedTree, TreeError, build_tree,
-                                 from_parens, from_parent_csv, ith_ancestor,
-                                 nearest_left_cousin, parse_tree, to_parens,
-                                 to_parent_csv)
+from treeverse.tree_core import (Forest, RootedTree, TreeError, TreeView,
+                                 build_tree, from_parens, from_parent_csv,
+                                 ith_ancestor, nearest_left_cousin, parse_tree,
+                                 to_parens, to_parent_csv)
 from treeverse.balanced_trees import perfect_binary
 
 from trees import path_tree, star_tree
@@ -45,11 +45,20 @@ def test_build_path_rooted_at_end():
 def test_build_rejects_duplicate_child():
     with pytest.raises(TreeError):
         build_tree([[1, 1], []])
+    with pytest.raises(TreeError, match="^a tree has at least one vertex$"):
+        build_tree([])
+    with pytest.raises(TreeError, match="^child id 5 out of range$"):
+        build_tree([[5], []])
 
 
 def test_build_rejects_cycle():
     with pytest.raises(TreeError):
         build_tree([[1], [2], [1]])
+    # a true cycle, 1 -> 2 -> 1, beside the root 0: never reached from it
+    with pytest.raises(TreeError, match="^disconnected input$"):
+        build_tree([[], [2], [1]])
+    with pytest.raises(TreeError, match="^disconnected input$"):
+        from_parent_csv("2,1")
 
 
 def test_build_rejects_disconnected():
@@ -168,6 +177,9 @@ def test_ith_ancestor_clamps():
     assert ith_ancestor(b3, leaf, 10) == 0
     t = path_tree(5)
     assert ith_ancestor(t, 3, 2) == 1
+    with pytest.raises(TreeError,
+                       match="^ancestor index must be non-negative$"):
+        ith_ancestor(t, 0, -1)
 
 
 def test_u_components_star_center():
@@ -195,6 +207,13 @@ def test_forest_induced_refuses_vertices_outside_the_forest():
         f.induced({0, 2})  # 2 is in the tree but not in this forest
     with pytest.raises(TreeError):
         Forest.from_tree(path_tree(6)).induced({5, 6})
+    view = TreeView(path_tree(6)).subtree(2)  # vertices 2..5 of the path
+    with pytest.raises(TreeError, match=r"^vertex 4 out of range 0\.\.3$"):
+        view.subtree(4)
+    for m in (0, 5):
+        with pytest.raises(TreeError,
+                           match=rf"^prefix size {m} out of range 1\.\.4$"):
+            view.prefix(m)
 
 
 @given(random_trees())
@@ -283,3 +302,7 @@ def test_parens_rejects_garbage():
     for bad in ["", "(", "(()", ")(", "(x)"]:
         with pytest.raises(TreeError):
             from_parens(bad)
+    with pytest.raises(TreeError, match="^unbalanced parentheses$"):
+        from_parens("())")
+    with pytest.raises(TreeError, match="^parent id 9 out of range$"):
+        from_parent_csv("0,9")

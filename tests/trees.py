@@ -1,7 +1,14 @@
-"""Tree builders shared by the test modules, so that no test module imports
-another."""
+"""Tree builders, tree keys and a graph check shared by the test modules, so
+that no test module imports another."""
+
+from __future__ import annotations
+
+from itertools import groupby
+from math import factorial
+from typing import Optional
 
 from treeverse.balanced_trees import validate_balance
+from treeverse.graph_gen import UndirectedGraph
 from treeverse.tree_core import RootedTree, from_parens
 
 
@@ -32,3 +39,105 @@ def balanced_hosts(max_n):
     return [h for n in range(1, max_n + 1)
             for h in map(from_parens, ordered_trees(n))
             if validate_balance(h).ok]
+
+
+def degree_witness(graph: UndirectedGraph) -> Optional[int]:
+    """A vertex adjacent to everything else, if one exists."""
+    for u in range(graph.n):
+        if graph.degree(u) == graph.n - 1:
+            return u
+    return None
+
+
+# -- the per-tree encoder ----------------------------------------------------
+# The oracle encodes trees only through its stream-order table
+# (`oracle._rooted_encodings`, read by `oracle._free_parents`).  This encoder
+# keys one given tree at a time: the tests' reference for that table, and
+# their way of picking one marker per automorphism orbit in sweeps.  A tree is
+# one `bytes` object, its preorder open/close tokens (b"1" and b"0"), with
+# children in (size desc, encoding) order.  It walks and encodes by loops, so
+# trees of any depth work under the default recursion limit.
+
+
+def _walk(tree: RootedTree, root: int,
+          avoid: int = -1) -> tuple[list[int], list[int]]:
+    """The tree without the branch at root's neighbour `avoid`, walked
+    breadth-first from `root`: its vertices in that order, and each vertex's
+    neighbour towards the root (`avoid` for the root, -1 off the walk)."""
+    up = [-1] * tree.n
+    up[root] = avoid
+    order = [root]
+    for u in order:  # grows while it is read: a breadth-first order
+        for v in (*tree.children[u], tree.parent[u]):
+            if v is not None and v != up[u]:
+                up[v] = u
+                order.append(v)
+    return order, up
+
+
+def _tree_to_enc(tree: RootedTree, root: int,
+                 avoid: int = -1) -> tuple[bytes, int]:
+    """Canonical encoding of the tree re-rooted at `root`, without the
+    branch at its neighbour `avoid`, and the order of that rooted tree's
+    automorphism group: the product, over its vertices, of k! for each run
+    of k equal child encodings.  One bottom-up pass, no recursion."""
+    order, up = _walk(tree, root, avoid)
+    branches: list = [[] for _ in range(tree.n)]
+    automorphisms = 1
+    for u in reversed(order):
+        subs = sorted(branches[u], key=lambda e: (-len(e), e))
+        branches[u] = None  # its children's encodings are no longer needed
+        for _, run in groupby(subs):
+            automorphisms *= factorial(len(list(run)))
+        enc = b"".join((b"1", *subs, b"0"))
+        if u != root:
+            branches[up[u]].append(enc)
+    return enc, automorphisms
+
+
+def _centers(tree: RootedTree) -> list[int]:
+    """The one or two middle vertices of a longest path (unrooted).  A
+    breadth-first walk ends at one end of a longest path; a second walk,
+    from there, ends at the other, and leads back along the path."""
+    end = _walk(tree, 0)[0][-1]
+    order, up = _walk(tree, end)
+    path = [order[-1]]
+    while path[-1] != end:
+        path.append(up[path[-1]])
+    return sorted(path[(len(path) - 1) // 2:len(path) // 2 + 1])
+
+
+def _free_key(tree: RootedTree) -> tuple[tuple, int]:
+    """The free key of `free_canonical_encoding` and the order of the free
+    tree's automorphism group.  Two centers are adjacent, so the tree is
+    their two halves joined by an edge; swapping the halves is one more
+    automorphism when they are equal."""
+    centers = _centers(tree)
+    if len(centers) == 1:
+        enc, automorphisms = _tree_to_enc(tree, centers[0])
+        return (b"c", enc), automorphisms
+    a, b = centers
+    ha, aut_a = _tree_to_enc(tree, a, b)
+    hb, aut_b = _tree_to_enc(tree, b, a)
+    return (b"b", *sorted((ha, hb))), aut_a * aut_b * (1 + (ha == hb))
+
+
+def free_canonical_encoding(tree: RootedTree) -> tuple:
+    """Key invariant under free-tree isomorphism: (b"c", the encoding rooted
+    at the center), or (b"b", the two half encodings in increasing order)
+    for bicentral trees.  The tags keep the two shapes apart."""
+    return _free_key(tree)[0]
+
+
+def free_tree_automorphisms(tree: RootedTree) -> int:
+    """Order of the automorphism group of the underlying free tree."""
+    return _free_key(tree)[1]
+
+
+def vertex_orbit_reps(tree: RootedTree) -> list[int]:
+    """One vertex per orbit of the free-tree automorphism group (smallest id)."""
+    reps: dict[bytes, int] = {}
+    for v in range(tree.n):
+        reps.setdefault(_tree_to_enc(tree, v)[0], v)
+    return sorted(reps.values())
+
