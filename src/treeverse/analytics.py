@@ -76,13 +76,11 @@ class BoundReport:
 
 
 def _prefix_spread(lo: int, hi: int, want: int) -> list:
-    """At least `want` prefix sizes spanning (lo, hi], always including hi."""
+    """min(want, hi - lo) prefix sizes spread over (lo, hi], lo < hi; the
+    last term, i = count, is hi."""
     span = hi - lo
     count = min(span, max(want, 1))
-    sizes = sorted({lo + max(1, round(i * span / count)) for i in range(1, count + 1)})
-    if hi not in sizes:
-        sizes.append(hi)
-    return sizes
+    return sorted({lo + max(1, round(i * span / count)) for i in range(1, count + 1)})
 
 
 def bound_table_ternary(k_max: int, prefix_sweep: bool = False) -> BoundReport:

@@ -29,8 +29,6 @@ GEN_GRAPH_PAIR_CAP = 927_699
 def _family_tree(family: str, k: int) -> RootedTree:
     """The family tree of depth k, refused before it is built when k is above
     the depth the bound tables stop at."""
-    if family not in FAMILY_K_GUARDS:
-        raise ValueError(f"unknown family {family!r}")
     if k > FAMILY_K_GUARDS[family]:
         raise ValueError(f"guard: --k {k} exceeds {FAMILY_K_GUARDS[family]} "
                          f"for the {family} family")

@@ -122,10 +122,9 @@ class _Solver:
         with its map to input-host ids."""
         v1, v2 = view.children(0)
         tstar, iso = merged_tree(view, view.children(v1) + view.children(v2))
-        lo = view.lo
-        top = [to_top[lo + h] for h in iso]
-        top[0] = to_top[view.vertex(iso[0])]
-        return TreeView(tstar), top
+        # every merged vertex is v2 or below it, never the view's root 0, so
+        # view vertex h is base vertex lo + h
+        return TreeView(tstar), [to_top[view.lo + h] for h in iso]
 
     def step(self, view: TreeView, to_top, piece: frozenset,
              anchor: Optional[int], low2: Optional[int]) -> None:
@@ -376,8 +375,13 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
 
 def verify_embedding(embedding: Embedding, guest: RootedTree, x1: int,
                      x2: Optional[int] = None) -> tuple[bool, list]:
-    """Re-check an embedding from scratch: injectivity, edge preservation,
-    admissible complement, and both placement guarantees."""
+    """Re-check an embedding's map: injectivity, edge preservation,
+    admissible complement, and both placement guarantees.
+
+    Guest edges are checked against `embedding.host_graph`, which is
+    trusted, not rebuilt: a caller's graph of the host's size is taken as
+    the host's radius-2 graph.  An edge predicate read from the rules
+    (ROADMAP item 3) would remove that trust."""
     host = embedding.host_tree
     graph = embedding.host_graph
     mapping = embedding.mapping

@@ -35,14 +35,15 @@ class RootedTree:
         sizes = [1] * n
         # from the last vertex back, so each child's size is final when its
         # parent reads it: the first child is u + 1, and each later child
-        # starts where the subtree of the one before it ends
+        # starts where the subtree of the one before it ends.  Accepted
+        # subtrees nest, so a vertex listed under a second parent never
+        # starts where that parent's previous child ends, and no id is
+        # claimed twice
         for u in range(n - 1, -1, -1):
             end = u + 1
             for c in kids[u]:
                 if c != end or c == n:
                     raise TreeError("children lists are not in preorder")
-                if parent[c] is not None:
-                    raise TreeError(f"vertex {c} has two parents")
                 parent[c] = u
                 end += sizes[c]
             sizes[u] = end - u
@@ -338,19 +339,12 @@ class Forest:
 
 
 def to_parens(tree: RootedTree) -> str:
-    """One-line parenthesized preorder, e.g. '(()(()()))'."""
-    out: list[str] = []
-    stack: list = [0]
-    while stack:
-        u = stack.pop()
-        if u is None:
-            out.append(")")
-            continue
-        out.append("(")
-        stack.append(None)
-        for c in reversed(tree.children[u]):
-            stack.append(c)
-    return "".join(out)
+    """One-line parenthesized preorder, e.g. '(()(()()))', written from the
+    levels: before vertex u close u - 1 and its ancestors at u's level or
+    deeper, then open u; after the last vertex close it and its ancestors."""
+    levels = tree.levels
+    steps = (")" * (a - b + 1) + "(" for a, b in zip(levels, levels[1:]))
+    return "(" + "".join(steps) + ")" * (levels[-1] + 1)
 
 
 def from_parens(text: str) -> RootedTree:

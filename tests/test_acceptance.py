@@ -18,54 +18,14 @@ from treeverse.embedder import (embed, host_graph_for, phi2_window,
 from treeverse.graph_gen import generate, merged_tree, underlying
 from treeverse.oracle import (enumerate_free_trees, is_interval_universal,
                               is_universal)
-from treeverse.tree_core import Forest, RootedTree, build_tree, nearest_left_cousin
+from treeverse.tree_core import Forest, build_tree, nearest_left_cousin
 
-from trees import vertex_orbit_reps
+from trees import _walk, rand_tree, vertex_orbit_reps
 
 
 def report(criterion, name, ok):
     print(f"ACCEPTANCE {criterion} [{name}]: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {criterion} ({name}) failed"
-
-
-def reroot(tree, root):
-    adj = [list(tree.children[u]) for u in range(tree.n)]
-    for u in range(1, tree.n):
-        adj[u].append(tree.parent[u])
-    children = [[] for _ in range(tree.n)]
-    seen = {root}
-    order = [root]
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                children[u].append(v)
-                stack.append(v)
-    relabel = {old: new for new, old in enumerate(_preorder(children, root))}
-    return build_tree([[relabel[c] for c in children[old]]
-                       for old in sorted(relabel, key=relabel.get)])
-
-
-def _preorder(children, root):
-    out = []
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        out.append(u)
-        for c in reversed(children[u]):
-            stack.append(c)
-    return out
-
-
-def random_guest(rng, n):
-    if n == 1:
-        return RootedTree([[]])
-    children = [[] for _ in range(n)]
-    for u in range(1, n):
-        children[rng.randrange(u)].append(u)
-    return build_tree(children)
 
 
 def test_criterion_1_universality_by_construction():
@@ -174,7 +134,12 @@ def _generator_identity_pool():
     for n in range(1, 10):
         for tree in enumerate_free_trees(n).trees:
             for root in range(tree.n):
-                pool.append(reroot(tree, root))
+                # re-rooted: a vertex's children are its neighbours other
+                # than the one towards the new root, relabelled into preorder
+                up = _walk(tree, root)[1]
+                pool.append(build_tree(
+                    [[v for v in (*tree.children[u], tree.parent[u])
+                      if v is not None and v != up[u]] for u in range(tree.n)]))
     pool += [typed_ternary(k).tree for k in (1, 2, 3)]
     pool += [perfect_binary(k) for k in (1, 2, 3, 4)]
     return pool
@@ -248,7 +213,7 @@ def test_criterion_8_phi2_contract():
     for size in range(x, host.n - 1):
         assert phi2_window(host, size)
         for _ in range(40):
-            guest = random_guest(rng, size)
+            guest = rand_tree(rng, size)
             for _ in range(6):
                 x1 = rng.randrange(size)
                 x2 = rng.randrange(size)

@@ -15,7 +15,7 @@ from treeverse.decomposition import (ComponentCollection, _bounded_walk,
 import treeverse
 from treeverse.tree_core import Forest, build_tree
 
-from trees import path_tree, star_tree
+from trees import path_tree, rand_tree, star_tree
 
 
 def spider(leg, legs=2):
@@ -136,10 +136,7 @@ def cut_tree(rng, max_n=60):
     """A random tree and the forest cut from it, each non-root vertex
     losing its parent edge with probability 0.15."""
     n = rng.randint(2, max_n)
-    children = [[] for _ in range(n)]
-    for u in range(1, n):
-        children[rng.randrange(u)].append(u)
-    tree = build_tree(children)
+    tree = rand_tree(rng, n)
     parent = {u: tree.parent[u] for u in range(n)}
     for u in range(1, n):
         if rng.random() < 0.15:

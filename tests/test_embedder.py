@@ -21,16 +21,8 @@ from treeverse.tree_core import (Forest, RootedTree, TreeError, TreeView,
                                  build_tree, nearest_left_cousin,
                                  to_parent_csv)
 
-from trees import balanced_hosts, path_tree, star_tree, vertex_orbit_reps
-
-
-def rand_tree(rng, n):
-    if n == 1:
-        return RootedTree([[]])
-    children = [[] for _ in range(n)]
-    for u in range(1, n):
-        children[rng.randrange(u)].append(u)
-    return build_tree(children)
+from trees import (balanced_hosts, path_tree, rand_tree, star_tree,
+                   vertex_orbit_reps)
 
 
 def test_star_center_lands_on_root(ternary_hosts):
@@ -584,3 +576,48 @@ def test_mappings_match_the_pinned_hash():
     for mapping in pinned_embeddings():
         digest.update(repr(sorted(mapping.items())).encode())
     assert digest.hexdigest() == PINNED_MAPPINGS_SHA256
+
+
+def test_pinned_embeddings_take_every_proof_route(monkeypatch):
+    """Every route of the case analysis runs in `pinned_embeddings`: the
+    seven case methods, and the two pushes a step makes itself, into its
+    last root subtree (descend, a plain view) or into the merge of its last
+    two subtrees (tail, a view whose root is not its first vertex)."""
+    cases = ("complete", "leaf_peel", "single_child", "pair_merge",
+             "pair_full", "wide_split", "critical_split")
+    hits = dict.fromkeys((*cases, "descend", "tail"), 0)
+    solver = embedder._Solver
+    called, pushed = [], []
+
+    def spy(name):
+        method = getattr(solver, name)
+
+        def case(self, *args):
+            hits[name] += 1
+            called.append(name)
+            return method(self, *args)
+        return case
+
+    step, push = solver.step, solver.push
+
+    def spied_step(self, view, to_top, piece, anchor, low2):
+        del called[:], pushed[:]
+        step(self, view, to_top, piece, anchor, low2)
+        if piece and not called:
+            (sub,) = pushed
+            hits["descend" if sub.root == sub.lo else "tail"] += 1
+
+    def spied_push(self, view, *args):
+        pushed.append(view)
+        return push(self, view, *args)
+
+    for name in cases:
+        monkeypatch.setattr(solver, name, spy(name))
+    monkeypatch.setattr(solver, "step", spied_step)
+    monkeypatch.setattr(solver, "push", spied_push)
+    for _ in pinned_embeddings():
+        pass
+    # every route is taken; the counts were recorded when this was written
+    assert hits == {"complete": 238, "leaf_peel": 8, "single_child": 2891,
+                    "pair_merge": 266, "pair_full": 18, "wide_split": 194,
+                    "critical_split": 6, "descend": 1065, "tail": 37}

@@ -1,5 +1,8 @@
 import ast
+import sys
 from pathlib import Path
+
+import pytest
 
 import treeverse
 
@@ -53,3 +56,24 @@ def test_modules_import_only_their_lower_layers():
     assert {path.stem for path in paths} == set(ALLOWED_IMPORTS)
     for path in paths:
         assert package_imports(path) <= ALLOWED_IMPORTS[path.stem], path.name
+
+
+def test_package_has_no_runtime_dependencies():
+    """Every top-level module a source file imports is in the standard
+    library or is the package itself, and the project declares none."""
+    package = Path(treeverse.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            for top in tops:
+                assert (top in sys.stdlib_module_names
+                        or top == "treeverse"), (path.name, top)
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())
+    assert project["project"]["dependencies"] == []

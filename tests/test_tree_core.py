@@ -141,6 +141,29 @@ def test_single_tree_check_reads_the_root_size():
             assert got == scan_verdict(children), children
 
 
+def test_a_vertex_listed_twice_is_refused_as_out_of_order():
+    """`RootedTree` has no two-parents check: a child must start where its
+    left sibling's subtree ends, and accepted subtrees nest, so a vertex
+    listed under two parents always breaks preorder first.  Every input with
+    n <= 4 whose lists hold at most two distinct ids either builds the tree
+    `build_tree` builds or is refused with one of the two messages."""
+    refusals = {"children lists are not in preorder",
+                "input is not a single tree in preorder"}
+    inputs = 0
+    for n in range(1, 5):
+        lists = [(), *((c,) for c in range(n)),
+                 *itertools.permutations(range(n), 2)]
+        for children in itertools.product(lists, repeat=n):
+            inputs += 1
+            try:
+                tree = RootedTree(children)
+            except TreeError as exc:
+                assert str(exc) in refusals, children
+                continue
+            assert tree == build_tree(children), children
+    assert inputs == 84_548
+
+
 def test_level_examples():
     assert star_tree(5).levels[0] == 0
     b3 = perfect_binary(3)

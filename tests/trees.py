@@ -9,7 +9,7 @@ from typing import Optional
 
 from treeverse.balanced_trees import validate_balance
 from treeverse.graph_gen import UndirectedGraph
-from treeverse.tree_core import RootedTree, from_parens
+from treeverse.tree_core import RootedTree, build_tree, from_parens
 
 
 def path_tree(n):
@@ -18,6 +18,15 @@ def path_tree(n):
 
 def star_tree(n):
     return RootedTree([list(range(1, n))] + [[] for _ in range(n - 1)])
+
+
+def rand_tree(rng, n):
+    """A random recursive tree: each vertex after the first hangs from a
+    uniformly drawn earlier one."""
+    children = [[] for _ in range(n)]
+    for u in range(1, n):
+        children[rng.randrange(u)].append(u)
+    return build_tree(children)
 
 
 def ordered_trees(n):
