@@ -30,7 +30,6 @@ class TypedTree:
 
     tree: RootedTree
     type_of: tuple
-    k: int
 
 
 def typed_ternary(k: int) -> TypedTree:
@@ -51,7 +50,7 @@ def typed_ternary(k: int) -> TypedTree:
         return u
 
     grow(0, 1)
-    return TypedTree(RootedTree(children), tuple(types), k)
+    return TypedTree(RootedTree(children), tuple(types))
 
 
 def descendant_count(level: int, vtype: int, k: int) -> int:

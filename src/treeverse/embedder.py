@@ -265,16 +265,16 @@ class _Solver:
         w1 = min((v for v in near if v in c_one), default=None)
         w2 = min((v for v in near if v in c_two), default=None)
 
-        whole = c_one | c_two | {w}
         if sigma >= m - vt2:
             c_zero = frozenset({w})
         else:
             c_zero = piece - c_one - c_two
 
         # split the larger component around an inner pivot; the last two
-        # subtrees hold x + y = m - vt1 vertices
+        # subtrees hold x + y = m - vt1 vertices, and the two components
+        # with w hold union_size + 1
         inner = find_bounded_components(self.guest, w,
-                                        len(whole) - (m - vt1) + 1,
+                                        coll.union_size + 2 - (m - vt1),
                                         within=c_one | {w})
         wp = inner.w
         if wp == w:

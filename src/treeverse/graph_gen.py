@@ -86,9 +86,6 @@ class UndirectedGraph:
     def has_edge(self, u: int, w: int) -> bool:
         return w in self.adj[u]
 
-    def degree(self, u: int) -> int:
-        return len(self.adj[u])
-
     def induced_prefix(self, m: int) -> "UndirectedGraph":
         """Undirected subgraph induced on the preorder prefix {0,..,m-1}."""
         if not (0 <= m <= self.n):
@@ -270,6 +267,13 @@ def prefix_counts(tree: RootedTree, radius: int,
     u + 1 by one bisect; its ids above u take one step of a difference array
     along their level row, and each row is summed once at the end.
 
+    Only a span row above u's level can hold an upward pair that no run of
+    its larger end counts, which `_new_upward_pair` tests one candidate at a
+    time.  At radius <= 2 it is never called: that row is then the row of
+    u's parent, whose span ids above u all lie in the subtree of u's anchor,
+    so the candidate scan starts at the span's end.  The bound tables count
+    at radius 0 and 2 only.
+
     A pair is counted at its larger end v, as one of v's lower neighbours.
     Rules 2 and 3 only point to smaller ids and rule 1 only to larger ones,
     so the only arcs into v from a smaller id come from v's ancestors and
@@ -407,15 +411,15 @@ def merged_tree(tree: RootedTree | TreeView,
         raise ValueError("empty run")
     if any(not (0 <= u < view.n) for u in run):
         raise ValueError("run vertex out of range")
-    lvl = view.level(run[0])
-    if lvl == 0:
+    # only view vertex 0 sits at the view root's level
+    if run[0] == 0:
         raise ValueError("run cannot contain the root")
-    if any(view.level(u) != lvl for u in run):
-        raise ValueError("run vertices must share a level")
     base, lo = view.base, view.lo
     first = lo + run[0]
     row = base.level_order[base.levels[first]]
     start = base._pos_in_level[first]
+    # the slice holds only ids on run[0]'s level, each above lo + run[0] after
+    # the first, so this also refuses a run that leaves the level
     if list(row[start:start + len(run)]) != [lo + u for u in run]:
         raise ValueError("run must be consecutive on its level")
     first_parent = view.parent(run[0])

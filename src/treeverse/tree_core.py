@@ -147,16 +147,10 @@ class TreeView:
         top = levels[self.root]
         return max(levels[lo + 1:lo + self.n], default=top) - top
 
-    def check_vertex(self, u: int) -> None:
-        if not (0 <= u < self.n):
-            raise TreeError(f"vertex {u} out of range 0..{self.n - 1}")
+    check_vertex = RootedTree.check_vertex
 
     def size(self, u: int) -> int:
         return self.n if u == 0 else min(self.base.sizes[self.lo + u], self.n - u)
-
-    def level(self, u: int) -> int:
-        levels = self.base.levels
-        return levels[self.vertex(u)] - levels[self.root]
 
     def parent(self, u: int) -> Optional[int]:
         if u == 0:

@@ -18,9 +18,9 @@ from treeverse.embedder import (embed, host_graph_for, phi2_window,
 from treeverse.graph_gen import generate, merged_tree, underlying
 from treeverse.oracle import (enumerate_free_trees, is_interval_universal,
                               is_universal)
-from treeverse.tree_core import Forest, build_tree, nearest_left_cousin
+from treeverse.tree_core import build_tree, nearest_left_cousin
 
-from trees import _walk, rand_tree, vertex_orbit_reps
+from trees import _walk, cut_forest, rand_tree, vertex_orbit_reps
 
 
 def report(criterion, name, ok):
@@ -96,19 +96,9 @@ def test_criterion_6_decomposition_properties():
     bad = 0
     for _ in range(trials):
         n = rng.randint(3, 60)
-        children = [[] for _ in range(n)]
-        for u in range(1, n):
-            children[rng.randrange(u)].append(u)
-        tree = build_tree(children)
-        parent = {u: tree.parent[u] for u in range(n)}
-        for u in range(1, n):
-            if rng.random() < 0.15:
-                parent[u] = None
-        forest = Forest(tuple(range(n)),
-                        parent,
-                        {u: tuple(c for c in tree.children[u]
-                                  if parent[c] == u) for u in range(n)},
-                        tuple(u for u in range(n) if parent[u] is None))
+        tree = rand_tree(rng, n)
+        forest = cut_forest(tree, {u for u in range(1, n)
+                                   if rng.random() < 0.15})
         u = rng.choice(forest.vertices)
         x = rng.randint(1, n - 1)
         coll = find_bounded_components(forest, u, x)
@@ -154,7 +144,7 @@ def test_criterion_7_generator_identities():
             bad += 1  # the radius rule adds nothing below radius 2
         if not (graphs[1].edges <= graphs[2].edges <= graphs[3].edges):
             bad += 1
-        if any(graphs[r].degree(0) != tree.n - 1 for r in (0, 1, 2, 3)):
+        if any(len(graphs[r].adj[0]) != tree.n - 1 for r in (0, 1, 2, 3)):
             bad += 1
         for r in (0, 2):
             full = graphs[r]

@@ -15,18 +15,7 @@ from treeverse.decomposition import (ComponentCollection, _bounded_walk,
 import treeverse
 from treeverse.tree_core import Forest, build_tree
 
-from trees import path_tree, rand_tree, star_tree
-
-
-def spider(leg, legs=2):
-    children = [[]]
-    for _ in range(legs):
-        prev = 0
-        for _ in range(leg):
-            children.append([])
-            children[prev].append(len(children) - 1)
-            prev = len(children) - 1
-    return build_tree(children)
+from trees import cut_forest, path_tree, rand_tree, spider_tree, star_tree
 
 
 def check_bounded(forest, coll, u, x):
@@ -118,7 +107,7 @@ def test_feasible_star():
 
 
 def test_spider_two_long_legs():
-    t = spider(5, 2)
+    t = spider_tree([5, 5])
     f = Forest.from_tree(t)
     coll, kind = find_feasible_or_critical(f, 0, 4, 3)
     check_feasible_or_critical(f, coll, kind, 0, 4, 3)
@@ -126,7 +115,7 @@ def test_spider_two_long_legs():
 
 def test_critical_shape():
     # pivot with three legs of length 3 forces a critical pair for (5, 3)
-    t = spider(3, 3)
+    t = spider_tree([3, 3, 3])
     f = Forest.from_tree(t)
     coll, kind = find_feasible_or_critical(f, 0, 5, 3)
     check_feasible_or_critical(f, coll, kind, 0, 5, 3)
@@ -137,14 +126,8 @@ def cut_tree(rng, max_n=60):
     losing its parent edge with probability 0.15."""
     n = rng.randint(2, max_n)
     tree = rand_tree(rng, n)
-    parent = {u: tree.parent[u] for u in range(n)}
-    for u in range(1, n):
-        if rng.random() < 0.15:
-            parent[u] = None
-    child = {u: tuple(c for c in tree.children[u] if parent[c] == u)
-             for u in range(n)}
-    roots = tuple(u for u in range(n) if parent[u] is None)
-    return tree, Forest(tuple(range(n)), parent, child, roots)
+    return tree, cut_forest(tree, {u for u in range(1, n)
+                                   if rng.random() < 0.15})
 
 
 def random_forest(rng, max_n=60):
@@ -246,8 +229,8 @@ def test_heavy_child_walk_matches_the_ranking_walk():
     rng = random.Random(808)
     for i in range(1500):
         # spiders give many equal-sized children
-        f = random_forest(rng) if i % 3 else Forest.from_tree(spider(
-            rng.randint(1, 6), rng.randint(2, 6)))
+        f = random_forest(rng) if i % 3 else Forest.from_tree(spider_tree(
+            [rng.randint(1, 6)] * rng.randint(2, 6)))
         n = len(f)
         u = rng.choice(f.vertices)
         x = rng.randint(1, max(1, n // 2))
@@ -293,13 +276,8 @@ def forests(draw):
     children = [[] for _ in range(n)]
     for u, p in enumerate(parents, start=1):
         children[p].append(u)
-    tree = build_tree(children)
-    parent = {u: (None if (u > 0 and cut[u - 1]) else tree.parent[u])
-              for u in range(n)}
-    child = {u: tuple(c for c in tree.children[u] if parent[c] == u)
-             for u in range(n)}
-    roots = tuple(u for u in range(n) if parent[u] is None)
-    return Forest(tuple(range(n)), parent, child, roots)
+    return cut_forest(build_tree(children),
+                      {u for u in range(1, n) if cut[u - 1]})
 
 
 @settings(max_examples=200, deadline=None)

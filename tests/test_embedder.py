@@ -1,5 +1,4 @@
 import hashlib
-import heapq
 import os
 import random
 import subprocess
@@ -21,8 +20,8 @@ from treeverse.tree_core import (Forest, RootedTree, TreeError, TreeView,
                                  build_tree, nearest_left_cousin,
                                  to_parent_csv)
 
-from trees import (balanced_hosts, path_tree, rand_tree, star_tree,
-                   vertex_orbit_reps)
+from trees import (balanced_hosts, path_tree, prufer_tree, rand_tree,
+                   spider_tree, star_tree, vertex_orbit_reps)
 
 
 def test_star_center_lands_on_root(ternary_hosts):
@@ -336,49 +335,13 @@ def test_broken_mapping_raises_under_python_O():
     assert "raised:" in proc.stdout and "maps to non-edge" in proc.stdout
 
 
-def prufer_tree(rng, n):
-    """A uniform random labelled tree on n >= 2 vertices, rooted at 0."""
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    degree = [1] * n
-    for s in seq:
-        degree[s] += 1
-    leaves = [u for u in range(n) if degree[u] == 1]
-    heapq.heapify(leaves)
-    adj = [[] for _ in range(n)]
-    for s in seq:
-        leaf = heapq.heappop(leaves)
-        adj[leaf].append(s)
-        adj[s].append(leaf)
-        degree[s] -= 1
-        if degree[s] == 1:
-            heapq.heappush(leaves, s)
-    a, b = leaves
-    adj[a].append(b)
-    adj[b].append(a)
-    children = [[] for _ in range(n)]
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                children[u].append(v)
-                stack.append(v)
-    return build_tree(children)
-
-
-def spider_tree(rng, n):
+def random_spider(rng, n):
     """A centre with legs of random lengths, n vertices in all."""
-    children = [[] for _ in range(n)]
-    u = 1
+    legs, u = [], 1
     while u < n:
-        leg = rng.randint(1, n - u)
-        children[0].append(u)
-        for v in range(u, u + leg - 1):
-            children[v].append(v + 1)
-        u += leg
-    return RootedTree(children)
+        legs.append(rng.randint(1, n - u))
+        u += legs[-1]
+    return spider_tree(legs)
 
 
 def caterpillar_tree(rng, n):
@@ -402,7 +365,7 @@ def test_only_cousin_runs_are_merged(monkeypatch):
 
     monkeypatch.setattr(embedder, "merged_tree", spying)
     rng = random.Random(1009)
-    shapes = (prufer_tree, rand_tree, spider_tree, caterpillar_tree)
+    shapes = (prufer_tree, rand_tree, random_spider, caterpillar_tree)
     for k in (4, 5):
         host = typed_ternary(k).tree
         graph = host_graph_for(host)
@@ -507,7 +470,6 @@ def assert_view_is(view, tree, ids):
     assert view.n == m
     assert tuple(view.children(i) for i in range(m)) == tree.children
     assert tuple(view.size(i) for i in range(m)) == tree.sizes
-    assert tuple(view.level(i) for i in range(m)) == tree.levels
     assert tuple(view.parent(i) for i in range(m)) == tree.parent
     assert tuple(view.nearest_left_cousin(i) for i in range(m)) == \
         tuple(nearest_left_cousin(tree, i) for i in range(m))

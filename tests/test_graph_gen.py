@@ -5,6 +5,7 @@ from itertools import accumulate, combinations
 
 import pytest
 
+from treeverse import graph_gen
 from treeverse.balanced_trees import perfect_binary, typed_ternary
 from treeverse.graph_gen import (TAG_COUSIN_SUBTREE, TAG_NAMES, PrefixCounts,
                                  UndirectedGraph, generate, merged_tree,
@@ -13,7 +14,8 @@ from treeverse.oracle import enumerate_free_trees
 from treeverse.tree_core import (RootedTree, build_tree, from_parens,
                                  nearest_left_cousin)
 
-from trees import balanced_hosts, ordered_trees, path_tree, star_tree
+from trees import (balanced_hosts, ordered_trees, path_tree, rand_tree,
+                   spider_tree, star_tree)
 
 
 def naive_rule_edges(tree, radius):
@@ -88,7 +90,7 @@ def test_neighbour_sets_answer_every_pair_query():
         g = UndirectedGraph(n, raw)
         assert g.edges == frozenset(pairs) and g.edge_count == len(pairs)
         for u in range(n):
-            assert g.degree(u) == sum(u in e for e in pairs)
+            assert len(g.adj[u]) == sum(u in e for e in pairs)
             for w in range(n):
                 assert g.has_edge(u, w) == ((min(u, w), max(u, w)) in pairs)
         for m in range(n + 1):
@@ -175,10 +177,7 @@ def _wide_trees():
                                     + [[] for _ in range(n - h)]))
         # spiders: legs of `leg` vertices on a centre
         for leg in (2, 3):
-            legs = -(-(n - 1) // leg)
-            trees.append(RootedTree(
-                [[1 + i * leg for i in range(legs)]]
-                + [[v + 1] if v % leg else [] for v in range(1, 1 + legs * leg)]))
+            trees.append(spider_tree([leg] * -(-(n - 1) // leg)))
         # caterpillars: a spine with leaves dealt round it, the spine's
         # next vertex first or last among the children
         for spine, first in ((n // 4, True), (n // 2, False)):
@@ -205,6 +204,34 @@ def test_prefix_counts_match_the_arc_counter():
             for legacy in (False, True):
                 assert prefix_counts(tree, r, legacy) == \
                     arc_prefix_counts(generate(tree, r, legacy))
+
+
+def test_bound_tables_never_run_the_upward_pair_scan(monkeypatch):
+    """At radius <= 2 `prefix_counts` never calls `_new_upward_pair`, so the
+    bound tables, which count at radius 0 and 2, never run that scan.  At
+    radius 3 it still runs."""
+    calls = [0]
+    check = graph_gen._new_upward_pair
+
+    def counting(*args):
+        calls[0] += 1
+        return check(*args)
+
+    monkeypatch.setattr(graph_gen, "_new_upward_pair", counting)
+    rng = random.Random(25)
+    trees = [typed_ternary(k).tree for k in range(1, 8)]
+    trees += [perfect_binary(k) for k in range(10)]
+    trees += [rand_tree(rng, rng.randint(1, 200)) for _ in range(200)]
+    trees.append(path_tree(200))
+    for legacy in (False, True):
+        for r in (0, 1, 2):
+            for tree in trees:
+                prefix_counts(tree, r, legacy)
+            assert calls[0] == 0, (r, legacy)
+        for tree in trees:
+            prefix_counts(tree, 3, legacy)
+        assert calls[0] > 0, legacy
+        calls[0] = 0
 
 
 def test_prefix_counts_refuse_a_negative_radius():
@@ -323,7 +350,7 @@ def test_merged_tree_rejects_bad_runs():
         merged_tree(b3, ())
     with pytest.raises(ValueError):
         merged_tree(b3, (0,))  # the root has no parent
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="consecutive"):
         merged_tree(b3, (2, 1))  # different levels
     with pytest.raises(ValueError):
         merged_tree(b3, (2, 9))  # not consecutive on the level
@@ -365,7 +392,7 @@ def test_root_degree_is_n_minus_1():
     for tree in _small_tree_pool():
         for r in (0, 1, 2):
             g = underlying(generate(tree, r))
-            assert g.degree(0) == tree.n - 1
+            assert len(g.adj[0]) == tree.n - 1
 
 
 def test_radius_monotonicity_and_collapse():

@@ -17,11 +17,11 @@ from treeverse.oracle import (ENUM_GUARD, _flatten, _free_parents,
                               _settled, _sorted_neighbours, brute_embed,
                               enumerate_free_trees, is_interval_universal,
                               is_universal)
-from treeverse.tree_core import RootedTree, build_tree, from_parens, to_parens
+from treeverse.tree_core import RootedTree, from_parens, to_parens
 
 from trees import (_centers, _tree_to_enc, balanced_hosts, degree_witness,
                    free_canonical_encoding, free_tree_automorphisms, path_tree,
-                   star_tree, vertex_orbit_reps)
+                   prufer_edges, rooted_at_zero, star_tree, vertex_orbit_reps)
 
 # free trees per vertex count up to the enumeration guard (OEIS A000055)
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,
@@ -135,50 +135,13 @@ def test_representatives_are_pairwise_nonisomorphic():
         assert len(keys) == FREE_TREE_COUNTS[n]
 
 
-def prufer_to_edges(seq, n):
-    import heapq
-
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    leaves = [u for u in range(n) if degree[u] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return edges
-
-
-def edges_to_rooted(edges, n):
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    children = [[] for _ in range(n)]
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                children[u].append(v)
-                stack.append(v)
-    return build_tree(children)
-
-
 def test_census_against_prufer_enumeration():
     """Independent pipeline: all labeled trees via their sequences, then
     dedup by the free canonical key."""
     for n in range(3, 8):
         keys = set()
         for seq in product(range(n), repeat=n - 2):
-            tree = edges_to_rooted(prufer_to_edges(list(seq), n), n)
+            tree = rooted_at_zero(prufer_edges(list(seq), n), n)
             keys.add(free_canonical_encoding(tree))
         assert len(keys) == FREE_TREE_COUNTS[n]
 
@@ -187,7 +150,7 @@ def test_classes_match_networkx():
     """Independent generator (Wright, Richmond, Odlyzko and McKay)."""
     nx = pytest.importorskip("networkx")
     for n in range(1, 13):
-        theirs = {free_canonical_encoding(edges_to_rooted(g.edges, n))
+        theirs = {free_canonical_encoding(rooted_at_zero(g.edges, n))
                   for g in nx.nonisomorphic_trees(n)}
         ours = {free_canonical_encoding(t)
                 for t in enumerate_free_trees(n).trees}

@@ -77,3 +77,17 @@ def test_package_has_no_runtime_dependencies():
     pyproject = Path(__file__).parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text())
     assert project["project"]["dependencies"] == []
+
+
+def test_test_modules_do_not_redefine_shared_builders():
+    """A tree builder or key shared through `tests/trees.py` is defined
+    there only: no test module defines a top-level function of that name."""
+    here = Path(__file__).parent
+
+    def functions(path):
+        return {node.name for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.FunctionDef)}
+
+    shared = functions(here / "trees.py")
+    for path in sorted(here.glob("test_*.py")):
+        assert not functions(path) & shared, path.name

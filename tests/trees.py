@@ -1,15 +1,18 @@
 """Tree builders, tree keys and a graph check shared by the test modules, so
-that no test module imports another."""
+that no test module imports another.  Each builder is defined here once, and
+no test module defines a function of the same name
+(`tests/test_package.py` checks it)."""
 
 from __future__ import annotations
 
+import heapq
 from itertools import groupby
 from math import factorial
 from typing import Optional
 
 from treeverse.balanced_trees import validate_balance
 from treeverse.graph_gen import UndirectedGraph
-from treeverse.tree_core import RootedTree, build_tree, from_parens
+from treeverse.tree_core import Forest, RootedTree, build_tree, from_parens
 
 
 def path_tree(n):
@@ -27,6 +30,67 @@ def rand_tree(rng, n):
     for u in range(1, n):
         children[rng.randrange(u)].append(u)
     return build_tree(children)
+
+
+def prufer_edges(seq, n):
+    """The edges of the labelled tree on n >= 2 vertices with Prüfer
+    sequence `seq`: each step joins the smallest leaf to the next entry."""
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    leaves = [u for u in range(n) if degree[u] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        edges.append((heapq.heappop(leaves), v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return edges
+
+
+def rooted_at_zero(edges, n):
+    """The tree on vertices 0..n-1 with these edges, rooted at 0."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    children = [[] for _ in range(n)]
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                children[u].append(v)
+                stack.append(v)
+    return build_tree(children)
+
+
+def prufer_tree(rng, n):
+    """A uniform random labelled tree on n >= 2 vertices, rooted at 0."""
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    return rooted_at_zero(prufer_edges(seq, n), n)
+
+
+def spider_tree(legs):
+    """A centre with legs of the given lengths, in order."""
+    children = [[]]
+    for leg in legs:
+        children[0].append(len(children))
+        children += [[len(children) + i + 1] for i in range(leg - 1)] + [[]]
+    return RootedTree(children)
+
+
+def cut_forest(tree, cut):
+    """The forest left when each vertex in `cut` loses its parent edge."""
+    parent = {u: None if u in cut else tree.parent[u] for u in range(tree.n)}
+    child = {u: tuple(c for c in tree.children[u] if c not in cut)
+             for u in range(tree.n)}
+    roots = tuple(u for u in range(tree.n) if parent[u] is None)
+    return Forest(tuple(range(tree.n)), parent, child, roots)
 
 
 def ordered_trees(n):
@@ -53,7 +117,7 @@ def balanced_hosts(max_n):
 def degree_witness(graph: UndirectedGraph) -> Optional[int]:
     """A vertex adjacent to everything else, if one exists."""
     for u in range(graph.n):
-        if graph.degree(u) == graph.n - 1:
+        if len(graph.adj[u]) == graph.n - 1:
             return u
     return None
 
