@@ -7,6 +7,7 @@ Exit codes: 0 on success (bounds hold / graph universal / embedding valid),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -176,7 +177,11 @@ def cmd_balance(args) -> int:
     return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `treeverse` parser, built on the first call and then reused:
+    parsing keeps no state in it, and building it costs more than a small
+    command's own work."""
     p = argparse.ArgumentParser(prog="treeverse")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -35,12 +35,14 @@ need the interpreter's recursion limit.
 The finished embedding is always re-checked by `verify_embedding`, which does
 not rely on `assert` and so also runs under `python -O`; a failure there
 raises `EmbeddingBugError`.  So does a step whose case analysis breaks before
-it places anything.
+it places anything.  When the caller passed `host_graph` and the map passes
+against the host's own radius-2 graph, the caller's graph is at fault, and
+`ValueError` is raised instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .tree_core import RootedTree, TreeView
@@ -335,9 +337,10 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
 
     Returns an Embedding whose unused host vertices form a preorder prefix,
     with x1 on a minimum-level image vertex and, when `phi2_window` holds,
-    x2 at level <= 2.  Raises ValueError for invalid inputs and
-    EmbeddingBugError (an AssertionError) when the result fails
-    `verify_embedding`, which would be a bug.
+    x2 at level <= 2.  Raises ValueError for invalid inputs, among them a
+    `host_graph` that lacks an edge the map uses, and EmbeddingBugError (an
+    AssertionError) when the map fails `verify_embedding` against the
+    host's own graph, which would be a bug.
     """
     if guest.n > host.n:
         raise ValueError(f"guest has {guest.n} vertices, host only {host.n}")
@@ -354,7 +357,8 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
 
     mapping = _solve(host, frozenset(range(guest.n)), guest, x1, x2)
 
-    if host_graph is None:
+    given_graph = host_graph is not None
+    if not given_graph:
         host_graph = host_graph_for(host)
     # the complement and x1 flags hold whenever the check below passes
     applicable = phi2_window(host, guest.n)
@@ -369,6 +373,10 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
     )
     ok, problems = verify_embedding(emb, guest, x1, x2)
     if not ok:
+        if given_graph and verify_embedding(
+                replace(emb, host_graph=host_graph_for(host)), guest, x1, x2)[0]:
+            raise ValueError("host graph is not the host's radius-2 graph: "
+                             + "; ".join(problems))
         raise EmbeddingBugError("; ".join(problems))
     return emb
 

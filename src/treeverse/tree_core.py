@@ -377,7 +377,13 @@ def from_parent_csv(text: str) -> RootedTree:
     s = text.strip()
     if not s:
         return RootedTree([[]])
-    parents = [int(tok) for tok in s.split(",")]
+    parents = []
+    for tok in s.split(","):
+        try:
+            parents.append(int(tok))
+        except ValueError:
+            raise TreeError(f"parent id {tok.strip()!r} is not an integer") \
+                from None
     n = len(parents) + 1
     children: list[list[int]] = [[] for _ in range(n)]
     for u, p in enumerate(parents, start=1):

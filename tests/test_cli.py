@@ -1,7 +1,15 @@
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import treeverse
 
 from treeverse.balanced_trees import perfect_binary, typed_ternary
 from treeverse.cli import main
@@ -222,9 +230,80 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
-def test_domain_error_exit_code(capsys):
+def test_domain_error_exit_code(tmp_path, capsys):
     code, _ = run(capsys, "gap", "--k", "99")
     assert code == 2
+
+    tree = tmp_path / "bad.csv"
+    tree.write_text("0,x\n")
+    assert main(["decompose", "--tree", str(tree), "--x", "1"]) == 2
+    assert capsys.readouterr().err == \
+        "error: parent id 'x' is not an integer\n"
+
+
+def test_main_builds_one_parser_and_keeps_no_state_between_calls(
+        capsys, monkeypatch):
+    import treeverse.cli as cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    plain = run(capsys, "gen-graph", "--k", "2")
+    assert plain == (0, to_json(generate(perfect_binary(2), 0)) + "\n")
+    assert len(built) == 10   # the top-level parser and nine subcommands
+    built.clear()
+
+    # a flag set on one call is not carried into the next
+    assert run(capsys, "gen-graph", "--legacy", "--k", "2") == \
+        (0, to_json(generate(perfect_binary(2), 0, legacy=True)) + "\n")
+    assert run(capsys, "gen-graph", "--k", "2") == plain
+
+    # neither a usage error nor an `error:` exit changes the next call
+    argv = ("bounds", "--family", "binary", "--k-max", "3")
+    before = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--family", "nope", "--k-max", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *argv) == before
+    assert main(["gen-tree", "--family", "binary", "--k", "99"]) == 2
+    assert capsys.readouterr().err.startswith("error: guard:")
+    assert run(capsys, *argv) == before
+    assert built == []
+
+
+# Wraps the parser constructor, then imports the CLI and calls it once.
+IMPORT_THEN_CALL = textwrap.dedent("""
+    import argparse, contextlib, io
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    argparse.ArgumentParser.__init__ = counting
+    import treeverse.cli
+    on_import = len(built)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = treeverse.cli.main(["gap", "--k", "2"])
+    print(on_import, len(built), code)
+""")
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(treeverse.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", IMPORT_THEN_CALL],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 10 0\n"
 
 
 def test_family_k_guards_refuse_before_building(capsys, monkeypatch):

@@ -14,7 +14,7 @@ from treeverse import embedder
 from treeverse.balanced_trees import typed_ternary
 from treeverse.embedder import (Embedding, embed, host_graph_for, phi2_window,
                                 verify_embedding)
-from treeverse.graph_gen import merged_tree
+from treeverse.graph_gen import UndirectedGraph, merged_tree
 from treeverse.oracle import brute_embed, enumerate_free_trees
 from treeverse.tree_core import (Forest, RootedTree, TreeError, TreeView,
                                  build_tree, nearest_left_cousin,
@@ -131,6 +131,12 @@ def test_embed_rejects_bad_inputs(ternary_hosts, monkeypatch):
     lopsided = RootedTree([[1, 2], [], [3, 4, 5, 6], [], [], [], []])
     with pytest.raises(ValueError):
         embed(lopsided, path_tree(3), 0, 0)
+    # a graph of the right size that lacks the edges the map uses is the
+    # caller's fault, not an embedder bug
+    with pytest.raises(ValueError, match="^host graph is not the host's "
+                                         "radius-2 graph: guest edge 0-1"):
+        embed(ternary_hosts[2][0], path_tree(5), 0, 0,
+              host_graph=UndirectedGraph(9, ()))
 
     # the sizes are compared before the balance check reads the host
     def never(tree):

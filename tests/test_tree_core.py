@@ -329,3 +329,7 @@ def test_parens_rejects_garbage():
         from_parens("())")
     with pytest.raises(TreeError, match="^parent id 9 out of range$"):
         from_parent_csv("0,9")
+    for text, token in (("0,x", "'x'"), ("0,1.5", r"'1\.5'"), ("0,,1", "''")):
+        with pytest.raises(TreeError,
+                           match=f"^parent id {token} is not an integer$"):
+            parse_tree(text)
