@@ -1,39 +1,36 @@
 """Separator-style component selection inside forests.
 
-A finder's first argument is a tree read through three fields, each indexed
-by vertex id: `parent[v]` (None at a root), `children[v]` and `vertices`.
-The embedder and the `decompose` command pass the guest `RootedTree` itself;
-the tests also pass forests cut out of a tree.  Two finders drive the
-embedder: one returns a pivot vertex together with components of bounded
-total size avoiding a protected vertex, the other refines that into a
-collection that is either `feasible` (union plus pivot lands in
-[x, x+y-2]) or `critical` (union in [x+y-2, 2x-3] with every proper
-sub-union at most x-2).  The critical window is empty when x <= y, so
+A finder's first argument is a `RootedTree`, read through `n`, `parent` and
+`children`; `within`, when given, is a set of its ids, and the finder then
+works on the forest the tree induces on that set.  The embedder passes the
+guest with one of its pieces, and the `decompose` command the whole tree.
+Two finders drive the embedder: one returns a pivot vertex together with
+components of bounded total size avoiding a protected vertex, the other
+refines that into a collection that is either `feasible` (union plus pivot
+lands in [x, x+y-2]) or `critical` (union in [x+y-2, 2x-3] with every
+proper sub-union at most x-2).  The critical window is empty when x <= y, so
 there the second finder always returns a feasible collection.
 
-Each finder call makes one sweep over the forest's vertex set, in
-decreasing id order, which relies on every parent having a smaller id than
-its children (the preorder ids a `RootedTree` has and a forest cut from it
-keeps; anything else is refused).
-The sweep adds each subtree size to the parent's and collects the trees'
-tops.  The forest is then read as rooted away from the protected vertex u:
-u's tree at u and every other tree hung under u from its top.  Only the path
-from u up to its top changes: a vertex there owns its tree minus the side
-toward u, so its size is the top's minus that side's and its smallest id is
-the top; every other vertex keeps its sweep size and is its own smallest id.
-A component of forest - w avoiding u is then the subtree of a child of w in
-that rooting, or, when w is u, a whole other tree.  A walk step moves to
-the root of the largest, ties by smallest id, while it has at least 2x
-vertices.  On the path to the top a step ranks the candidates, in O(degree
-of w); off the path it takes w's heavy child, in O(1): the largest sweep
-child, which the sweep records when it is that large.  Where the walk stops
-it ranks all candidates once.  Only the returned components are built, by a
-search from each root that does not cross w, and each result is checked
-against the classifier by a raise of `DecompositionBugError`, which
-`python -O` keeps.  A finder given `within` works on the forest induced on
-that set, reading the whole tree's maps instead of building the induced
-copy.  The set is checked against `vertices` one id at a time, which on a
-`RootedTree` (whose `vertices` is a range) costs O(|within|), not O(n).
+Each finder call makes one sweep over the forest's vertex set, in decreasing
+id order, which relies on every parent having a smaller id than its
+children, as preorder ids have.  The sweep adds each subtree size to the
+parent's and collects the trees' tops.  The forest is then read as rooted
+away from the protected vertex u: u's tree at u and every other tree hung
+under u from its top.  Only the path from u up to its top changes: a vertex
+there owns its tree minus the side toward u, so its size is the top's minus
+that side's and its smallest id is the top; every other vertex keeps its
+sweep size and is its own smallest id.  A component of forest - w avoiding u
+is then the subtree of a child of w in that rooting, or, when w is u, a
+whole other tree.  A walk step moves to the root of the largest, ties by
+smallest id, while it has at least 2x vertices.  On the path to the top a
+step ranks the candidates, in O(degree of w); off the path it takes w's
+heavy child, in O(1): the largest sweep child, which the sweep records when
+it is that large.  Where the walk stops it ranks all candidates once.  Only
+the returned components are built, by a search from each root that does not
+cross w, and each result is checked against the classifier by a raise of
+`DecompositionBugError`, which `python -O` keeps.  The tree's maps are read
+in place, so no induced copy is built, and `within` is checked against the
+ids 0..n-1 one id at a time, in O(|within|), not O(n).
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .tree_core import TreeError
+from .tree_core import RootedTree, TreeError
 
 
 class DecompositionBugError(AssertionError):
@@ -89,7 +86,7 @@ class _RootedPass:
     components of forest - w are the subtrees of w's children in that
     rooting."""
 
-    def __init__(self, tree, u: int, inside: frozenset, x: int):
+    def __init__(self, tree: RootedTree, u: int, inside: frozenset, x: int):
         if u not in inside:
             raise ValueError(f"vertex {u} not in forest")
         parent = tree.parent
@@ -106,14 +103,11 @@ class _RootedPass:
             p = parent[v]
             if p not in inside:
                 tops.append(v)
-            elif p < v:
+            else:
                 s = size[v]
                 size[p] += s
                 if s >= big and s >= size[heavy.get(p, v)]:
                     heavy[p] = v
-            else:
-                raise ValueError(f"forest vertex {v} has the larger id "
-                                 f"{p} as parent")
 
         # re-root u's tree at u: on the path from u up to its top, each
         # vertex's subtree becomes the tree minus the side toward u
@@ -211,17 +205,17 @@ def _checked(rooted: _RootedPass, w: int, roots, x: int, y: int,
     return coll, kind
 
 
-def _inside(tree, within) -> frozenset:
+def _inside(tree: RootedTree, within) -> frozenset:
     """The vertex set a finder works on: the whole tree, or `within`,
-    refused, before any other check, when it holds an id that is not in
-    `tree.vertices`."""
-    ks = frozenset(tree.vertices if within is None else within)
-    if within is not None and not all(map(tree.vertices.__contains__, ks)):
+    refused, before any other check, when it holds an id outside 0..n-1."""
+    ids = range(tree.n)
+    ks = frozenset(ids if within is None else within)
+    if within is not None and not all(map(ids.__contains__, ks)):
         raise TreeError("induced set is not a subset of the forest")
     return ks
 
 
-def find_bounded_components(tree, u: int, x: int,
+def find_bounded_components(tree: RootedTree, u: int, x: int,
                             within=None) -> ComponentCollection:
     """Find w and components of forest - w avoiding u with union in [x, 2x-1].
 
@@ -242,7 +236,7 @@ def find_bounded_components(tree, u: int, x: int,
     return rooted.collection(*_bounded_walk(rooted))
 
 
-def find_feasible_or_critical(tree, u: int, x: int, y: int,
+def find_feasible_or_critical(tree: RootedTree, u: int, x: int, y: int,
                               within=None
                               ) -> tuple[ComponentCollection, str]:
     """Find a u-avoiding collection that classifies feasible or critical,

@@ -59,6 +59,8 @@ class UndirectedGraph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges):
+        if n < 0:
+            raise ValueError(f"vertex count {n} is negative")
         self.n = n
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, w in edges:

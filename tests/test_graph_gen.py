@@ -113,6 +113,9 @@ def test_graph_refuses_self_loops_and_outside_endpoints():
     for bad in ((0, 3), (3, 0), (-1, 1), (1, -1)):
         with pytest.raises(ValueError, match="edge endpoint out of range"):
             UndirectedGraph(3, [bad])
+    # a negative count made a graph that both deciders called universal
+    with pytest.raises(ValueError, match="^vertex count -1 is negative$"):
+        UndirectedGraph(-1, [])
     with pytest.raises(ValueError):
         UndirectedGraph(3, [(0, 1)]).induced([2, -1])
     # a repeated vertex would take two labels, the first left isolated

@@ -91,3 +91,17 @@ def test_test_modules_do_not_redefine_shared_builders():
     shared = functions(here / "trees.py")
     for path in sorted(here.glob("test_*.py")):
         assert not functions(path) & shared, path.name
+
+
+def test_only_tree_core_names_forest():
+    """`Forest` is the tests' reference for components and the benchmark
+    tracer's target: no other package module builds or reads one, so the
+    finders take only a `RootedTree` and a vertex set."""
+    for path in sorted(Path(treeverse.__file__).parent.glob("*.py")):
+        if path.stem == "tree_core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            assert name != "Forest", (path.name, node.lineno)

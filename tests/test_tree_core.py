@@ -220,7 +220,6 @@ def test_u_components_path():
 
 def test_forest_induced_splits():
     f = Forest.from_tree(path_tree(6)).induced({0, 1, 3, 4})
-    assert set(f.roots) == {0, 3}
     assert sorted(map(sorted, f.components())) == [[0, 1], [3, 4]]
 
 
@@ -327,9 +326,18 @@ def test_parens_rejects_garbage():
             from_parens(bad)
     with pytest.raises(TreeError, match="^unbalanced parentheses$"):
         from_parens("())")
-    with pytest.raises(TreeError, match="^parent id 9 out of range$"):
-        from_parent_csv("0,9")
-    for text, token in (("0,x", "'x'"), ("0,1.5", r"'1\.5'"), ("0,,1", "''")):
+    for bad in ("9", "-1", " -1 "):
+        with pytest.raises(TreeError,
+                           match=f"^parent id {bad.strip()} out of range$"):
+            from_parent_csv("0," + bad)
+    assert from_parent_csv(" 0 , 1 ,0") == from_parens("((())())")
+    # `int` reads these too: '1_0' as 10, '+1' as 1, and non-ASCII digits
+    for text, token in (("0,x", "'x'"), ("0,1.5", r"'1\.5'"), ("0,,1", "''"),
+                        ("0,1_0", "'1_0'"), ("0,+1", r"'\+1'"),
+                        ("0,\u0661", "'\u0661'"), ("0,--1", "'--1'"),
+                        ("0,- 1", "'- 1'")):
         with pytest.raises(TreeError,
                            match=f"^parent id {token} is not an integer$"):
             parse_tree(text)
+    with pytest.raises(TreeError, match="^parent id '1{5000}' is not an"):
+        parse_tree("0," + "1" * 5000)   # past `int`'s digit limit

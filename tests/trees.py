@@ -12,7 +12,7 @@ from typing import Optional
 
 from treeverse.balanced_trees import validate_balance
 from treeverse.graph_gen import UndirectedGraph
-from treeverse.tree_core import Forest, RootedTree, build_tree, from_parens
+from treeverse.tree_core import RootedTree, build_tree, from_parens
 
 
 def path_tree(n):
@@ -84,13 +84,12 @@ def spider_tree(legs):
     return RootedTree(children)
 
 
-def cut_forest(tree, cut):
-    """The forest left when each vertex in `cut` loses its parent edge."""
-    parent = {u: None if u in cut else tree.parent[u] for u in range(tree.n)}
-    child = {u: tuple(c for c in tree.children[u] if c not in cut)
-             for u in range(tree.n)}
-    roots = tuple(u for u in range(tree.n) if parent[u] is None)
-    return Forest(tuple(range(tree.n)), parent, child, roots)
+def random_subset(rng, n):
+    """At least two of the ids 0..n-1, n >= 2: two drawn ids, and each other
+    id with probability 0.85.  A tree and such a set are the form in which
+    the embedder hands a piece to the decomposition finders."""
+    pair = rng.sample(range(n), 2)
+    return {v for v in range(n) if v in pair or rng.random() < 0.85}
 
 
 def ordered_trees(n):
