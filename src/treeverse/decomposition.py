@@ -207,10 +207,12 @@ def _checked(rooted: _RootedPass, w: int, roots, x: int, y: int,
 
 def _inside(tree: RootedTree, within) -> frozenset:
     """The vertex set a finder works on: the whole tree, or `within`,
-    refused, before any other check, when it holds an id outside 0..n-1."""
-    ids = range(tree.n)
-    ks = frozenset(ids if within is None else within)
-    if within is not None and not all(map(ids.__contains__, ks)):
+    refused, before any other check, when it holds anything but int ids in
+    0..n-1, such as a float equal to an id."""
+    ks = frozenset(range(tree.n) if within is None else within)
+    # whole passes in C: the types, then the range by its two ends
+    if not ({*map(type, ks)} <= {int} and 0 <= min(ks, default=0)
+            and max(ks, default=0) < tree.n):
         raise TreeError("induced set is not a subset of the forest")
     return ks
 

@@ -382,7 +382,7 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
 
 
 def verify_embedding(embedding: Embedding, guest: RootedTree, x1: int,
-                     x2: Optional[int] = None) -> tuple[bool, list]:
+                     x2: int) -> tuple[bool, list]:
     """Re-check an embedding's map: injectivity, edge preservation,
     admissible complement, and both placement guarantees.
 
@@ -417,8 +417,6 @@ def verify_embedding(embedding: Embedding, guest: RootedTree, x1: int,
     if host.levels[mapping[x1]] != min_level:
         problems.append(f"x1 sits at level {host.levels[mapping[x1]]}, "
                         f"image minimum is {min_level}")
-    if x2 is None:
-        x2 = x1
     if phi2_window(host, guest.n) and host.levels[mapping[x2]] > 2:
         problems.append(f"x2 sits at level {host.levels[mapping[x2]]} > 2")
     return not problems, problems

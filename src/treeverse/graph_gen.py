@@ -16,8 +16,9 @@ vertex's anchor (`_radius_spans`), are helpers that the edge counter shares.
 tagged arcs when `arcs` is first read, which only the JSON export and tests
 do.  The undirected view (`underlying`) is read from the runs without
 building any arcs.  The edge counts of every preorder prefix, undirected and
-per rule tag (`prefix_counts`), expand no run at all: they are counted from
-block sizes and from each anchor's spans, with a few bisects per span.
+per rule tag (`prefix_counts`), read no run at all, at any radius: they are
+counted from block sizes and from each anchor's spans, with a few bisects
+and at most one cousin-target check per span.
 
 An undirected view (`UndirectedGraph`) keeps one neighbour set per vertex and
 nothing else; its pair set `edges` is built only when read, for output and
@@ -269,12 +270,19 @@ def prefix_counts(tree: RootedTree, radius: int,
     u + 1 by one bisect; its ids above u take one step of a difference array
     along their level row, and each row is summed once at the end.
 
-    Only a span row above u's level can hold an upward pair that no run of
-    its larger end counts, which `_new_upward_pair` tests one candidate at a
-    time.  At radius <= 2 it is never called: that row is then the row of
-    u's parent, whose span ids above u all lie in the subtree of u's anchor,
-    so the candidate scan starts at the span's end.  The bound tables count
-    at radius 0 and 2 only.
+    Only a span row above u's level can hold an upward pair u -> w that no
+    run of w counts.  On that row, past the children of x, the parent of
+    u's ancestor there, no w holds u in its tree or descendant runs (w > u),
+    nor in its left-sibling block (w's parent comes after x's subtree), nor
+    in its radius spans: they reach down only to w's level, or, clamped at
+    the root, only to level `radius`, above u, whose anchor is not the root.
+    Only rule 3 can hold u: it does for the children of q, the parent of
+    the first such w, exactly when q's cousin target is x.  So every other
+    w in the span makes a new pair, and the range of them is one step of a
+    second difference array along the row.  At radius <= 2 the range is
+    always empty: the row is then the row of u's parent, whose span ids
+    above u are all children of u's anchor, which is x.  The bound tables
+    count at radius 0 and 2 only.
 
     A pair is counted at its larger end v, as one of v's lower neighbours.
     Rules 2 and 3 only point to smaller ids and rule 1 only to larger ones,
@@ -293,6 +301,8 @@ def prefix_counts(tree: RootedTree, radius: int,
     near = [0] * (n + 1)  # radius arcs, at their larger end
     # radius arcs to ids above u, as a difference array along each level row
     steps = [[0] * (len(row) + 1) for row in rows]
+    # new upward pairs, the same way, for the rows that have any
+    fresh: dict = {}
     # each vertex's clamped radius-th ancestor (`ith_ancestor`)
     anchors = list(range(n))
     for _ in range(min(radius, len(rows) - 1)):
@@ -347,18 +357,27 @@ def prefix_counts(tree: RootedTree, radius: int,
                     # the root, where w's radius rule reaches).  Otherwise the
                     # row lies above u's level, row[mid - 1] is u's
                     # ancestor there, and the children of that ancestor's
-                    # parent hold u in their left-sibling block.  Only the
-                    # ids after them can make a pair that w misses.
+                    # parent x hold u in their left-sibling block.  Past
+                    # them only rule 3 can hold u, for the children of the
+                    # next parent q when x is q's cousin target.
                     if a and lvl != levels[u]:
                         x = parent[row[mid - 1]]
                         first = bisect_left(row, x + sizes[x], mid, hi)
-                        for w in row[first:hi]:
-                            if _new_upward_pair(tree, radius, legacy, u, w):
-                                pairs[w + 1] += 1
+                        if first < hi:
+                            q = parent[row[first]]
+                            if _cousin_target(tree, q, legacy) == x:
+                                first = min(hi, first + len(tree.children[q]))
+                            if lvl not in fresh:
+                                fresh[lvl] = [0] * (len(row) + 1)
+                            fresh[lvl][first] += 1
+                            fresh[lvl][hi] -= 1
         pairs[u + 1] += lower
     for row, step in zip(rows, steps):
         for w, above in zip(row, accumulate(step)):
             near[w + 1] += above
+    for lvl, new in fresh.items():
+        for w, above in zip(rows[lvl], accumulate(new)):
+            pairs[w + 1] += above
     return PrefixCounts(list(accumulate(pairs)), {
         TAG_NAMES[TAG_TREE]: [0, *range(n)],
         TAG_NAMES[TAG_DESCENDANT]: [0, *accumulate(levels)],
@@ -366,23 +385,6 @@ def prefix_counts(tree: RootedTree, radius: int,
         TAG_NAMES[TAG_COUSIN_SUBTREE]: list(accumulate(cousin)),
         TAG_NAMES[TAG_RADIUS]: list(accumulate(near)),
     })
-
-
-def _new_upward_pair(tree: RootedTree, radius: int, legacy: bool,
-                     u: int, w: int) -> bool:
-    """Whether the radius arc u -> w, u < w, makes a pair that w does not
-    count among its lower neighbours: no run of w holds u (the left-sibling
-    block is tested first, as it is the common case).
-
-    The caller passes only a w on a row above u's level that comes after
-    the subtree of x, the parent of u's ancestor on that row.  So u's
-    subtree ends before w (u + sizes[u] <= x + sizes[x] <= w), and w's
-    parent, on x's level after x's subtree, comes after u."""
-    for _, ids in rule_intervals(tree, radius, w, legacy):
-        i = bisect_left(ids, u)
-        if i < len(ids) and ids[i] == u:
-            return False
-    return True
 
 
 def merged_tree(tree: RootedTree | TreeView,

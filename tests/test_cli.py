@@ -333,19 +333,27 @@ def test_gen_graph_counts_pairs_before_generating(tmp_path, capsys,
     assert main(["gen-graph", "--family", "ternary-typed", "--k", "9",
                  "--r", "3"]) == 2
     assert "1713279 pairs" in capsys.readouterr().err
+    for argv, pairs in ((["--family", "ternary-typed", "--k", "9", "--r", "5"],
+                         11509755),
+                        (["--family", "binary", "--k", "11", "--r", "8"],
+                         2967721)):
+        assert main(["gen-graph", *argv]) == 2
+        assert capsys.readouterr().err == (f"error: guard: the graph has "
+                                           f"{pairs} pairs, above the cap "
+                                           f"of 927699\n")
 
     # a star's vertices all share the root's radius spans, so the count is
-    # linear in n, with at most one upward-pair test per vertex
+    # linear in n, with at most one cousin-target check per vertex
     import treeverse.graph_gen as graph_gen
 
     calls = []
-    upward = graph_gen._new_upward_pair
+    target = graph_gen._cousin_target
 
     def counted(*args):
         calls.append(args)
-        return upward(*args)
+        return target(*args)
 
-    monkeypatch.setattr(graph_gen, "_new_upward_pair", counted)
+    monkeypatch.setattr(graph_gen, "_cousin_target", counted)
     n = 40_000
     star = tmp_path / "star.csv"
     star.write_text(",".join(["0"] * (n - 1)) + "\n")

@@ -79,10 +79,13 @@ def test_finders_refuse_bad_arguments():
     calls = ((find_bounded_components, (1,), (0,)),
              (find_feasible_or_critical, (3, 2), (0, 0)))
     for find, args, bad_args in calls:
-        for bad in (9, 12, -1):
+        # a float equal to an id is refused like any other non-int
+        for bad in (9, 12, -1, 4.0, 2.5, "4"):
             with pytest.raises(TreeError, match="^induced set is not a "
                                                 "subset of the forest$"):
                 find(t, 0, *args, within={0, 1, 2, 3, bad})
+        with pytest.raises(TreeError, match="^induced set is not a subset"):
+            find(t, 0, *args, within={0, 1.0, 2, 3})
         with pytest.raises(TreeError, match="^induced set is not a subset"):
             find(t, 20, *bad_args, within={-1})
         with pytest.raises(ValueError, match="^vertex 5 not in forest$"):

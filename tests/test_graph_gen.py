@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import accumulate, combinations
 
 import pytest
@@ -151,17 +152,20 @@ def test_prefix_counts_match_a_recount_at_every_prefix():
 
 
 def arc_prefix_counts(d):
-    """The one pass over the arcs that `prefix_counts` used to make."""
+    """The counts read off the tagged arcs, as `prefix_counts` once did."""
     n, arcs = d.n, d.arcs
     pairs = [0] * (n + 1)
-    tags = {bit: [0] * (n + 1) for bit in TAG_NAMES}
-    for (u, w), mask in arcs.items():
-        m = max(u, w) + 1
+    for u, w in arcs:
         if u < w or (w, u) not in arcs:
-            pairs[m] += 1
+            pairs[(u if u > w else w) + 1] += 1
+    # arcs by their larger end and tag mask, then by tag
+    masks = Counter((u if u > w else w, mask)
+                    for (u, w), mask in arcs.items())
+    tags = {bit: [0] * (n + 1) for bit in TAG_NAMES}
+    for (v, mask), count in masks.items():
         for bit, col in tags.items():
             if mask & bit:
-                col[m] += 1
+                col[v + 1] += count
     return PrefixCounts(list(accumulate(pairs)),
                         {TAG_NAMES[bit]: list(accumulate(col))
                          for bit, col in tags.items()})
@@ -209,32 +213,69 @@ def test_prefix_counts_match_the_arc_counter():
                     arc_prefix_counts(generate(tree, r, legacy))
 
 
-def test_bound_tables_never_run_the_upward_pair_scan(monkeypatch):
-    """At radius <= 2 `prefix_counts` never calls `_new_upward_pair`, so the
-    bound tables, which count at radius 0 and 2, never run that scan.  At
-    radius 3 it still runs."""
-    calls = [0]
-    check = graph_gen._new_upward_pair
+def test_prefix_counts_match_the_arc_counter_at_larger_radii():
+    """Radii 4 to 6, where rows above u's level hold upward pairs that
+    their larger end may miss."""
+    rng = random.Random(28)
+    trees = _wide_trees()
+    trees += [rand_tree(rng, rng.randint(1, 70)) for _ in range(300)]
+    for tree in trees:
+        for r in (4, 5, 6):
+            for legacy in (False, True):
+                assert prefix_counts(tree, r, legacy) == \
+                    arc_prefix_counts(generate(tree, r, legacy))
 
-    def counting(*args):
-        calls[0] += 1
-        return check(*args)
 
-    monkeypatch.setattr(graph_gen, "_new_upward_pair", counting)
+def _count_pool():
     rng = random.Random(25)
     trees = [typed_ternary(k).tree for k in range(1, 8)]
     trees += [perfect_binary(k) for k in range(10)]
     trees += [rand_tree(rng, rng.randint(1, 200)) for _ in range(200)]
     trees.append(path_tree(200))
-    for legacy in (False, True):
-        for r in (0, 1, 2):
-            for tree in trees:
-                prefix_counts(tree, r, legacy)
-            assert calls[0] == 0, (r, legacy)
-        for tree in trees:
-            prefix_counts(tree, 3, legacy)
-        assert calls[0] > 0, legacy
-        calls[0] = 0
+    return trees
+
+
+# sha256 of the counts of `_count_pool()` at radii 0..6, both settings,
+# recorded from `prefix_counts` while it still read the runs of each
+# candidate upward pair
+PINNED_POOL_COUNTS_SHA256 = \
+    "12833dd5fb80d68ab55cf68d648708b1e8979cc648c970cefd900ca61f1e6231"
+
+
+def test_prefix_counts_read_no_rule_run(monkeypatch):
+    """`prefix_counts` never calls `rule_intervals`, at any radius, and
+    counts what it counted when it did."""
+    def never(*args):
+        raise AssertionError("prefix_counts read a rule run")
+
+    monkeypatch.setattr(graph_gen, "rule_intervals", never)
+    digest = hashlib.sha256()
+    for tree in _count_pool():
+        for r in range(7):
+            for legacy in (False, True):
+                counts = prefix_counts(tree, r, legacy)
+                digest.update(repr((counts.pairs,
+                                    sorted(counts.tags.items()))).encode())
+    assert digest.hexdigest() == PINNED_POOL_COUNTS_SHA256
+
+
+def test_upward_pairs_take_one_cousin_check_per_span(monkeypatch):
+    """Each vertex checks one cousin target for rule 3 and at most one per
+    radius span for its upward pairs, so a count makes at most
+    n * (radius + 1) checks."""
+    calls = [0]
+    target = graph_gen._cousin_target
+
+    def counting(*args):
+        calls[0] += 1
+        return target(*args)
+
+    monkeypatch.setattr(graph_gen, "_cousin_target", counting)
+    for tree, r in ((perfect_binary(11), 8), (typed_ternary(8).tree, 5)):
+        for legacy in (False, True):
+            calls[0] = 0
+            prefix_counts(tree, r, legacy)
+            assert 0 < calls[0] <= tree.n * (r + 1), (tree.n, r, legacy)
 
 
 def test_prefix_counts_refuse_a_negative_radius():

@@ -47,6 +47,9 @@ def test_build_rejects_duplicate_child():
         build_tree([[1, 1], []])
     with pytest.raises(TreeError, match="^a tree has at least one vertex$"):
         build_tree([])
+    # build_tree refuses first; the tree's own check is reached directly
+    with pytest.raises(TreeError, match="^a tree has at least one vertex$"):
+        RootedTree([])
     with pytest.raises(TreeError, match="^child id 5 out of range$"):
         build_tree([[5], []])
 
