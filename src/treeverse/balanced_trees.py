@@ -108,21 +108,15 @@ def validate_balance(tree: RootedTree) -> BalanceReport:
             if i >= 2 and sizes[row[i - 2]] + sizes[row[i - 1]] < sizes[u]:
                 violations.append((AX_COUSIN_SUM, (u, row[i - 1], row[i - 2])))
 
-    # level_dominance via per-level extremes: compare the smallest
-    # non-rightmost subtree on each level with the largest deeper subtree
-    depth = tree.depth
-    level_max = [max((sizes[u] for u in row), default=0)
-                 for row in tree.level_order]
-    suffix_max = [0] * (depth + 2)
-    for lvl in range(depth, -1, -1):
-        suffix_max[lvl] = max(level_max[lvl], suffix_max[lvl + 1])
-    for lvl, row in enumerate(tree.level_order):
-        if lvl == depth or len(row) < 2:
+    # level_dominance: a vertex two or more levels down has an ancestor on
+    # the next level with a strictly larger subtree, so the next level holds
+    # the largest deeper subtree, and the first larger vertex below
+    for row, below in zip(tree.level_order, tree.level_order[1:]):
+        if len(row) < 2:
             continue
         u = min(row[:-1], key=lambda v: sizes[v])
-        if sizes[u] < suffix_max[lvl + 1]:
-            deeper = next(v for r in tree.level_order[lvl + 1:] for v in r
-                          if sizes[v] > sizes[u])
+        deeper = next((v for v in below if sizes[v] > sizes[u]), None)
+        if deeper is not None:
             violations.append((AX_LEVEL_DOMINANCE, (u, deeper)))
 
     return BalanceReport(tuple(violations))

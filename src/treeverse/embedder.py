@@ -398,8 +398,8 @@ def verify_embedding(embedding: Embedding, guest: RootedTree, x1: int,
     if set(mapping.keys()) != set(range(guest.n)):
         problems.append("mapping is not total on the guest")
         return False, problems
-    image = list(mapping.values())
-    if len(set(image)) != len(image):
+    image = set(mapping.values())
+    if len(image) != guest.n:
         problems.append("mapping is not injective")
     if any(not (0 <= h < host.n) for h in image):
         problems.append("image vertex out of range")
@@ -409,8 +409,9 @@ def verify_embedding(embedding: Embedding, guest: RootedTree, x1: int,
         if not graph.has_edge(mapping[u], mapping[p]):
             problems.append(f"guest edge {p}-{u} maps to non-edge "
                             f"{mapping[p]}-{mapping[u]}")
-    unused = set(range(host.n)) - set(image)
-    if unused != set(range(len(unused))):
+    # the image's ids all lie in 0..n-1, so the unused ids are 0..n-|image|-1
+    # exactly when no image id lies below n - |image|
+    if min(image) < host.n - len(image):
         problems.append("unused host vertices are not a preorder prefix")
 
     min_level = min(host.levels[h] for h in image)

@@ -421,7 +421,7 @@ def merged_tree(tree: RootedTree | TreeView,
     base, lo = view.base, view.lo
     first = lo + run[0]
     row = base.level_order[base.levels[first]]
-    start = base._pos_in_level[first]
+    start = bisect_left(row, first)
     # the slice holds only ids on run[0]'s level, each above lo + run[0] after
     # the first, so this also refuses a run that leaves the level
     if list(row[start:start + len(run)]) != [lo + u for u in run]:

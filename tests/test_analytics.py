@@ -13,6 +13,8 @@ from treeverse.graph_gen import generate, underlying
 def test_ternary_bound_small_values():
     assert ternary_bound(3) == pytest.approx(14 / 3 * 3 * 1 + 600)
     assert ternary_bound(9) == pytest.approx(14 / 3 * 9 * 2 + 1800)
+    assert ternary_bound(0) == 0.0
+    assert ternary_bound(1) == 200.0
 
 
 def test_bound_table_ternary_k1():

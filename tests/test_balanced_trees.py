@@ -1,9 +1,14 @@
+import hashlib
+import random
+
 import pytest
 
-from treeverse.balanced_trees import (AX_COUSIN_RATIO, descendant_count,
-                                      perfect_binary, typed_ternary,
-                                      validate_balance)
-from treeverse.tree_core import RootedTree, build_tree
+from treeverse.balanced_trees import (AX_COUSIN_RATIO, AX_LEVEL_DOMINANCE,
+                                      descendant_count, perfect_binary,
+                                      typed_ternary, validate_balance)
+from treeverse.tree_core import RootedTree, build_tree, from_parens
+
+from trees import ordered_trees, prufer_tree, rand_tree, spider_tree
 
 
 def test_perfect_binary_sizes():
@@ -102,3 +107,58 @@ def test_exact_fraction_boundary():
     edge = RootedTree([[1, 3], [2], [], [4, 5, 6], [], [], []])
     assert edge.sizes[1] == 2 and edge.sizes[3] == 4
     assert validate_balance(edge).violations == ((AX_COUSIN_RATIO, (3, 1)),)
+
+
+def _balance_pool():
+    """Every ordered tree on at most 10 vertices, both families for k <= 7,
+    and 3000 seeded random, Prüfer and spider trees of 1..300 vertices."""
+    for n in range(1, 11):
+        yield from map(from_parens, ordered_trees(n))
+    for k in range(8):
+        yield perfect_binary(k)
+        yield typed_ternary(k).tree
+    rng = random.Random(1983)
+    for i in range(3000):
+        n = rng.randint(1, 300)
+        if i % 3 == 0:
+            yield rand_tree(rng, n)
+        elif i % 3 == 1:
+            yield prufer_tree(rng, max(n, 2))
+        else:
+            legs = []
+            while sum(legs) < n - 1:
+                legs.append(rng.randint(1, n - 1 - sum(legs)))
+            yield spider_tree(legs)
+
+
+# sha256 of the `validate_balance` reports over `_balance_pool()`, recorded
+# while level dominance compared each level with every deeper level
+PINNED_BALANCE_SHA256 = \
+    "50786f76d1b5b8b9740a3e8999f961878b49ece49d1df473fe4e866fc62a3438"
+
+
+def test_balance_reports_match_the_pinned_hash_and_the_axiom():
+    """The reports hash as recorded.  Each level-dominance witness (u, v)
+    has v deeper than u with a larger subtree, and a level is reported
+    exactly when some non-rightmost vertex on it is smaller than some
+    vertex on any deeper level."""
+    digest = hashlib.sha256()
+    for tree in _balance_pool():
+        violations = validate_balance(tree).violations
+        digest.update(repr(violations).encode())
+        sizes, levels = tree.sizes, tree.levels
+        reported = []
+        for axiom, witness in violations:
+            if axiom == AX_LEVEL_DOMINANCE:
+                u, v = witness
+                assert levels[v] > levels[u] and sizes[v] > sizes[u]
+                reported.append(levels[u])
+        deeper_max = 0   # the largest subtree below the level in hand
+        violated = []
+        for lvl in range(tree.depth, -1, -1):
+            row = tree.level_order[lvl]
+            if any(sizes[u] < deeper_max for u in row[:-1]):
+                violated.append(lvl)
+            deeper_max = max(deeper_max, *(sizes[u] for u in row))
+        assert reported == violated[::-1]
+    assert digest.hexdigest() == PINNED_BALANCE_SHA256

@@ -27,7 +27,7 @@ def test_star_center_lands_on_root(ternary_hosts):
     host, graph = ternary_hosts[2]
     emb = embed(host, star_tree(9), 0, 0, host_graph=graph)
     assert emb.mapping[0] == 0
-    assert emb.phi1_ok and emb.admissible_complement
+    assert emb.phi1_ok and emb.admissible_complement and emb.ok
     ok, problems = verify_embedding(emb, star_tree(9), 0, 0)
     assert ok, problems
 
@@ -59,6 +59,9 @@ def test_identity_embedding_verifies(ternary_hosts):
                     phi1_ok=True, phi2_applicable=False, phi2_ok=True)
     ok, problems = verify_embedding(emb, host, 0, 0)
     assert ok, problems
+    assert emb.ok
+    assert not Embedding(emb.mapping, host, graph, True, True,
+                         phi2_applicable=True, phi2_ok=False).ok
 
 
 def test_verifier_rejects_broken_maps(ternary_hosts):
@@ -86,6 +89,61 @@ def test_verifier_rejects_broken_maps(ternary_hosts):
     gap = Embedding({0: 0, 1: 2}, host3, graph3, True, True, False, True)
     ok, problems = verify_embedding(gap, path_tree(2), 0, 0)
     assert not ok and any("prefix" in p for p in problems)
+
+
+# (host depth, guest, mapping, x1, x2) and the verifier's problem list,
+# recorded while it compared the unused ids with a set of all host ids:
+# repeated ids with and without a gap below them, and injective gaps
+CORRUPTED_IMAGES = [
+    ((2, path_tree(2), {0: 8, 1: 8}, 0, 1),
+     ["mapping is not injective", "guest edge 0-1 maps to non-edge 8-8"]),
+    ((2, path_tree(3), {0: 7, 1: 8, 2: 8}, 0, 2),
+     ["mapping is not injective", "guest edge 1-2 maps to non-edge 8-8"]),
+    ((2, path_tree(3), {0: 8, 1: 8, 2: 8}, 1, 2),
+     ["mapping is not injective", "guest edge 0-1 maps to non-edge 8-8",
+      "guest edge 1-2 maps to non-edge 8-8"]),
+    ((2, path_tree(3), {0: 6, 1: 8, 2: 8}, 0, 2),
+     ["mapping is not injective", "guest edge 1-2 maps to non-edge 8-8",
+      "unused host vertices are not a preorder prefix"]),
+    ((2, path_tree(3), {0: 0, 1: 8, 2: 0}, 0, 1),
+     ["mapping is not injective",
+      "unused host vertices are not a preorder prefix"]),
+    ((2, path_tree(9), {**{u: u for u in range(8)}, 8: 0}, 0, 8),
+     ["mapping is not injective",
+      "unused host vertices are not a preorder prefix"]),
+    ((2, path_tree(2), {0: 7, 1: 8}, 0, 1), []),
+    ((2, path_tree(2), {0: 6, 1: 8}, 0, 1),
+     ["unused host vertices are not a preorder prefix"]),
+    ((2, star_tree(3), {0: 0, 1: 7, 2: 8}, 0, 2),
+     ["unused host vertices are not a preorder prefix"]),
+    ((2, path_tree(2), {0: 9, 1: 9}, 0, 1),
+     ["mapping is not injective", "image vertex out of range"]),
+    ((3, star_tree(4), {0: 26, 1: 26, 2: 25, 3: 24}, 0, 3),
+     ["mapping is not injective", "guest edge 0-1 maps to non-edge 26-26"]),
+    ((3, star_tree(4), {0: 26, 1: 26, 2: 25, 3: 0}, 0, 3),
+     ["mapping is not injective", "guest edge 0-1 maps to non-edge 26-26",
+      "unused host vertices are not a preorder prefix",
+      "x1 sits at level 3, image minimum is 0"]),
+    ((3, path_tree(4), {0: 23, 1: 23, 2: 25, 3: 26}, 2, 3),
+     ["mapping is not injective", "guest edge 0-1 maps to non-edge 23-23",
+      "unused host vertices are not a preorder prefix"]),
+    ((3, path_tree(4), {0: 0, 1: 2, 2: 1, 3: 3}, 0, 3),
+     ["unused host vertices are not a preorder prefix"]),
+    ((3, path_tree(4), {0: 24, 1: 25, 2: 26, 3: 22}, 1, 0),
+     ["unused host vertices are not a preorder prefix",
+      "x1 sits at level 3, image minimum is 2"]),
+    ((3, star_tree(5), {0: 22, 1: 23, 2: 24, 3: 25, 4: 26}, 0, 4), []),
+    ((3, path_tree(3), {0: 26, 1: 27, 2: 26}, 0, 2),
+     ["mapping is not injective", "image vertex out of range"]),
+]
+
+
+def test_verifier_problems_on_corrupted_images(ternary_hosts):
+    for (k, guest, mapping, x1, x2), expected in CORRUPTED_IMAGES:
+        host, graph = ternary_hosts[k]
+        emb = Embedding(mapping, host, graph, True, True, False, True)
+        assert verify_embedding(emb, guest, x1, x2) == (not expected,
+                                                        expected), mapping
 
 
 def test_verifier_names_each_broken_guarantee(ternary_hosts):

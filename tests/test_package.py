@@ -105,3 +105,39 @@ def test_only_tree_core_names_forest():
                     else node.attr if isinstance(node, ast.Attribute)
                     else node.name if isinstance(node, ast.alias) else None)
             assert name != "Forest", (path.name, node.lineno)
+
+
+def test_modules_read_no_private_name_of_another_module():
+    """A non-dunder `_name` attribute is read on `self`, or names a slot or a
+    `self._name` assignment of a class in the same module, and no module
+    imports a `_name` from another: each private field stays in its module."""
+    found = []
+    for path in sorted(Path(treeverse.__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        own = set()
+        for cls in (node for node in nodes if isinstance(node, ast.ClassDef)):
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                for t in node.targets)):
+                    own.update(c.value for c in ast.walk(node.value)
+                               if isinstance(c, ast.Constant))
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "self"):
+                    own.add(node.attr)
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names
+                          if alias.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)
+                  and node.attr.startswith("_")
+                  and not node.attr.startswith("__")
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id == "self")
+                  and node.attr not in own):
+                found.append(f"{path.name}:{node.lineno} reads {node.attr}")
+    assert found == []
