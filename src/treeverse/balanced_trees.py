@@ -9,6 +9,8 @@ from .tree_core import RootedTree
 
 def perfect_binary(k: int) -> RootedTree:
     """Perfect binary tree with all leaves at level k (2^(k+1)-1 vertices)."""
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 0:
         raise ValueError("k must be non-negative")
     children: list[list[int]] = []
@@ -35,6 +37,8 @@ class TypedTree:
 def typed_ternary(k: int) -> TypedTree:
     """The typed family on 3^k vertices: a type-1 vertex gets children typed
     (1, 2), a type-2 vertex gets (1, 2, 1, 2), all leaves at level k."""
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 0:
         raise ValueError("k must be non-negative")
     children: list[list[int]] = []

@@ -350,10 +350,12 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
     report = validate_balance(host)
     if not report.ok:
         raise ValueError(f"host is not (2,1)-balanced: {report.violations[:3]}")
-    guest.check_vertex(x1)
     if x2 is None:
         x2 = x1
-    guest.check_vertex(x2)
+    for x in (x1, x2):
+        if type(x) is not int:
+            raise ValueError(f"marker {x!r} is not an int")
+        guest.check_vertex(x)
 
     mapping = _solve(host, frozenset(range(guest.n)), guest, x1, x2)
 

@@ -391,8 +391,8 @@ def merged_tree(tree: RootedTree | TreeView,
                 run: Sequence[int]) -> tuple[RootedTree, tuple[int, ...]]:
     """Hang a consecutive same-level run of subtrees under a fresh root.
 
-    `tree` may be a `TreeView`; the run, the checks and `iso` are then in the
-    view's ids, and each run subtree is cut at the view's end.
+    `tree` may be a `TreeView`; the run and `iso` are then in the view's
+    ids, and each run subtree is cut at the view's end.
 
     `run` must be consecutive in the left-to-right order of one level, and the
     first and last vertices must either share a parent or have preorder-adjacent
@@ -426,20 +426,23 @@ def merged_tree(tree: RootedTree | TreeView,
     # the first, so this also refuses a run that leaves the level
     if list(row[start:start + len(run)]) != [lo + u for u in run]:
         raise ValueError("run must be consecutive on its level")
-    first_parent = view.parent(run[0])
-    last_parent = view.parent(run[-1])
+    # the parents in base ids: the view's root is alone on its level, so two
+    # different run parents both lie below it in the view, and a cousin or an
+    # anchor outside the view can neither equal nor hold the first of them
+    first_parent = base.parent[first]
+    last_parent = base.parent[lo + run[-1]]
     if first_parent != last_parent and \
-            view.nearest_left_cousin(last_parent) != first_parent:
+            nearest_left_cousin(base, last_parent) != first_parent:
         raise ValueError("run parents must coincide or be adjacent cousins")
     if first_parent != last_parent and \
-            view.parent(first_parent) != view.parent(last_parent):
-        anchor = view.nearest_left_cousin(view.parent(last_parent))
-        if anchor is None or not anchor <= first_parent < anchor + view.size(anchor):
+            base.parent[first_parent] != base.parent[last_parent]:
+        anchor = nearest_left_cousin(base, base.parent[last_parent])
+        if anchor is None or not anchor <= first_parent < anchor + base.sizes[anchor]:
             raise ValueError("last run parent cannot reach the first parent's "
                              "subtree; the merge map would not be an isomorphism")
 
     end = lo + view.n
-    iso: list[int] = [last_parent]
+    iso: list[int] = [0 if last_parent == view.root else last_parent - lo]
     children: list[list[int]] = [[]]
     for u in run:
         size = view.size(u)

@@ -9,7 +9,6 @@ the package relies on that interval property for O(1) descendant tests.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
@@ -152,24 +151,10 @@ class TreeView:
     def size(self, u: int) -> int:
         return self.n if u == 0 else min(self.base.sizes[self.lo + u], self.n - u)
 
-    def parent(self, u: int) -> Optional[int]:
-        if u == 0:
-            return None
-        p = self.base.parent[self.lo + u]
-        return 0 if p == self.root else p - self.lo
-
     def children(self, u: int) -> tuple[int, ...]:
         lo, end = self.lo, self.lo + self.n
         return tuple(c - lo for c in self.base.children[self.vertex(u)]
                      if lo < c < end)
-
-    def nearest_left_cousin(self, u: int) -> Optional[int]:
-        """The base cousin when it lies in the view: a level row of the view
-        below the root is a contiguous slice of the base row."""
-        if u == 0:
-            return None
-        c = nearest_left_cousin(self.base, self.lo + u)
-        return None if c is None or c <= self.lo else c - self.lo
 
     def subtree(self, u: int) -> "TreeView":
         self.check_vertex(u)
@@ -186,7 +171,7 @@ class TreeView:
         """The root followed by the subtrees of its children from c to the
         last one, c a root child: the sibling run's merge, made in O(1)."""
         self.check_vertex(c)
-        if self.parent(c) != 0:
+        if c == 0 or self.base.parent[self.lo + c] != self.root:
             raise TreeError(f"vertex {c} is not a child of the view's root")
         return TreeView(self.base, self.lo + c - 1, self.n - c + 1, self.root)
 
@@ -245,6 +230,8 @@ def nearest_left_cousin(tree: RootedTree, u: int) -> Optional[int]:
 def ith_ancestor(tree: RootedTree, u: int, i: int) -> int:
     """The i-fold parent of u, clamped at the root."""
     tree.check_vertex(u)
+    if type(i) is not int:
+        raise TreeError(f"ancestor index {i!r} is not an int")
     if i < 0:
         raise TreeError("ancestor index must be non-negative")
     while i > 0 and tree.parent[u] is not None:
@@ -256,48 +243,39 @@ def ith_ancestor(tree: RootedTree, u: int, i: int) -> int:
 # -- forests -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Forest:
-    """An induced subforest of a rooted tree, keeping original vertex ids.
-
-    `parent[u]` is u's parent inside the forest or None when u is a root
-    (either the original root or a vertex whose parent was cut away).
+    """The forest a rooted tree induces on a set of its vertices, keeping
+    the tree's ids: u's neighbours are its tree children and parent that lie
+    in the set.
 
     The package builds none, and no finder takes one: the decomposition
-    finders read a `RootedTree` and a vertex set of it.  The class stays as
-    the tests' reference for the components of such a forest,
-    `Forest.from_tree(tree).induced(keep)`, and as the benchmark tracer's
-    target, which wraps `components`, `component_of` and `induced` by name.
+    finders read a `RootedTree` and a vertex set of it, the form this class
+    holds.  It stays as the tests' reference for the components of such a
+    forest, `Forest.from_tree(tree).induced(keep)`, and as the benchmark
+    tracer's target, which wraps `components`, `component_of` and `induced`
+    by name.
     """
 
-    vertices: tuple[int, ...]
-    parent: dict
-    children: dict
+    __slots__ = ("tree", "keep", "vertices")
+
+    def __init__(self, tree: RootedTree, keep: frozenset):
+        self.tree = tree
+        self.keep = keep
+        self.vertices = tuple(sorted(keep))
 
     @classmethod
     def from_tree(cls, tree: RootedTree) -> "Forest":
-        return cls(
-            vertices=tuple(range(tree.n)),
-            parent={u: tree.parent[u] for u in range(tree.n)},
-            children={u: tuple(tree.children[u]) for u in range(tree.n)},
-        )
+        return cls(tree, frozenset(range(tree.n)))
 
     def induced(self, keep: Iterable[int]) -> "Forest":
         ks = frozenset(keep)
-        if not self.parent.keys() >= ks:
+        if not self.keep >= ks:
             raise TreeError("induced set is not a subset of the forest")
-        verts = tuple(sorted(ks))
-        parent = {u: (self.parent[u] if self.parent[u] in ks else None)
-                  for u in verts}
-        children = {u: tuple(c for c in self.children[u] if c in ks)
-                    for u in verts}
-        return Forest(verts, parent, children)
+        return Forest(self.tree, ks)
 
     def neighbors(self, u: int) -> list[int]:
-        out = list(self.children[u])
-        if self.parent[u] is not None:
-            out.append(self.parent[u])
-        return out
+        tree, keep = self.tree, self.keep
+        return [v for v in (*tree.children[u], tree.parent[u]) if v in keep]
 
     def component_of(self, u: int, removed: Optional[int] = None) -> frozenset:
         """Connected component containing u after deleting `removed`."""

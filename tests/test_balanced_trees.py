@@ -17,6 +17,9 @@ def test_perfect_binary_sizes():
     assert perfect_binary(10).n == 2047
     with pytest.raises(ValueError, match="^k must be non-negative$"):
         perfect_binary(-1)
+    for bad, text in ((1.5, "1.5"), (True, "True"), ("2", "'2'")):
+        with pytest.raises(ValueError, match=f"^k must be an int, got {text}$"):
+            perfect_binary(bad)
     b = perfect_binary(3)
     for u in range(b.n):
         assert len(b.children[u]) in (0, 2)
@@ -38,6 +41,9 @@ def test_typed_ternary_shape():
     assert typed_ternary(0).tree.n == 1
     with pytest.raises(ValueError, match="^k must be non-negative$"):
         typed_ternary(-1)
+    for bad, text in ((1.5, "1.5"), (True, "True"), ("2", "'2'")):
+        with pytest.raises(ValueError, match=f"^k must be an int, got {text}$"):
+            typed_ternary(bad)
 
 
 def test_typed_ternary_leaves_at_level_k():

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -16,11 +17,12 @@ from treeverse.embedder import (Embedding, embed, host_graph_for, phi2_window,
                                 verify_embedding)
 from treeverse.graph_gen import UndirectedGraph, merged_tree
 from treeverse.oracle import brute_embed, enumerate_free_trees
-from treeverse.tree_core import (RootedTree, TreeError, TreeView, build_tree,
-                                 nearest_left_cousin, to_parent_csv)
+from treeverse.tree_core import (RootedTree, TreeError, TreeView, from_parens,
+                                 to_parent_csv)
 
 from trees import (balanced_hosts, path_tree, prufer_tree, rand_tree,
-                   spider_tree, star_tree, vertex_orbit_reps)
+                   random_caterpillar, random_spider, star_tree,
+                   vertex_orbit_reps)
 
 
 def test_star_center_lands_on_root(ternary_hosts):
@@ -194,6 +196,13 @@ def test_embed_rejects_bad_inputs(ternary_hosts, monkeypatch):
                                          "radius-2 graph: guest edge 0-1"):
         embed(ternary_hosts[2][0], path_tree(5), 0, 0,
               host_graph=UndirectedGraph(9, ()))
+    # a marker that is not exactly an int is refused, a float or a bool
+    # equal to an id too, instead of keying the map
+    for bad in (1.0, True, "1"):
+        message = f"^marker {re.escape(repr(bad))} is not an int$"
+        for markers in ((bad,), (0, bad)):
+            with pytest.raises(ValueError, match=message):
+                embed(ternary_hosts[2][0], from_parens("(()())"), *markers)
 
     # the sizes are compared before the balance check reads the host
     def never(tree):
@@ -398,24 +407,6 @@ def test_broken_mapping_raises_under_python_O():
     assert "raised:" in proc.stdout and "maps to non-edge" in proc.stdout
 
 
-def random_spider(rng, n):
-    """A centre with legs of random lengths, n vertices in all."""
-    legs, u = [], 1
-    while u < n:
-        legs.append(rng.randint(1, n - u))
-        u += legs[-1]
-    return spider_tree(legs)
-
-
-def caterpillar_tree(rng, n):
-    """A path with leaves hung on random path vertices, n vertices in all."""
-    spine = rng.randint(1, n)
-    children = [[v + 1] if v + 1 < spine else [] for v in range(n)]
-    for leaf in range(spine, n):
-        children[rng.randrange(spine)].append(leaf)
-    return build_tree(children)
-
-
 def test_only_cousin_runs_are_merged(monkeypatch):
     """Every sibling-run merge is a tail view, the critical split's too:
     each run that `merged_tree` builds has first and last vertices with
@@ -423,12 +414,13 @@ def test_only_cousin_runs_are_merged(monkeypatch):
     runs = []
 
     def spying(view, run):
-        runs.append((view.parent(run[0]), view.parent(run[-1])))
+        first, last = view.vertex(run[0]), view.vertex(run[-1])
+        runs.append((view.base.parent[first], view.base.parent[last]))
         return merged_tree(view, run)
 
     monkeypatch.setattr(embedder, "merged_tree", spying)
     rng = random.Random(1009)
-    shapes = (prufer_tree, rand_tree, random_spider, caterpillar_tree)
+    shapes = (prufer_tree, rand_tree, random_spider, random_caterpillar)
     for k in (4, 5):
         host = typed_ternary(k).tree
         graph = host_graph_for(host)
@@ -525,16 +517,28 @@ def assert_view_is(view, tree, ids):
     assert view.n == m
     assert tuple(view.children(i) for i in range(m)) == tree.children
     assert tuple(view.size(i) for i in range(m)) == tree.sizes
-    assert tuple(view.parent(i) for i in range(m)) == tree.parent
-    assert tuple(view.nearest_left_cousin(i) for i in range(m)) == \
-        tuple(nearest_left_cousin(tree, i) for i in range(m))
     assert view.depth == tree.depth
     assert [view.vertex(i) for i in range(m)] == list(ids)
+
+
+# sha256 over `merge_or_error` of every view and tail run that
+# `test_views_match_materialised_subtrees_and_merges` merges, recorded while
+# `merged_tree` still read the run's parents through the view
+PINNED_VIEW_MERGES_SHA256 = (
+    "b5c3739cfa646e365b58badd7ecd976fadd8e89b84fe236fe4c5cd5a680817a0")
 
 
 def test_views_match_materialised_subtrees_and_merges():
     hosts = [typed_ternary(3).tree, path_tree(40),
              *balanced_hosts(7)]
+    digest = hashlib.sha256()
+
+    def same_merges(view, tree, run):
+        merged = merge_or_error(view, run)
+        assert merged == merge_or_error(tree, run)
+        digest.update(repr(merged if isinstance(merged, str)
+                           else (merged[0].children, merged[1])).encode())
+
     for host in hosts:
         whole = TreeView(host)
         for u in range(host.n):
@@ -546,7 +550,7 @@ def test_views_match_materialised_subtrees_and_merges():
                     assert_view_is(view, tree, range(u, u + m))
                 view = whole.subtree(u).prefix(m)
                 for run in view_runs(tree):
-                    assert merge_or_error(view, run) == merge_or_error(tree, run)
+                    same_merges(view, tree, run)
 
                 # a tail is the merge of the sibling run from c to the end,
                 # and so are its prefixes; merges from a tail are the merges
@@ -555,15 +559,20 @@ def test_views_match_materialised_subtrees_and_merges():
                 for i, c in enumerate(kids):
                     tstar, iso = merged_tree(tree, kids[i:])
                     tail = view.tail(c)
+                    # the tail's root is its vertex 0, whatever base vertex
+                    # precedes its vertex 1
+                    with pytest.raises(TreeError, match="^vertex 0 is not a "
+                                                        "child of the view's"):
+                        tail.tail(0)
                     for k in range(1, tstar.n + 1):
                         assert_view_is(tail.prefix(k), tstar.prefix(k),
                                        [u + h for h in iso[:k]])
                     for run in view_runs(tstar) if i else ():
-                        assert merge_or_error(tail, run) == \
-                            merge_or_error(tstar, run)
+                        same_merges(tail, tstar, run)
                 for c in (0, *tree.children[kids[0]][:1]) if kids else (0,):
                     with pytest.raises(TreeError):
                         view.tail(c)
+    assert digest.hexdigest() == PINNED_VIEW_MERGES_SHA256
 
 
 # sha256 over the sorted mappings of `pinned_embeddings`, recorded from the

@@ -19,9 +19,10 @@ from treeverse.oracle import (ENUM_GUARD, _flatten, _free_parents,
                               is_universal)
 from treeverse.tree_core import RootedTree, from_parens, to_parens
 
-from trees import (_centers, _tree_to_enc, balanced_hosts, degree_witness,
-                   free_canonical_encoding, free_tree_automorphisms, path_tree,
-                   prufer_edges, rooted_at_zero, star_tree, vertex_orbit_reps)
+from trees import (_centers, _tree_to_enc, balanced_hosts, caterpillar_tree,
+                   degree_witness, free_canonical_encoding,
+                   free_tree_automorphisms, path_tree, prufer_edges,
+                   rooted_at_zero, star_tree, vertex_orbit_reps)
 
 # free trees per vertex count up to the enumeration guard (OEIS A000055)
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,
@@ -170,15 +171,6 @@ def test_automorphism_counts_small():
     assert free_tree_automorphisms(path_tree(4)) == 2
     assert free_tree_automorphisms(star_tree(5)) == factorial(4)
     assert free_tree_automorphisms(path_tree(2)) == 2
-
-
-def caterpillar_tree(spine):
-    """A path of `spine` vertices with one leaf hung on each."""
-    children = []
-    for i in range(spine):
-        u = len(children)
-        children += [[u + 1, u + 2] if i + 1 < spine else [u + 1], []]
-    return RootedTree(children)
 
 
 def test_deep_trees_do_not_recurse():

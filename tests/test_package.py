@@ -80,17 +80,17 @@ def test_package_has_no_runtime_dependencies():
 
 
 def test_test_modules_do_not_redefine_shared_builders():
-    """A tree builder or key shared through `tests/trees.py` is defined
-    there only: no test module defines a top-level function of that name."""
-    here = Path(__file__).parent
-
-    def functions(path):
-        return {node.name for node in ast.parse(path.read_text()).body
-                if isinstance(node, ast.FunctionDef)}
-
-    shared = functions(here / "trees.py")
-    for path in sorted(here.glob("test_*.py")):
-        assert not functions(path) & shared, path.name
+    """No two test modules, `tests/trees.py` and `conftest.py` among them,
+    define a top-level helper of the same name: a builder used in two
+    modules lives in `tests/trees.py` only, under a name of its own."""
+    owners = {}
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("test_")):
+                owners.setdefault(node.name, []).append(path.name)
+    assert {name: files for name, files in owners.items()
+            if len(files) > 1} == {}
 
 
 def test_only_tree_core_names_forest():

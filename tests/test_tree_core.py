@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -10,7 +11,7 @@ from treeverse.tree_core import (Forest, RootedTree, TreeError, TreeView,
                                  to_parens, to_parent_csv)
 from treeverse.balanced_trees import perfect_binary
 
-from trees import path_tree, star_tree
+from trees import path_tree, rand_tree, random_subset, star_tree
 
 
 @st.composite
@@ -206,6 +207,10 @@ def test_ith_ancestor_clamps():
     with pytest.raises(TreeError,
                        match="^ancestor index must be non-negative$"):
         ith_ancestor(t, 0, -1)
+    for bad, text in ((1.5, "1.5"), (True, "True"), ("1", "'1'")):
+        with pytest.raises(TreeError,
+                           match=f"^ancestor index {text} is not an int$"):
+            ith_ancestor(t, 3, bad)
 
 
 def test_u_components_star_center():
@@ -239,6 +244,27 @@ def test_forest_induced_refuses_vertices_outside_the_forest():
         with pytest.raises(TreeError,
                            match=rf"^prefix size {m} out of range 1\.\.4$"):
             view.prefix(m)
+
+
+# sha256 over 500 seeded induced forests: each one's vertices, and its sorted
+# components whole and without each of its vertices, recorded while `Forest`
+# still copied its tree's parent and child maps
+PINNED_FOREST_COMPONENTS_SHA256 = (
+    "8f61679fc426bd25ed2554004c3c0b4a0e811e2d9db0eab747991681b098541b")
+
+
+def test_forest_components_match_the_pinned_hash():
+    rng = random.Random(3001)
+    digest = hashlib.sha256()
+    for _ in range(500):
+        n = rng.randint(2, 40)
+        tree = rand_tree(rng, n)
+        keep = random_subset(rng, n)
+        forest = Forest.from_tree(tree).induced(keep)
+        comps = [sorted(map(sorted, forest.components(removed=w)))
+                 for w in (None, *sorted(keep))]
+        digest.update(repr((forest.vertices, comps)).encode())
+    assert digest.hexdigest() == PINNED_FOREST_COMPONENTS_SHA256
 
 
 @given(random_trees())

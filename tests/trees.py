@@ -84,6 +84,33 @@ def spider_tree(legs):
     return RootedTree(children)
 
 
+def random_spider(rng, n):
+    """A centre with legs of random lengths, n vertices in all."""
+    legs, u = [], 1
+    while u < n:
+        legs.append(rng.randint(1, n - u))
+        u += legs[-1]
+    return spider_tree(legs)
+
+
+def caterpillar_tree(spine):
+    """A path of `spine` vertices with one leaf hung on each."""
+    children = []
+    for i in range(spine):
+        u = len(children)
+        children += [[u + 1, u + 2] if i + 1 < spine else [u + 1], []]
+    return RootedTree(children)
+
+
+def random_caterpillar(rng, n):
+    """A path with leaves hung on random path vertices, n vertices in all."""
+    spine = rng.randint(1, n)
+    children = [[v + 1] if v + 1 < spine else [] for v in range(n)]
+    for leaf in range(spine, n):
+        children[rng.randrange(spine)].append(leaf)
+    return build_tree(children)
+
+
 def random_subset(rng, n):
     """At least two of the ids 0..n-1, n >= 2: two drawn ids, and each other
     id with probability 0.85.  A tree and such a set are the form in which
