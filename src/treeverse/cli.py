@@ -225,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--interval", action="store_true")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1, help="slower than --jobs 1 "
+                    "unless --unsafe-large admits a graph past about 15 vertices")
     sp.add_argument("--unsafe-large", action="store_true",
                     help="override the exhaustive-search size guards")
     sp.set_defaults(func=cmd_verify)

@@ -11,7 +11,8 @@ its failure on an 11-vertex prefix is reproduced by the analytics module.
 The rules are stated once, in `rule_intervals`, as each vertex's runs of ids:
 its children, `range`s of ids and slices of level rows.  Rule 3's target
 (`_cousin_target`) and rule 4's row spans, which depend only on the
-vertex's anchor (`_radius_spans`), are helpers that the edge counter shares.
+vertex's anchor (`_radius_spans`), are helpers that the edge counter shares;
+both read the tree's stored `left_cousin`, as the merge check does.
 `generate` only checks the radius; the digraph expands the runs into its
 tagged arcs when `arcs` is first read, which only the JSON export and tests
 do.  The undirected view (`underlying`) is read from the runs without
@@ -34,7 +35,7 @@ from functools import cached_property
 from itertools import accumulate, chain, repeat
 from typing import Sequence
 
-from .tree_core import RootedTree, TreeView, ith_ancestor, nearest_left_cousin
+from .tree_core import RootedTree, TreeView, ith_ancestor
 
 # Arc tag bits.  One arc may carry several tags; tag counts are therefore
 # with multiplicity while undirected totals count each pair once.
@@ -188,7 +189,7 @@ def rule_intervals(tree: RootedTree, radius: int, u: int,
 def _cousin_target(tree: RootedTree, p: int, legacy: bool) -> int | None:
     """Rule 3's target for the children of p: p's nearest-left cousin, which
     the legacy setting takes only when it is also p's sibling."""
-    lc = nearest_left_cousin(tree, p)
+    lc = tree.left_cousin[p]
     if lc is not None and (not legacy or tree.parent[lc] == tree.parent[p]):
         return lc
     return None
@@ -202,7 +203,7 @@ def _radius_spans(tree: RootedTree, radius: int,
     lo..hi-1 of that level's row, one span per level."""
     sizes, levels, rows = tree.sizes, tree.levels, tree.level_order
     depth = len(rows) - 1
-    alc = nearest_left_cousin(tree, anchor)
+    alc = tree.left_cousin[anchor]
     spans = []
     for t in (anchor,) if alc is None else (anchor, alc):
         last = t + sizes[t] - 1
@@ -210,6 +211,13 @@ def _radius_spans(tree: RootedTree, radius: int,
             row = rows[lvl]
             spans.append((lvl, bisect_left(row, t), bisect_right(row, last)))
     return spans
+
+
+def _check_radius(radius: int) -> None:
+    if type(radius) is not int:
+        raise ValueError(f"radius {radius!r} is not an int")
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
 
 
 def generate(tree: RootedTree, radius: int,
@@ -221,8 +229,7 @@ def generate(tree: RootedTree, radius: int,
     a leftmost child get nothing from it.  A left sibling, when there is one,
     is always the nearest-left cousin.
     """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
+    _check_radius(radius)
     return GeneratedDigraph(tree, radius, legacy=legacy)
 
 
@@ -291,8 +298,7 @@ def prefix_counts(tree: RootedTree, radius: int,
     blocks -- its level(v) ancestors, its left-sibling block and its cousin
     subtree -- plus the radius rule's lower neighbours outside them.
     """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
+    _check_radius(radius)
     n, parent, sizes, levels = tree.n, tree.parent, tree.sizes, tree.levels
     rows = tree.level_order
     pairs = [0] * (n + 1)
@@ -413,33 +419,31 @@ def merged_tree(tree: RootedTree | TreeView,
     run = list(run)
     if not run:
         raise ValueError("empty run")
-    if any(not (0 <= u < view.n) for u in run):
+    if any(type(u) is not int or not 0 <= u < view.n for u in run):
         raise ValueError("run vertex out of range")
     # only view vertex 0 sits at the view root's level
     if run[0] == 0:
         raise ValueError("run cannot contain the root")
     base, lo = view.base, view.lo
-    first = lo + run[0]
-    row = base.level_order[base.levels[first]]
-    start = bisect_left(row, first)
-    # the slice holds only ids on run[0]'s level, each above lo + run[0] after
-    # the first, so this also refuses a run that leaves the level
-    if list(row[start:start + len(run)]) != [lo + u for u in run]:
+    # each vertex must follow the one before it on its level row, which also
+    # keeps the run on one level
+    if any(base.left_cousin[lo + b] != lo + a for a, b in zip(run, run[1:])):
         raise ValueError("run must be consecutive on its level")
     # the parents in base ids: the view's root is alone on its level, so two
     # different run parents both lie below it in the view, and a cousin or an
-    # anchor outside the view can neither equal nor hold the first of them
-    first_parent = base.parent[first]
+    # anchor outside the view can neither equal nor hold the first of them;
+    # the first parent's parent precedes the last's on their level, so the
+    # anchor exists
+    first_parent = base.parent[lo + run[0]]
     last_parent = base.parent[lo + run[-1]]
-    if first_parent != last_parent and \
-            nearest_left_cousin(base, last_parent) != first_parent:
-        raise ValueError("run parents must coincide or be adjacent cousins")
-    if first_parent != last_parent and \
-            base.parent[first_parent] != base.parent[last_parent]:
-        anchor = nearest_left_cousin(base, base.parent[last_parent])
-        if anchor is None or not anchor <= first_parent < anchor + base.sizes[anchor]:
-            raise ValueError("last run parent cannot reach the first parent's "
-                             "subtree; the merge map would not be an isomorphism")
+    if first_parent != last_parent:
+        if base.left_cousin[last_parent] != first_parent:
+            raise ValueError("run parents must coincide or be adjacent cousins")
+        if base.parent[first_parent] != base.parent[last_parent]:
+            anchor = base.left_cousin[base.parent[last_parent]]
+            if first_parent not in base.descendant_interval(anchor):
+                raise ValueError("last run parent cannot reach the first parent's "
+                                 "subtree; the merge map would not be an isomorphism")
 
     end = lo + view.n
     iso: list[int] = [0 if last_parent == view.root else last_parent - lo]

@@ -4,6 +4,9 @@ Vertices are identified with their preorder index, so for every vertex u the
 set of u and its descendants is the contiguous id interval
 [u, u + sizes[u] - 1], `sizes[u]` counting u's subtree.  Everything else in
 the package relies on that interval property for O(1) descendant tests.
+Each tree also stores u's nearest-left cousin, the vertex just before u on
+its level row, as `left_cousin[u]`: the generation rules and the merge check
+read it directly, and `nearest_left_cousin` is its checked public lookup.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ class RootedTree:
     """An ordered rooted tree whose vertex ids 0..n-1 follow DFS preorder.
 
     Immutable after construction.  `children[u]` lists u's children left to
-    right; ids within each list are strictly increasing.
+    right; ids within each list are strictly increasing.  `level_order[l]`
+    lists level l in preorder, and `left_cousin[u]` is the vertex before u
+    in that row, or None when u opens it.
     """
 
     __slots__ = ("n", "parent", "children", "levels", "sizes", "level_order",
-                 "_pos_in_level")
+                 "left_cousin")
 
     def __init__(self, children: Sequence[Sequence[int]]):
         n = len(children)
@@ -53,17 +58,18 @@ class RootedTree:
             raise TreeError("input is not a single tree in preorder")
 
         # a parent precedes its children, so its level is set first, and a
-        # level's first vertex opens its row
+        # level's first vertex opens its row and has no left cousin
         levels = [0] * n
         level_order: list[list[int]] = [[0]]
-        pos = [0] * n
+        left_cousin: list[Optional[int]] = [None] * n
         for u in range(1, n):
             lvl = levels[u] = levels[parent[u]] + 1
-            if lvl == len(level_order):
-                level_order.append([])
-            row = level_order[lvl]
-            pos[u] = len(row)
-            row.append(u)
+            if lvl < len(level_order):
+                row = level_order[lvl]
+                left_cousin[u] = row[-1]
+                row.append(u)
+            else:
+                level_order.append([u])
 
         self.n = n
         self.parent = tuple(parent)
@@ -71,7 +77,7 @@ class RootedTree:
         self.levels = tuple(levels)
         self.sizes = tuple(sizes)
         self.level_order = tuple(tuple(lst) for lst in level_order)
-        self._pos_in_level = tuple(pos)
+        self.left_cousin = tuple(left_cousin)
 
     # -- basic queries -------------------------------------------------
 
@@ -80,6 +86,8 @@ class RootedTree:
         return len(self.level_order) - 1
 
     def check_vertex(self, u: int) -> None:
+        if type(u) is not int:
+            raise TreeError(f"vertex {u!r} is not an int")
         if not (0 <= u < self.n):
             raise TreeError(f"vertex {u} out of range 0..{self.n - 1}")
 
@@ -221,10 +229,7 @@ def build_tree(children_lists: Sequence[Sequence[int]]) -> RootedTree:
 def nearest_left_cousin(tree: RootedTree, u: int) -> Optional[int]:
     """The closest same-level vertex preceding u in preorder, if any."""
     tree.check_vertex(u)
-    pos = tree._pos_in_level[u]
-    if pos == 0:
-        return None
-    return tree.level_order[tree.levels[u]][pos - 1]
+    return tree.left_cousin[u]
 
 
 def ith_ancestor(tree: RootedTree, u: int, i: int) -> int:
@@ -371,7 +376,11 @@ def from_parent_csv(text: str) -> RootedTree:
 
 
 def parse_tree(text: str) -> RootedTree:
-    """Accept either text format (parenthesized preorder or parent CSV)."""
+    """Accept either text format (parenthesized preorder or parent CSV).
+
+    Empty text reads as the parent CSV of the one-vertex tree, the inverse of
+    `to_parent_csv`, which writes that tree as ""; `from_parens("")` refuses
+    it."""
     s = text.strip()
     if s.startswith("("):
         return from_parens(s)

@@ -20,9 +20,9 @@ from treeverse.oracle import brute_embed, enumerate_free_trees
 from treeverse.tree_core import (RootedTree, TreeError, TreeView, from_parens,
                                  to_parent_csv)
 
-from trees import (balanced_hosts, path_tree, prufer_tree, rand_tree,
-                   random_caterpillar, random_spider, star_tree,
-                   vertex_orbit_reps)
+from trees import (balanced_hosts, count_vertex_checks, path_tree,
+                   prufer_tree, rand_tree, random_caterpillar, random_spider,
+                   star_tree, vertex_orbit_reps)
 
 
 def test_star_center_lands_on_root(ternary_hosts):
@@ -528,14 +528,18 @@ PINNED_VIEW_MERGES_SHA256 = (
     "b5c3739cfa646e365b58badd7ecd976fadd8e89b84fe236fe4c5cd5a680817a0")
 
 
-def test_views_match_materialised_subtrees_and_merges():
+def test_views_match_materialised_subtrees_and_merges(monkeypatch):
     hosts = [typed_ternary(3).tree, path_tree(40),
              *balanced_hosts(7)]
     digest = hashlib.sha256()
+    # a merge reads parents and cousins off the tree, with no checked lookup
+    checks = count_vertex_checks(monkeypatch)
 
     def same_merges(view, tree, run):
+        before = checks[0]
         merged = merge_or_error(view, run)
         assert merged == merge_or_error(tree, run)
+        assert checks[0] == before
         digest.update(repr(merged if isinstance(merged, str)
                            else (merged[0].children, merged[1])).encode())
 

@@ -15,8 +15,8 @@ from treeverse.oracle import enumerate_free_trees
 from treeverse.tree_core import (RootedTree, build_tree, from_parens,
                                  nearest_left_cousin)
 
-from trees import (balanced_hosts, ordered_trees, path_tree, rand_tree,
-                   spider_tree, star_tree)
+from trees import (balanced_hosts, count_vertex_checks, ordered_trees,
+                   path_tree, rand_tree, spider_tree, star_tree)
 
 
 def naive_rule_edges(tree, radius):
@@ -283,6 +283,22 @@ def test_prefix_counts_refuse_a_negative_radius():
         prefix_counts(perfect_binary(2), -1)
     with pytest.raises(ValueError, match="radius must be non-negative"):
         generate(perfect_binary(2), -1)
+    for bad, text in ((1.5, "1.5"), (True, "True"), ("1", "'1'")):
+        for make in (prefix_counts, generate):
+            with pytest.raises(ValueError,
+                               match=f"^radius {text} is not an int$"):
+                make(perfect_binary(2), bad)
+
+
+def test_counts_read_cousins_without_a_checked_lookup(monkeypatch):
+    """`prefix_counts` reads each cousin off the tree's `left_cousin`, and
+    makes no `check_vertex` call on ids it holds."""
+    trees = ((typed_ternary(7).tree, 2), (perfect_binary(10), 0))
+    calls = count_vertex_checks(monkeypatch)
+    for tree, radius in trees:
+        for legacy in (False, True):
+            prefix_counts(tree, radius, legacy)
+    assert calls == [0]
 
 
 def test_legacy_setting_only_weakens_the_cousin_rule():
@@ -398,6 +414,10 @@ def test_merged_tree_rejects_bad_runs():
         merged_tree(b3, (2, 1))  # different levels
     with pytest.raises(ValueError):
         merged_tree(b3, (2, 9))  # not consecutive on the level
+    # b3's levels 1 and 2 are 1, 8 and 2, 5, 9, 12; a run vertex is an int
+    for run in ((3.0, 4), (1, 8.0), (True, 8), ("1", 8), (2, 5, True)):
+        with pytest.raises(ValueError, match="^run vertex out of range$"):
+            merged_tree(b3, run)
 
 
 def test_merged_tree_rejects_undominated_run():

@@ -93,18 +93,32 @@ def test_test_modules_do_not_redefine_shared_builders():
             if len(files) > 1} == {}
 
 
+def named_modules(name):
+    """The package modules whose code names `name`: as a variable, an
+    attribute or an imported name, not in a definition or a string."""
+    found = set()
+    for path in sorted(Path(treeverse.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if name == (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias)
+                        else None):
+                found.add(path.stem)
+    return found
+
+
 def test_only_tree_core_names_forest():
     """`Forest` is the tests' reference for components and the benchmark
     tracer's target: no other package module builds or reads one, so the
     finders take only a `RootedTree` and a vertex set."""
-    for path in sorted(Path(treeverse.__file__).parent.glob("*.py")):
-        if path.stem == "tree_core":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute)
-                    else node.name if isinstance(node, ast.alias) else None)
-            assert name != "Forest", (path.name, node.lineno)
+    assert named_modules("Forest") <= {"tree_core"}
+
+
+def test_only_the_export_names_the_checked_cousin_lookup():
+    """Package code reads `RootedTree.left_cousin`; `nearest_left_cousin`,
+    which checks its argument, is the public lookup and has no package
+    caller."""
+    assert named_modules("nearest_left_cousin") == {"__init__"}
 
 
 def test_modules_read_no_private_name_of_another_module():

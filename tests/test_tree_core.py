@@ -189,6 +189,9 @@ def test_nearest_left_cousin_b2():
     assert nearest_left_cousin(b2, 3) == 2
     assert nearest_left_cousin(b2, 5) == 3
     assert nearest_left_cousin(b2, 6) == 5
+    for bad, text in ((1.0, "1.0"), (True, "True"), ("1", "'1'")):
+        with pytest.raises(TreeError, match=f"^vertex {text} is not an int$"):
+            nearest_left_cousin(b2, bad)
 
 
 def test_nearest_left_cousin_sibling_case():
@@ -211,6 +214,9 @@ def test_ith_ancestor_clamps():
         with pytest.raises(TreeError,
                            match=f"^ancestor index {text} is not an int$"):
             ith_ancestor(t, 3, bad)
+    for bad, text in ((1.0, "1.0"), (True, "True"), ("1", "'1'")):
+        with pytest.raises(TreeError, match=f"^vertex {text} is not an int$"):
+            ith_ancestor(t, bad, 1)
 
 
 def test_u_components_star_center():
@@ -292,8 +298,8 @@ def test_levels_and_level_rows_match_a_recount(t):
     rows = tuple(tuple(u for u in range(t.n) if levels[u] == lvl)
                  for lvl in range(max(levels) + 1))
     assert t.level_order == rows
-    assert t._pos_in_level == tuple(rows[levels[u]].index(u)
-                                    for u in range(t.n))
+    before = {b: a for row in rows for a, b in zip(row, row[1:])}
+    assert t.left_cousin == tuple(before.get(u) for u in range(t.n))
 
 
 @given(random_trees())
@@ -341,6 +347,9 @@ def test_text_formats_roundtrip():
     assert to_parens(single) == "()"
     assert to_parent_csv(single) == ""
     assert parse_tree("()") == single
+    # the empty text is the one-vertex tree's parent CSV, not a parens tree
+    assert parse_tree(to_parent_csv(single)) == single
+    assert parse_tree("") == single
 
 
 @given(random_trees())

@@ -1,5 +1,5 @@
-"""Tree builders, tree keys and a graph check shared by the test modules, so
-that no test module imports another.  Each builder is defined here once, and
+"""Tree builders, tree keys, a graph check and a `check_vertex` counter
+shared by the test modules, so that no test module imports another.  Each builder is defined here once, and
 no test module defines a function of the same name
 (`tests/test_package.py` checks it)."""
 
@@ -12,7 +12,22 @@ from typing import Optional
 
 from treeverse.balanced_trees import validate_balance
 from treeverse.graph_gen import UndirectedGraph
-from treeverse.tree_core import RootedTree, build_tree, from_parens
+from treeverse.tree_core import RootedTree, TreeView, build_tree, from_parens
+
+
+def count_vertex_checks(monkeypatch):
+    """Count the `check_vertex` calls of every tree and view from here on,
+    in the returned one-entry list."""
+    calls = [0]
+    check = RootedTree.check_vertex
+
+    def counting(self, u):
+        calls[0] += 1
+        return check(self, u)
+
+    monkeypatch.setattr(RootedTree, "check_vertex", counting)
+    monkeypatch.setattr(TreeView, "check_vertex", counting)
+    return calls
 
 
 def path_tree(n):
