@@ -91,6 +91,11 @@ def validate_balance(tree: RootedTree) -> BalanceReport:
     """Check the four axioms of (2,1)-balance, the ratio 2 and the gap 1 the
     embedder requires.
 
+    The first call walks the tree and memoises the report on it, as
+    `tree.balance`; later calls return that report.  A `RootedTree` does not
+    change, so the report cannot go stale, and each host is walked once
+    however many embeddings it serves.
+
     Axioms, for every vertex u with nearest left cousin l(u):
       - cousin_sum:        size(l(l(u))) + size(l(u)) >= size(u) when l(l(u)) exists
       - cousin_ratio:      2 * size(l(u)) > size(u) when l(u) exists
@@ -98,6 +103,8 @@ def validate_balance(tree: RootedTree) -> BalanceReport:
                            for every u' at least one level deeper
       - sibling_fertility: if u has a child and l(u) exists, l(u) has a child
     """
+    if tree.balance is not None:
+        return tree.balance
     violations: list[tuple] = []
     sizes = tree.sizes
 
@@ -123,4 +130,5 @@ def validate_balance(tree: RootedTree) -> BalanceReport:
         if deeper is not None:
             violations.append((AX_LEVEL_DOMINANCE, (u, deeper)))
 
-    return BalanceReport(tuple(violations))
+    tree.balance = BalanceReport(tuple(violations))
+    return tree.balance

@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import accumulate, chain, repeat
 from typing import Sequence
 
-from .tree_core import RootedTree, TreeView, ith_ancestor
+from .tree_core import RootedTree, TreeView
 
 # Arc tag bits.  One arc may carry several tags; tag counts are therefore
 # with multiplicity while undirected totals count each pair once.
@@ -178,11 +178,15 @@ def rule_intervals(tree: RootedTree, radius: int, u: int,
         lc = _cousin_target(tree, p, legacy)
         if lc is not None:
             yield TAG_COUSIN_SUBTREE, tree.descendant_interval(lc)
-    # rule 4: the spans of u's (clamped) radius-th ancestor
+    # rule 4: the spans of u's radius-th ancestor, clamped at the root,
+    # which is id 0
     if radius > 0:
+        anchor, up = u, radius
+        while up and anchor:
+            anchor = tree.parent[anchor]
+            up -= 1
         rows = tree.level_order
-        for lvl, lo, hi in _radius_spans(tree, radius,
-                                         ith_ancestor(tree, u, radius)):
+        for lvl, lo, hi in _radius_spans(tree, radius, anchor):
             yield TAG_RADIUS, rows[lvl][lo:hi]
 
 
@@ -445,16 +449,26 @@ def merged_tree(tree: RootedTree | TreeView,
                 raise ValueError("last run parent cannot reach the first parent's "
                                  "subtree; the merge map would not be an isomorphism")
 
-    end = lo + view.n
+    sizes, end = base.sizes, lo + view.n
     iso: list[int] = [0 if last_parent == view.root else last_parent - lo]
-    children: list[list[int]] = [[]]
+    children: list = [[]]
     for u in run:
-        size = view.size(u)
-        shift = len(iso) - u - lo   # base id -> merged id
+        # the run subtree is the base ids [a, b), cut at the view's end
+        a = lo + u
+        b = min(a + sizes[a], end)
+        shift = len(iso) - a   # base id -> merged id
         children[0].append(len(iso))
-        for v in range(lo + u, lo + u + size):
-            children.append([c + shift for c in base.children[v] if c < end])
-        iso.extend(range(u, u + size))
+        children += [k and tuple(map(shift.__add__, k))
+                     for k in base.children[a:b]]
+        iso.extend(range(u, b - lo))
+    # only the last run subtree can be cut, and then only the proper
+    # ancestors of base vertex `end` within it have a child past the end
+    if b == end < base.n:
+        v = base.parent[end]
+        while v >= a:
+            children[v + shift] = [c + shift for c in base.children[v]
+                                   if c < end]
+            v = base.parent[v]
     return RootedTree(children), tuple(iso)
 
 

@@ -12,6 +12,8 @@ read it directly, and `nearest_left_cousin` is its checked public lookup.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 
@@ -22,20 +24,22 @@ class TreeError(ValueError):
 class RootedTree:
     """An ordered rooted tree whose vertex ids 0..n-1 follow DFS preorder.
 
-    Immutable after construction.  `children[u]` lists u's children left to
+    Immutable after construction, but for `balance`, the report of
+    `validate_balance`, which that function fills on its first call and
+    which is None until then.  `children[u]` lists u's children left to
     right; ids within each list are strictly increasing.  `level_order[l]`
     lists level l in preorder, and `left_cousin[u]` is the vertex before u
     in that row, or None when u opens it.
     """
 
     __slots__ = ("n", "parent", "children", "levels", "sizes", "level_order",
-                 "left_cousin")
+                 "left_cousin", "balance")
 
     def __init__(self, children: Sequence[Sequence[int]]):
         n = len(children)
         if n == 0:
             raise TreeError("a tree has at least one vertex")
-        kids = tuple(tuple(c) for c in children)
+        kids = tuple(map(tuple, children))
         parent: list[Optional[int]] = [None] * n
         sizes = [1] * n
         # from the last vertex back, so each child's size is final when its
@@ -43,12 +47,13 @@ class RootedTree:
         # starts where the subtree of the one before it ends.  Accepted
         # subtrees nest, so a vertex listed under a second parent never
         # starts where that parent's previous child ends, and no id is
-        # claimed twice
+        # claimed twice.  A child must be an int, not only equal to one: a
+        # float or a bool passes the comparisons
         for u in range(n - 1, -1, -1):
             end = u + 1
             for c in kids[u]:
-                if c != end or c == n:
-                    raise TreeError("children lists are not in preorder")
+                if c != end or c == n or type(c) is not int:
+                    raise _child_error(kids)
                 parent[c] = u
                 end += sizes[c]
             sizes[u] = end - u
@@ -78,6 +83,7 @@ class RootedTree:
         self.sizes = tuple(sizes)
         self.level_order = tuple(tuple(lst) for lst in level_order)
         self.left_cousin = tuple(left_cousin)
+        self.balance = None
 
     # -- basic queries -------------------------------------------------
 
@@ -122,6 +128,16 @@ class RootedTree:
         return f"RootedTree(n={self.n})"
 
 
+def _child_error(kids: tuple) -> TreeError:
+    """The refusal of child lists that `RootedTree` stopped at: the first
+    child id that is not exactly an int, wherever it is, or else the break
+    in preorder."""
+    bad = [c for c in chain.from_iterable(kids) if type(c) is not int]
+    if bad:
+        return TreeError(f"child id {bad[0]!r} is not an int")
+    return TreeError("children lists are not in preorder")
+
+
 class TreeView:
     """The base vertices [lo, lo + n) of a tree, relabelled from 0, with
     vertex 0 read as the base vertex `root`.
@@ -150,9 +166,25 @@ class TreeView:
 
     @property
     def depth(self) -> int:
-        levels, lo = self.base.levels, self.lo
-        top = levels[self.root]
-        return max(levels[lo + 1:lo + self.n], default=top) - top
+        """The deepest view level, found by a binary search over the base's
+        level rows with one bisect per probe.  The ancestors of a view
+        vertex below the root are view vertices too, so the rows that meet
+        the ids [lo + 1, lo + n) run without a gap from the row below the
+        root's; a view of n vertices spans at most n - 1 of them."""
+        base, lo, n = self.base, self.lo, self.n
+        rows, end = base.level_order, lo + n
+        top = base.levels[self.root]
+        # the deepest row known to meet the ids, and the deepest it can be
+        low, high = top, min(len(rows) - 1, top + n - 1)
+        while low < high:
+            mid = (low + high + 1) // 2
+            row = rows[mid]
+            i = bisect_left(row, lo + 1)
+            if i < len(row) and row[i] < end:
+                low = mid
+            else:
+                high = mid - 1
+        return low - top
 
     check_vertex = RootedTree.check_vertex
 

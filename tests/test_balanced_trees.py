@@ -104,6 +104,18 @@ def test_ratio_violation_reported():
                for ax, wit in report.violations)
 
 
+def test_balance_report_is_kept_on_the_tree():
+    """The first check fills `tree.balance`; a repeated check returns that
+    report, equal to the report of a fresh copy of the tree."""
+    lopsided = RootedTree([[1, 2], [], [3, 4, 5, 6], [], [], [], []])
+    for tree in (typed_ternary(4).tree, lopsided):
+        assert tree.balance is None
+        first = validate_balance(tree)
+        assert tree.balance is first
+        assert validate_balance(tree) == first
+        assert validate_balance(RootedTree(tree.children)) == first
+
+
 def test_exact_fraction_boundary():
     # the cousin ratio needs 2 * size(left) > size(u): sizes (3, 4) pass,
     # sizes (2, 4) sit on the boundary and fail

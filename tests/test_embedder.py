@@ -11,7 +11,7 @@ import pytest
 
 import treeverse
 
-from treeverse import embedder
+from treeverse import balanced_trees, embedder
 from treeverse.balanced_trees import typed_ternary
 from treeverse.embedder import (Embedding, embed, host_graph_for, phi2_window,
                                 verify_embedding)
@@ -216,6 +216,36 @@ def test_embed_rejects_bad_inputs(ternary_hosts, monkeypatch):
         with pytest.raises(ValueError, match=f"host graph has {wrong.n} "
                                              "vertices, host 27"):
             embed(big, path_tree(4), 0, 0, host_graph=wrong)
+
+
+def test_each_host_tree_is_walked_for_balance_once(monkeypatch):
+    """`embed` checks the host's balance on every call, and the check walks
+    each host tree once: `validate_balance` keeps its report on the tree.
+    An unbalanced host is refused with the same text on every use."""
+    walks = [0]
+    report = balanced_trees.BalanceReport
+
+    def counting(violations):
+        walks[0] += 1
+        return report(violations)
+
+    monkeypatch.setattr(balanced_trees, "BalanceReport", counting)
+    host = typed_ternary(5).tree
+    graph = host_graph_for(host)
+    rng = random.Random(100)
+    for _ in range(100):
+        guest = rand_tree(rng, rng.randint(1, host.n))
+        embed(host, guest, rng.randrange(guest.n), rng.randrange(guest.n),
+              host_graph=graph)
+    assert walks == [1]
+    lopsided = RootedTree([[1, 2], [], [3, 4, 5, 6], [], [], [], []])
+    for _ in range(2):
+        with pytest.raises(ValueError) as refusal:
+            embed(lopsided, path_tree(3), 0, 0)
+        assert str(refusal.value) == (
+            "host is not (2,1)-balanced: (('cousin_ratio', (2, 1)), "
+            "('sibling_fertility', (2, 1)))")
+    assert walks == [2]
 
 
 def test_phi2_window_detection(ternary_hosts):

@@ -301,6 +301,18 @@ def test_counts_read_cousins_without_a_checked_lookup(monkeypatch):
     assert calls == [0]
 
 
+def test_rule_runs_find_anchors_without_a_checked_lookup(monkeypatch):
+    """`rule_intervals` walks each vertex's radius anchor up the tree's
+    parents, with no `check_vertex` call on ids it holds, for the
+    undirected view and for the tagged arcs alike."""
+    calls = count_vertex_checks(monkeypatch)
+    digraph = generate(typed_ternary(7).tree, 2)
+    underlying(digraph)
+    assert calls == [0]
+    digraph.arcs
+    assert calls == [0]
+
+
 def test_legacy_setting_only_weakens_the_cousin_rule():
     """At every radius the legacy graph lies inside the corrected one, arc
     for arc, and differs from it only in cousin tags; no prefix has more

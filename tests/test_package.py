@@ -121,6 +121,13 @@ def test_only_the_export_names_the_checked_cousin_lookup():
     assert named_modules("nearest_left_cousin") == {"__init__"}
 
 
+def test_only_the_export_names_the_checked_ancestor_lookup():
+    """`graph_gen` walks `RootedTree.parent` to each radius anchor;
+    `ith_ancestor`, which checks its arguments, is the public lookup and has
+    no package caller."""
+    assert named_modules("ith_ancestor") == {"__init__"}
+
+
 def test_modules_read_no_private_name_of_another_module():
     """A non-dunder `_name` attribute is read on `self`, or names a slot or a
     `self._name` assignment of a class in the same module, and no module

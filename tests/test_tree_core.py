@@ -1,17 +1,20 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from treeverse import tree_core
 from treeverse.tree_core import (Forest, RootedTree, TreeError, TreeView,
                                  build_tree, from_parens, from_parent_csv,
                                  ith_ancestor, nearest_left_cousin, parse_tree,
                                  to_parens, to_parent_csv)
 from treeverse.balanced_trees import perfect_binary
 
-from trees import path_tree, rand_tree, random_subset, star_tree
+from trees import (ordered_trees, path_tree, rand_tree, random_subset,
+                   star_tree)
 
 
 @st.composite
@@ -83,6 +86,12 @@ def test_children_lists_must_be_in_preorder():
     # 1's children are 2 and 4, but 3, a child of 0, lies between them
     with pytest.raises(TreeError, match="not in preorder"):
         RootedTree([[1, 3], [2, 4], [], [], []])
+    # an id equal to an int in value is still refused, by its type, first
+    for bad, children in ((1.0, [[1.0], []]), (True, [[True], []]),
+                          ("1", [["1"], []]), (3.0, [[1, 2], [], [3.0], []])):
+        with pytest.raises(TreeError,
+                           match=f"^child id {bad!r} is not an int$"):
+            RootedTree(children)
     rng = random.Random(11)
     seen = {True: 0, False: 0}
     for _ in range(20000):
@@ -217,6 +226,46 @@ def test_ith_ancestor_clamps():
     for bad, text in ((1.0, "1.0"), (True, "True"), ("1", "'1'")):
         with pytest.raises(TreeError, match=f"^vertex {text} is not an int$"):
             ith_ancestor(t, bad, 1)
+
+
+def test_view_depth_bisects_the_level_rows(monkeypatch):
+    """`TreeView.depth` binary-searches the base's level rows with one bisect
+    per probe: on views of a 4000-vertex path, each at depth n - 1, it takes
+    at most ceil(log2(depth + 1)) + 1 bisects, not a read per level."""
+    calls = [0]
+    bisect = tree_core.bisect_left
+
+    def counting(*args):
+        calls[0] += 1
+        return bisect(*args)
+
+    monkeypatch.setattr(tree_core, "bisect_left", counting)
+    whole = TreeView(path_tree(4000))
+    for view in (whole, whole.prefix(1), whole.prefix(3), whole.prefix(2500),
+                 whole.subtree(1000), whole.subtree(1000).prefix(7),
+                 whole.subtree(3999), whole.tail(1)):
+        calls[0] = 0
+        depth = view.depth
+        assert depth == view.n - 1
+        assert calls[0] <= math.ceil(math.log2(depth + 1)) + 1, view.n
+
+
+def test_view_depth_matches_a_scan_on_every_small_tree():
+    """On every ordered tree with at most 8 vertices, balanced or not, each
+    subtree prefix and each tail prefix has the depth of its deepest
+    vertex, found by reading the level of every vertex."""
+    views = 0
+    for n in range(1, 9):
+        for tree in map(from_parens, ordered_trees(n)):
+            whole = TreeView(tree)
+            tails = [whole.tail(c) for c in tree.children[0]]
+            for view in (*map(whole.subtree, range(n)), *tails):
+                for m in range(1, view.n + 1):
+                    cut = view.prefix(m)
+                    scan = max(tree.levels[cut.vertex(i)] for i in range(m))
+                    assert cut.depth == scan - tree.levels[cut.root]
+                    views += 1
+    assert views == 21_438
 
 
 def test_u_components_star_center():
