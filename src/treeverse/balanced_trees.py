@@ -4,15 +4,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tree_core import RootedTree
+from .tree_core import RootedTree, check_int
 
 
-def perfect_binary(k: int) -> RootedTree:
-    """Perfect binary tree with all leaves at level k (2^(k+1)-1 vertices)."""
+def _check_k(k: int) -> None:
+    """Refuse a family depth that is not a non-negative int."""
     if type(k) is not int:
         raise ValueError(f"k must be an int, got {k!r}")
     if k < 0:
         raise ValueError("k must be non-negative")
+
+
+def perfect_binary(k: int) -> RootedTree:
+    """Perfect binary tree with all leaves at level k (2^(k+1)-1 vertices)."""
+    _check_k(k)
     children: list[list[int]] = []
 
     def grow(level: int) -> int:
@@ -37,10 +42,7 @@ class TypedTree:
 def typed_ternary(k: int) -> TypedTree:
     """The typed family on 3^k vertices: a type-1 vertex gets children typed
     (1, 2), a type-2 vertex gets (1, 2, 1, 2), all leaves at level k."""
-    if type(k) is not int:
-        raise ValueError(f"k must be an int, got {k!r}")
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _check_k(k)
     children: list[list[int]] = []
     types: list[int] = []
 
@@ -61,6 +63,8 @@ def descendant_count(level: int, vtype: int, k: int) -> int:
     """Closed form for the descendant count of a typed-ternary vertex.  Only
     tests call it; it stays for the pair count per vertex context that the
     ROADMAP plans, which needs the closed form."""
+    for name, v in (("level", level), ("vertex type", vtype), ("k", k)):
+        check_int(name, v, ValueError)
     if not (0 <= level <= k):
         raise ValueError(f"level {level} out of range 0..{k}")
     if vtype not in (1, 2):

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .tree_core import RootedTree, TreeError
+from .tree_core import RootedTree, TreeError, check_int
 
 
 class DecompositionBugError(AssertionError):
@@ -205,15 +205,18 @@ def _checked(rooted: _RootedPass, w: int, roots, x: int, y: int,
     return coll, kind
 
 
-def _inside(tree: RootedTree, within) -> frozenset:
+def _inside(tree: RootedTree, within, u, *sizes) -> frozenset:
     """The vertex set a finder works on: the whole tree, or `within`,
     refused, before any other check, when it holds anything but int ids in
-    0..n-1, such as a float equal to an id."""
+    0..n-1, such as a float equal to an id.  Then the protected vertex u and
+    the sizes x and y are refused unless each is exactly an int."""
     ks = frozenset(range(tree.n) if within is None else within)
     # whole passes in C: the types, then the range by its two ends
     if not ({*map(type, ks)} <= {int} and 0 <= min(ks, default=0)
             and max(ks, default=0) < tree.n):
         raise TreeError("induced set is not a subset of the forest")
+    for name, v in zip(("vertex", "x", "y"), (u, *sizes)):
+        check_int(name, v)
     return ks
 
 
@@ -226,7 +229,7 @@ def find_bounded_components(tree: RootedTree, u: int, x: int,
     components greedily until the union reaches x.  With `within`, works on
     the forest induced on that vertex set without building it.
     """
-    inside = _inside(tree, within)
+    inside = _inside(tree, within, u, x)
     if u not in inside:
         raise ValueError(f"vertex {u} not in forest")
     if x < 1:
@@ -252,7 +255,7 @@ def find_feasible_or_critical(tree: RootedTree, u: int, x: int, y: int,
     `find_bounded_components(tree, u, x-1)` whenever the forest has more
     than x+y-2 vertices.  `within` is as in `find_bounded_components`.
     """
-    inside = _inside(tree, within)
+    inside = _inside(tree, within, u, x, y)
     if x < 2 or y < 2:
         raise ValueError("requires x >= 2 and y >= 2")
     if len(inside) < x + 1:

@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .tree_core import RootedTree, TreeView
+from .tree_core import RootedTree, TreeView, check_int
 from .graph_gen import UndirectedGraph, generate, underlying, merged_tree
 from .balanced_trees import validate_balance
 from .decomposition import find_bounded_components, find_feasible_or_critical
@@ -119,13 +119,14 @@ class _Solver:
         self.place(other, old)
         self.place(g, root)
 
-    def grandchildren(self, view: TreeView, to_top) -> tuple[TreeView, list]:
-        """The merge of the grandchildren of a two-child root (a cousin run),
-        with its map to input-host ids."""
-        v1, v2 = view.children(0)
-        tstar, iso = merged_tree(view, view.children(v1) + view.children(v2))
-        # every merged vertex is v2 or below it, never the view's root 0, so
-        # view vertex h is base vertex lo + h
+    def grandchildren(self, view: TreeView, to_top,
+                      kids: tuple) -> tuple[TreeView, list]:
+        """The merge of the grandchildren of a two-child root, whose children
+        are `kids` (a cousin run), with its map to input-host ids."""
+        tstar, iso = merged_tree(view, [g for v in kids
+                                        for g in view.children(v)])
+        # every merged vertex is a root child or below one, never the view's
+        # root 0, so view vertex h is base vertex lo + h
         return TreeView(tstar), [to_top[view.lo + h] for h in iso]
 
     def step(self, view: TreeView, to_top, piece: frozenset,
@@ -138,7 +139,7 @@ class _Solver:
             return
 
         # depth <= 2 hosts generate complete graphs: any suffix assignment works
-        if view.depth <= EMBED_RADIUS:
+        if not view.deeper_than(EMBED_RADIUS):
             return self.complete(view, to_top, piece, anchor)
 
         kids = view.children(0)
@@ -155,8 +156,8 @@ class _Solver:
             return self.single_child(view, to_top, piece, anchor)
         if t == 2:
             if sigma <= m - 2:
-                return self.pair_merge(view, to_top, piece, anchor, low2)
-            return self.pair_full(view, to_top, piece, anchor)
+                return self.pair_merge(view, to_top, piece, anchor, low2, kids)
+            return self.pair_full(view, to_top, piece, anchor, kids)
         if sigma <= m - kids[-2] - 1:
             # the guest fits in the merge of the last two subtrees
             return self.push(view.tail(kids[-2]), to_top, piece, anchor)
@@ -196,22 +197,22 @@ class _Solver:
         self.push(view.subtree(1), to_top, piece - {special})
 
     def pair_merge(self, view: TreeView, to_top, piece: frozenset,
-                   anchor: Optional[int], low2: Optional[int]) -> None:
+                   anchor: Optional[int], low2: Optional[int],
+                   kids: tuple) -> None:
         """Two root children, guest leaves at least two host vertices unused:
         the rest goes into the merge of the grandchildren, whose fresh root
         stands for the last root child and stays unused."""
-        _, v2 = view.children(0)
         special = anchor if anchor is not None else max(piece)
         rest = piece - {special}
         sub_anchor = low2 if (low2 is not None and low2 in rest) else None
-        self.place(special, to_top[view.lo + v2])
-        self.push(*self.grandchildren(view, to_top), rest, sub_anchor)
+        self.place(special, to_top[view.lo + kids[1]])
+        self.push(*self.grandchildren(view, to_top, kids), rest, sub_anchor)
 
     def pair_full(self, view: TreeView, to_top, piece: frozenset,
-                  anchor: Optional[int]) -> None:
+                  anchor: Optional[int], kids: tuple) -> None:
         """Two root children, guest covers all or all-but-one of the host."""
         guest, m = self.guest, view.n
-        v1, v2 = view.children(0)
+        v1, v2 = kids
         special = anchor if anchor is not None else max(piece)
         rest = piece - {special}
         # a leaf of the remainder has a single neighbor there, which the
@@ -225,7 +226,7 @@ class _Solver:
         wp = near[w][0] if leaves else min(rest - {w}, default=None)
         self.place(w, to_top[view.lo + v1])
         self.place(special, to_top[view.vertex(v2 if len(piece) == m - 1 else 0)])
-        self.push(*self.grandchildren(view, to_top), rest - {w}, wp)
+        self.push(*self.grandchildren(view, to_top, kids), rest - {w}, wp)
 
     def wide_split(self, view: TreeView, to_top, piece: frozenset,
                    anchor: Optional[int], kids: tuple) -> None:
@@ -353,8 +354,7 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
     if x2 is None:
         x2 = x1
     for x in (x1, x2):
-        if type(x) is not int:
-            raise ValueError(f"marker {x!r} is not an int")
+        check_int("marker", x, ValueError)
         guest.check_vertex(x)
 
     mapping = _solve(host, frozenset(range(guest.n)), guest, x1, x2)

@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import accumulate, chain, repeat
 from typing import Sequence
 
-from .tree_core import RootedTree, TreeView
+from .tree_core import RootedTree, TreeView, check_int
 
 # Arc tag bits.  One arc may carry several tags; tag counts are therefore
 # with multiplicity while undirected totals count each pair once.
@@ -61,6 +61,7 @@ class UndirectedGraph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges):
+        check_int("vertex count", n, ValueError)
         if n < 0:
             raise ValueError(f"vertex count {n} is negative")
         self.n = n
@@ -88,10 +89,13 @@ class UndirectedGraph:
         return sum(map(len, self.adj)) // 2
 
     def has_edge(self, u: int, w: int) -> bool:
+        if not (0 <= u < self.n and 0 <= w < self.n):
+            raise ValueError(f"edge endpoint out of range: {u}, {w}")
         return w in self.adj[u]
 
     def induced_prefix(self, m: int) -> "UndirectedGraph":
         """Undirected subgraph induced on the preorder prefix {0,..,m-1}."""
+        check_int("prefix size", m, ValueError)
         if not (0 <= m <= self.n):
             raise ValueError(f"prefix size {m} out of range 0..{self.n}")
         return UndirectedGraph(
@@ -218,8 +222,7 @@ def _radius_spans(tree: RootedTree, radius: int,
 
 
 def _check_radius(radius: int) -> None:
-    if type(radius) is not int:
-        raise ValueError(f"radius {radius!r} is not an int")
+    check_int("radius", radius, ValueError)
     if radius < 0:
         raise ValueError("radius must be non-negative")
 

@@ -14,11 +14,18 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NoReturn, Optional, Sequence
 
 
 class TreeError(ValueError):
     """Raised for structurally invalid tree input."""
+
+
+def check_int(name: str, value, error: type = TreeError) -> None:
+    """Refuse a value that is not exactly an int, naming it: a float or a
+    bool equal to an int passes every comparison an id or a size meets."""
+    if type(value) is not int:
+        raise error(f"{name} {value!r} is not an int")
 
 
 class RootedTree:
@@ -53,7 +60,7 @@ class RootedTree:
             end = u + 1
             for c in kids[u]:
                 if c != end or c == n or type(c) is not int:
-                    raise _child_error(kids)
+                    _refuse_children(kids)
                 parent[c] = u
                 end += sizes[c]
             sizes[u] = end - u
@@ -92,8 +99,7 @@ class RootedTree:
         return len(self.level_order) - 1
 
     def check_vertex(self, u: int) -> None:
-        if type(u) is not int:
-            raise TreeError(f"vertex {u!r} is not an int")
+        check_int("vertex", u)
         if not (0 <= u < self.n):
             raise TreeError(f"vertex {u} out of range 0..{self.n - 1}")
 
@@ -128,14 +134,13 @@ class RootedTree:
         return f"RootedTree(n={self.n})"
 
 
-def _child_error(kids: tuple) -> TreeError:
-    """The refusal of child lists that `RootedTree` stopped at: the first
-    child id that is not exactly an int, wherever it is, or else the break
-    in preorder."""
-    bad = [c for c in chain.from_iterable(kids) if type(c) is not int]
-    if bad:
-        return TreeError(f"child id {bad[0]!r} is not an int")
-    return TreeError("children lists are not in preorder")
+def _refuse_children(kids: tuple) -> NoReturn:
+    """Refuse the child lists that `RootedTree` stopped at: by the first
+    child id that is not exactly an int, wherever it is, or else by the
+    break in preorder."""
+    for c in chain.from_iterable(kids):
+        check_int("child id", c)
+    raise TreeError("children lists are not in preorder")
 
 
 class TreeView:
@@ -145,7 +150,8 @@ class TreeView:
     A plain view has `root == lo` and is the tree `base.subtree(lo).prefix(n)`
     without building it: a descendant interval cut at a prefix is still an
     interval, so every field is read off the base, and `subtree` and `prefix`
-    of a view are views of the same base, made in O(1).  A tail (`tail(c)`)
+    of a view are views of the same base, made in O(1).  Of its depth it
+    answers only `deeper_than(r)`, by one bisect.  A tail (`tail(c)`)
     keeps the root and drops the root children before c, so vertex 1 is base
     `lo + 1` and vertex 0 stays `root`: the tree that `merged_tree` builds for
     the sibling run from c to the last root child.
@@ -164,27 +170,18 @@ class TreeView:
         """The base id of view vertex u."""
         return self.root if u == 0 else self.lo + u
 
-    @property
-    def depth(self) -> int:
-        """The deepest view level, found by a binary search over the base's
-        level rows with one bisect per probe.  The ancestors of a view
-        vertex below the root are view vertices too, so the rows that meet
-        the ids [lo + 1, lo + n) run without a gap from the row below the
-        root's; a view of n vertices spans at most n - 1 of them."""
-        base, lo, n = self.base, self.lo, self.n
-        rows, end = base.level_order, lo + n
-        top = base.levels[self.root]
-        # the deepest row known to meet the ids, and the deepest it can be
-        low, high = top, min(len(rows) - 1, top + n - 1)
-        while low < high:
-            mid = (low + high + 1) // 2
-            row = rows[mid]
-            i = bisect_left(row, lo + 1)
-            if i < len(row) and row[i] < end:
-                low = mid
-            else:
-                high = mid - 1
-        return low - top
+    def deeper_than(self, r: int) -> bool:
+        """Whether some view vertex lies more than r >= 0 levels below the
+        root.  The ancestors of a view vertex below the root are view
+        vertices too, in a tail as in a plain view, so the rows that meet the
+        ids [lo + 1, lo + n) run without a gap from the row below the root's:
+        one deeper than r exists exactly when row r + 1 below the root
+        meets them, which one bisect tells."""
+        base, lo = self.base, self.lo
+        lvl = base.levels[self.root] + r + 1
+        row = base.level_order[lvl] if lvl < len(base.level_order) else ()
+        i = bisect_left(row, lo + 1)
+        return i < len(row) and row[i] < lo + self.n
 
     check_vertex = RootedTree.check_vertex
 
@@ -231,6 +228,7 @@ def build_tree(children_lists: Sequence[Sequence[int]]) -> RootedTree:
     seen: set[int] = set()
     for u, lst in enumerate(children_lists):
         for c in lst:
+            check_int("child id", c)
             if not (0 <= c < n):
                 raise TreeError(f"child id {c} out of range")
             if c in seen:
@@ -267,8 +265,7 @@ def nearest_left_cousin(tree: RootedTree, u: int) -> Optional[int]:
 def ith_ancestor(tree: RootedTree, u: int, i: int) -> int:
     """The i-fold parent of u, clamped at the root."""
     tree.check_vertex(u)
-    if type(i) is not int:
-        raise TreeError(f"ancestor index {i!r} is not an int")
+    check_int("ancestor index", i)
     if i < 0:
         raise TreeError("ancestor index must be non-negative")
     while i > 0 and tree.parent[u] is not None:

@@ -61,6 +61,12 @@ def test_descendant_count_closed_form():
         descendant_count(4, 1, 3)
     with pytest.raises(ValueError):
         descendant_count(0, 3, 3)
+    # floats gave 4.196... and 14.59, and True passed as type 1
+    for args, text in (((1.5, 1, 3), "level 1.5"), ((0, 1, 2.5), "k 2.5"),
+                       ((0, True, 2), "vertex type True"),
+                       ((0, 2.0, 2), "vertex type 2.0")):
+        with pytest.raises(ValueError, match=f"^{text} is not an int$"):
+            descendant_count(*args)
 
 
 def test_descendant_count_matches_tree():

@@ -13,6 +13,7 @@ from treeverse.decomposition import (ComponentCollection, _bounded_walk,
                                      find_bounded_components,
                                      find_feasible_or_critical)
 import treeverse
+from treeverse.balanced_trees import perfect_binary
 from treeverse.tree_core import Forest, TreeError, build_tree
 
 from trees import (path_tree, rand_tree, random_subset, spider_tree,
@@ -99,6 +100,20 @@ def test_finders_refuse_bad_arguments():
     for x, y in ((1, 3), (3, 1), (1, 1), (0, 2)):
         with pytest.raises(ValueError, match="^requires x >= 2 and y >= 2$"):
             find_feasible_or_critical(t, 0, x, y, within={0, 1, 2, 3})
+    # a vertex or a size only equal to an int is refused by name: 2.5 ended
+    # the search in a bare StopIteration, 1.0 in Python's own TypeError, and
+    # True was read as vertex 1 or as 1
+    b3 = perfect_binary(3)
+    for find, args, text in (
+            (find_feasible_or_critical, (b3, 0, 3, 2.5), "y 2.5"),
+            (find_feasible_or_critical, (b3, 0, 3.0, 2), "x 3.0"),
+            (find_feasible_or_critical, (b3, True, 3, 2), "vertex True"),
+            (find_bounded_components, (t, 1.0, 2), "vertex 1.0"),
+            (find_bounded_components, (t, True, 2), "vertex True"),
+            (find_bounded_components, (t, 0, True), "x True"),
+            (find_bounded_components, (t, "0", 2), "vertex '0'")):
+        with pytest.raises(TreeError, match=f"^{text} is not an int$"):
+            find(*args)
 
 
 def test_classify_examples():

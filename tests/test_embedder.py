@@ -547,7 +547,8 @@ def assert_view_is(view, tree, ids):
     assert view.n == m
     assert tuple(view.children(i) for i in range(m)) == tree.children
     assert tuple(view.size(i) for i in range(m)) == tree.sizes
-    assert view.depth == tree.depth
+    assert ([view.deeper_than(r) for r in range(tree.depth + 1)]
+            == [tree.depth > r for r in range(tree.depth + 1)])
     assert [view.vertex(i) for i in range(m)] == list(ids)
 
 
@@ -681,3 +682,36 @@ def test_pinned_embeddings_take_every_proof_route(monkeypatch):
     assert hits == {"complete": 238, "leaf_peel": 8, "single_child": 2891,
                     "pair_merge": 266, "pair_full": 18, "wide_split": 194,
                     "critical_split": 6, "descend": 1065, "tail": 37}
+
+
+def test_each_step_reads_the_root_children_once(monkeypatch):
+    """A step reads its view's root children once and hands them to the pair
+    cases and to the grandchildren merge, which read them no more: over
+    `pinned_embeddings`, no step makes a second `children(0)` call, the 284
+    pair steps among them."""
+    solver = embedder._Solver
+    reads, pairs = [0], [0]
+    children, step = TreeView.children, solver.step
+
+    def counted_children(self, u):
+        reads[0] += u == 0
+        return children(self, u)
+
+    def counted_step(self, *args):
+        reads[0] = 0
+        step(self, *args)
+        assert reads[0] <= 1
+
+    def spy(method):
+        def case(self, *args):
+            pairs[0] += 1
+            return method(self, *args)
+        return case
+
+    monkeypatch.setattr(TreeView, "children", counted_children)
+    monkeypatch.setattr(solver, "step", counted_step)
+    for name in ("pair_merge", "pair_full"):
+        monkeypatch.setattr(solver, name, spy(getattr(solver, name)))
+    for _ in pinned_embeddings():
+        pass
+    assert pairs[0] == 284

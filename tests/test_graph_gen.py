@@ -117,6 +117,17 @@ def test_graph_refuses_self_loops_and_outside_endpoints():
     # a negative count made a graph that both deciders called universal
     with pytest.raises(ValueError, match="^vertex count -1 is negative$"):
         UndirectedGraph(-1, [])
+    # a count only equal to an int raised Python's own TypeError
+    for bad, text in ((1.5, "1.5"), (True, "True"), ("3", "'3'")):
+        with pytest.raises(ValueError,
+                           match=f"^vertex count {text} is not an int$"):
+            UndirectedGraph(bad, [])
+    # -1 read vertex n-1's row, and n + 2 raised IndexError
+    g = UndirectedGraph(3, [(0, 1), (1, 2)])
+    for u, w in ((-1, 1), (1, -1), (5, 0), (0, 3), (3, 3)):
+        with pytest.raises(ValueError, match="^edge endpoint out of range: "
+                                             f"{u}, {w}$"):
+            g.has_edge(u, w)
     with pytest.raises(ValueError):
         UndirectedGraph(3, [(0, 1)]).induced([2, -1])
     # a repeated vertex would take two labels, the first left isolated
@@ -361,6 +372,10 @@ def test_admissible_induced():
     assert legacy.induced_prefix(11).n == 11
     for m in (8, -1):
         with pytest.raises(ValueError, match=f"prefix size {m} out of range 0..7"):
+            g.induced_prefix(m)
+    for m, text in ((1.5, "1.5"), (True, "True")):
+        with pytest.raises(ValueError, match=f"^prefix size {text} is not an "
+                                             "int$"):
             g.induced_prefix(m)
 
 

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import math
 import random
 
 import pytest
@@ -56,6 +55,10 @@ def test_build_rejects_duplicate_child():
         RootedTree([])
     with pytest.raises(TreeError, match="^child id 5 out of range$"):
         build_tree([[5], []])
+    # a child id only equal to an int is refused by name: True made a path
+    for bad, text in ((True, "True"), (1.0, "1.0"), ("1", "'1'")):
+        with pytest.raises(TreeError, match=f"^child id {text} is not an int$"):
+            build_tree([[bad], []])
 
 
 def test_build_rejects_cycle():
@@ -228,10 +231,10 @@ def test_ith_ancestor_clamps():
             ith_ancestor(t, bad, 1)
 
 
-def test_view_depth_bisects_the_level_rows(monkeypatch):
-    """`TreeView.depth` binary-searches the base's level rows with one bisect
-    per probe: on views of a 4000-vertex path, each at depth n - 1, it takes
-    at most ceil(log2(depth + 1)) + 1 bisects, not a read per level."""
+def _count_deeper_than(monkeypatch):
+    """Patch `tree_core.bisect_left` to count its calls, and return a
+    `deeper(view, r)` that answers `view.deeper_than(r)` after checking that
+    the call made at most one bisect."""
     calls = [0]
     bisect = tree_core.bisect_left
 
@@ -239,21 +242,38 @@ def test_view_depth_bisects_the_level_rows(monkeypatch):
         calls[0] += 1
         return bisect(*args)
 
+    def deeper(view, r):
+        calls[0] = 0
+        found = view.deeper_than(r)
+        assert calls[0] <= 1, (view.n, r, calls[0])
+        return found
+
     monkeypatch.setattr(tree_core, "bisect_left", counting)
+    return deeper
+
+
+def test_view_depth_bisects_the_level_rows(monkeypatch):
+    """`TreeView.deeper_than(r)` tells whether a view vertex lies more than r
+    levels below the view's root by one bisect of a base level row, not a
+    read per level: on views of a 4000-vertex path, each n - 1 levels deep,
+    each call makes at most one bisect and is right on both sides of the
+    depth."""
+    deeper = _count_deeper_than(monkeypatch)
     whole = TreeView(path_tree(4000))
     for view in (whole, whole.prefix(1), whole.prefix(3), whole.prefix(2500),
                  whole.subtree(1000), whole.subtree(1000).prefix(7),
                  whole.subtree(3999), whole.tail(1)):
-        calls[0] = 0
-        depth = view.depth
-        assert depth == view.n - 1
-        assert calls[0] <= math.ceil(math.log2(depth + 1)) + 1, view.n
+        depth = view.n - 1
+        for r in {0, 1, 2, max(depth - 1, 0), depth, depth + 1, 4000}:
+            assert deeper(view, r) == (depth > r), (view.n, r)
 
 
-def test_view_depth_matches_a_scan_on_every_small_tree():
+def test_view_depth_matches_a_scan_on_every_small_tree(monkeypatch):
     """On every ordered tree with at most 8 vertices, balanced or not, each
-    subtree prefix and each tail prefix has the depth of its deepest
-    vertex, found by reading the level of every vertex."""
+    subtree prefix and each tail prefix answers `deeper_than(r)` as its
+    deepest vertex, found by reading the level of every vertex, says, for
+    each r from 0 to n, with at most one bisect per call."""
+    deeper = _count_deeper_than(monkeypatch)
     views = 0
     for n in range(1, 9):
         for tree in map(from_parens, ordered_trees(n)):
@@ -262,8 +282,10 @@ def test_view_depth_matches_a_scan_on_every_small_tree():
             for view in (*map(whole.subtree, range(n)), *tails):
                 for m in range(1, view.n + 1):
                     cut = view.prefix(m)
-                    scan = max(tree.levels[cut.vertex(i)] for i in range(m))
-                    assert cut.depth == scan - tree.levels[cut.root]
+                    scan = (max(tree.levels[cut.vertex(i)] for i in range(m))
+                            - tree.levels[cut.root])
+                    assert ([deeper(cut, r) for r in range(n + 1)]
+                            == [scan > r for r in range(n + 1)])
                     views += 1
     assert views == 21_438
 
