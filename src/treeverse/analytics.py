@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, asdict
 
 from .balanced_trees import perfect_binary, typed_ternary
 from .graph_gen import generate, prefix_counts, underlying
+from .tree_core import check_int
 
 FLOAT_GUARD = 1e-6
 
@@ -74,6 +75,14 @@ class BoundReport:
                          f"{r.bound_value:.3f},{r.slack:.3f}")
         return "\n".join(lines)
 
+    def to_table(self) -> str:
+        lines = [f"{'family':<15}{'k':>3}{'n':>7}{'edges':>9}{'bound':>13}"
+                 f"{'slack':>13}"]
+        for r in self.rows:
+            lines.append(f"{r.family:<15}{r.k:>3}{r.n:>7}{r.edges_total:>9}"
+                         f"{r.bound_value:>13.1f}{r.slack:>13.1f}")
+        return "\n".join(lines)
+
 
 def _prefix_spread(lo: int, hi: int, want: int) -> list:
     """min(want, hi - lo) prefix sizes spread over (lo, hi], lo < hi; the
@@ -85,8 +94,7 @@ def _prefix_spread(lo: int, hi: int, want: int) -> list:
 
 def bound_table_ternary(k_max: int, prefix_sweep: bool = False) -> BoundReport:
     """Radius-2 edge counts of the typed ternary family against the bound."""
-    if not (1 <= k_max <= TERNARY_K_GUARD):
-        raise ValueError(f"k_max must be in 1..{TERNARY_K_GUARD}")
+    check_int("k_max", k_max, 1, TERNARY_K_GUARD, error=ValueError)
     rows = []
     for k in range(1, k_max + 1):
         tree = typed_ternary(k).tree
@@ -105,8 +113,7 @@ def bound_table_ternary(k_max: int, prefix_sweep: bool = False) -> BoundReport:
 def bound_table_binary(k_max: int) -> BoundReport:
     """Radius-0 edge counts of perfect binary trees: full levels against the
     stronger bound and a spread of admissible prefixes against the general one."""
-    if not (0 <= k_max <= BINARY_K_GUARD):
-        raise ValueError(f"k_max must be in 0..{BINARY_K_GUARD}")
+    check_int("k_max", k_max, 0, BINARY_K_GUARD, error=ValueError)
     rows = []
     for k in range(0, k_max + 1):
         tree = perfect_binary(k)
@@ -177,8 +184,7 @@ class GapReport:
 def edge_gap_summary(k: int) -> GapReport:
     """Edges added by the radius rule at r=2 over r=0 on the ternary family;
     at most four children per vertex bounds the surcharge by 32 per vertex."""
-    if not (1 <= k <= GAP_K_GUARD):
-        raise ValueError(f"k must be in 1..{GAP_K_GUARD}")
+    check_int("k", k, 1, GAP_K_GUARD, error=ValueError)
     tree = typed_ternary(k).tree
     e2 = prefix_counts(tree, 2).pairs[tree.n]
     e0 = prefix_counts(tree, 0).pairs[tree.n]

@@ -7,28 +7,32 @@ from dataclasses import dataclass
 from .tree_core import RootedTree, check_int
 
 
-def _check_k(k: int) -> None:
-    """Refuse a family depth that is not a non-negative int."""
-    if type(k) is not int:
-        raise ValueError(f"k must be an int, got {k!r}")
-    if k < 0:
-        raise ValueError("k must be non-negative")
+def _family(k: int, kinds: dict) -> tuple[RootedTree, tuple]:
+    """The tree with all leaves at level k, grown from a type-1 root, in
+    which a vertex of type t has children typed `kinds[t]`, and its
+    vertices' types in preorder."""
+    check_int("k", k, 0, error=ValueError)
+    children: list[list[int]] = []
+    types: list[int] = []
+
+    # a loop, not a comprehension, which would cost a call per vertex
+    def grow(height: int, vtype: int) -> int:
+        u = len(children)
+        kids: list[int] = []
+        children.append(kids)
+        types.append(vtype)
+        if height:
+            for t in kinds[vtype]:
+                kids.append(grow(height - 1, t))
+        return u
+
+    grow(k, 1)
+    return RootedTree(children), tuple(types)
 
 
 def perfect_binary(k: int) -> RootedTree:
     """Perfect binary tree with all leaves at level k (2^(k+1)-1 vertices)."""
-    _check_k(k)
-    children: list[list[int]] = []
-
-    def grow(level: int) -> int:
-        u = len(children)
-        children.append([])
-        if level < k:
-            children[u] = [grow(level + 1), grow(level + 1)]
-        return u
-
-    grow(0)
-    return RootedTree(children)
+    return _family(k, {1: (1, 1)})[0]
 
 
 @dataclass(frozen=True)
@@ -42,33 +46,18 @@ class TypedTree:
 def typed_ternary(k: int) -> TypedTree:
     """The typed family on 3^k vertices: a type-1 vertex gets children typed
     (1, 2), a type-2 vertex gets (1, 2, 1, 2), all leaves at level k."""
-    _check_k(k)
-    children: list[list[int]] = []
-    types: list[int] = []
-
-    def grow(level: int, vtype: int) -> int:
-        u = len(children)
-        children.append([])
-        types.append(vtype)
-        if level < k:
-            kinds = (1, 2) if vtype == 1 else (1, 2, 1, 2)
-            children[u] = [grow(level + 1, t) for t in kinds]
-        return u
-
-    grow(0, 1)
-    return TypedTree(RootedTree(children), tuple(types))
+    return TypedTree(*_family(k, {1: (1, 2), 2: (1, 2, 1, 2)}))
 
 
 def descendant_count(level: int, vtype: int, k: int) -> int:
     """Closed form for the descendant count of a typed-ternary vertex.  Only
     tests call it; it stays for the pair count per vertex context that the
     ROADMAP plans, which needs the closed form."""
+    # every type before any range: level's range reads k
     for name, v in (("level", level), ("vertex type", vtype), ("k", k)):
-        check_int(name, v, ValueError)
-    if not (0 <= level <= k):
-        raise ValueError(f"level {level} out of range 0..{k}")
-    if vtype not in (1, 2):
-        raise ValueError("vertex type must be 1 or 2")
+        check_int(name, v, error=ValueError)
+    check_int("level", level, 0, k, error=ValueError)
+    check_int("vertex type", vtype, 1, 2, error=ValueError)
     base = 3 ** (k - level) - 1
     return base if vtype == 1 else 2 * base
 

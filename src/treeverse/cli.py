@@ -133,15 +133,8 @@ def cmd_bounds(args) -> int:
     else:
         report = analytics.bound_table_ternary(args.k_max,
                                                prefix_sweep=args.prefix_sweep)
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
-        print(report.to_csv())
-    else:
-        print(f"{'family':<15}{'k':>3}{'n':>7}{'edges':>9}{'bound':>13}{'slack':>13}")
-        for r in report.rows:
-            print(f"{r.family:<15}{r.k:>3}{r.n:>7}{r.edges_total:>9}"
-                  f"{r.bound_value:>13.1f}{r.slack:>13.1f}")
+    # each `--format` choice names the report's writer
+    print(getattr(report, f"to_{args.format}")())
     return 0 if report.ok else 1
 
 

@@ -209,7 +209,8 @@ def _inside(tree: RootedTree, within, u, *sizes) -> frozenset:
     """The vertex set a finder works on: the whole tree, or `within`,
     refused, before any other check, when it holds anything but int ids in
     0..n-1, such as a float equal to an id.  Then the protected vertex u and
-    the sizes x and y are refused unless each is exactly an int."""
+    the sizes x and y are refused unless each is exactly an int; each
+    finder checks the range of x and y after that."""
     ks = frozenset(range(tree.n) if within is None else within)
     # whole passes in C: the types, then the range by its two ends
     if not ({*map(type, ks)} <= {int} and 0 <= min(ks, default=0)
@@ -232,8 +233,7 @@ def find_bounded_components(tree: RootedTree, u: int, x: int,
     inside = _inside(tree, within, u, x)
     if u not in inside:
         raise ValueError(f"vertex {u} not in forest")
-    if x < 1:
-        raise ValueError("x must be positive")
+    check_int("x", x, 1)
     if len(inside) < x + 1:
         raise ValueError(f"forest needs at least {x + 1} vertices")
 
@@ -256,8 +256,8 @@ def find_feasible_or_critical(tree: RootedTree, u: int, x: int, y: int,
     than x+y-2 vertices.  `within` is as in `find_bounded_components`.
     """
     inside = _inside(tree, within, u, x, y)
-    if x < 2 or y < 2:
-        raise ValueError("requires x >= 2 and y >= 2")
+    check_int("x", x, 2)
+    check_int("y", y, 2)
     if len(inside) < x + 1:
         raise ValueError(f"forest needs at least {x + 1} vertices")
 

@@ -326,6 +326,7 @@ def host_graph_for(host: RootedTree) -> UndirectedGraph:
 
 def phi2_window(host: RootedTree, guest_size: int) -> bool:
     """Whether the second placement guarantee applies to this host/guest pair."""
+    check_int("guest size", guest_size, 1, error=ValueError)
     if len(host.children[0]) != 2:
         return False
     x = host.sizes[host.children[0][1]]
@@ -354,7 +355,7 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
     if x2 is None:
         x2 = x1
     for x in (x1, x2):
-        check_int("marker", x, ValueError)
+        check_int("marker", x, error=ValueError)
         guest.check_vertex(x)
 
     mapping = _solve(host, frozenset(range(guest.n)), guest, x1, x2)

@@ -61,9 +61,7 @@ class UndirectedGraph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges):
-        check_int("vertex count", n, ValueError)
-        if n < 0:
-            raise ValueError(f"vertex count {n} is negative")
+        check_int("vertex count", n, 0, error=ValueError)
         self.n = n
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, w in edges:
@@ -89,15 +87,17 @@ class UndirectedGraph:
         return sum(map(len, self.adj)) // 2
 
     def has_edge(self, u: int, w: int) -> bool:
-        if not (0 <= u < self.n and 0 <= w < self.n):
-            raise ValueError(f"edge endpoint out of range: {u}, {w}")
+        # tested inline, since `verify_embedding` asks once per guest edge;
+        # only a refusal goes through `check_int`
+        if not (type(u) is int and type(w) is int
+                and 0 <= u < self.n and 0 <= w < self.n):
+            for v in (u, w):
+                check_int("edge endpoint", v, 0, self.n - 1, error=ValueError)
         return w in self.adj[u]
 
     def induced_prefix(self, m: int) -> "UndirectedGraph":
         """Undirected subgraph induced on the preorder prefix {0,..,m-1}."""
-        check_int("prefix size", m, ValueError)
-        if not (0 <= m <= self.n):
-            raise ValueError(f"prefix size {m} out of range 0..{self.n}")
+        check_int("prefix size", m, 0, self.n, error=ValueError)
         return UndirectedGraph(
             m, [(a, b) for a, nbrs in enumerate(self.adj[:m])
                 for b in nbrs if a < b < m])
@@ -221,12 +221,6 @@ def _radius_spans(tree: RootedTree, radius: int,
     return spans
 
 
-def _check_radius(radius: int) -> None:
-    check_int("radius", radius, ValueError)
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-
-
 def generate(tree: RootedTree, radius: int,
              legacy: bool = False) -> GeneratedDigraph:
     """Apply the four generation rules with the given radius to every vertex.
@@ -236,7 +230,7 @@ def generate(tree: RootedTree, radius: int,
     a leftmost child get nothing from it.  A left sibling, when there is one,
     is always the nearest-left cousin.
     """
-    _check_radius(radius)
+    check_int("radius", radius, 0, error=ValueError)
     return GeneratedDigraph(tree, radius, legacy=legacy)
 
 
@@ -305,7 +299,7 @@ def prefix_counts(tree: RootedTree, radius: int,
     blocks -- its level(v) ancestors, its left-sibling block and its cousin
     subtree -- plus the radius rule's lower neighbours outside them.
     """
-    _check_radius(radius)
+    check_int("radius", radius, 0, error=ValueError)
     n, parent, sizes, levels = tree.n, tree.parent, tree.sizes, tree.levels
     rows = tree.level_order
     pairs = [0] * (n + 1)

@@ -44,7 +44,7 @@ from functools import lru_cache, partial
 from itertools import repeat
 from typing import Optional
 
-from .tree_core import RootedTree
+from .tree_core import RootedTree, check_int
 from .graph_gen import UndirectedGraph
 
 ENUM_GUARD = 16
@@ -157,8 +157,7 @@ def _free_parents(n: int) -> tuple[tuple, ...]:
     branch) sort before centred keys (b"c", encoding), and those in the
     table's order.
     """
-    if not (1 <= n <= ENUM_GUARD):
-        raise ValueError(f"n must be in 1..{ENUM_GUARD}")
+    check_int("n", n, 1, ENUM_GUARD, error=ValueError)
     bicentral, centred = [], []
     for enc, h, a, b, s in zip(*_rooted_encodings(n)):
         if h == s:
@@ -341,8 +340,7 @@ def _first_failure(blocks, jobs: int):
     the first failure.  With jobs > 1 one pool, of at most one worker per
     CPU, checks every block; the first failure shuts it down and cancels the
     work still pending.  A jobs value below 1 is refused."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    check_int("jobs", jobs, 1, error=ValueError)
     pool = None
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

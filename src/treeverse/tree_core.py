@@ -21,11 +21,16 @@ class TreeError(ValueError):
     """Raised for structurally invalid tree input."""
 
 
-def check_int(name: str, value, error: type = TreeError) -> None:
-    """Refuse a value that is not exactly an int, naming it: a float or a
-    bool equal to an int passes every comparison an id or a size meets."""
+def check_int(name: str, value, lo: Optional[int] = None,
+              hi: Optional[int] = None, *, error: type = TreeError) -> None:
+    """Refuse, naming it, a value that is not exactly an int or that lies
+    outside lo..hi, an end given as None being open: a float or a bool
+    equal to an int passes every comparison an id or a size meets."""
     if type(value) is not int:
         raise error(f"{name} {value!r} is not an int")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        raise error(f"{name} {value} out of range "
+                    f"{'' if lo is None else lo}..{'' if hi is None else hi}")
 
 
 class RootedTree:
@@ -99,9 +104,7 @@ class RootedTree:
         return len(self.level_order) - 1
 
     def check_vertex(self, u: int) -> None:
-        check_int("vertex", u)
-        if not (0 <= u < self.n):
-            raise TreeError(f"vertex {u} out of range 0..{self.n - 1}")
+        check_int("vertex", u, 0, self.n - 1)
 
     def descendant_interval(self, u: int) -> range:
         """Ids of u and all its descendants (contiguous by preorder)."""
@@ -111,8 +114,7 @@ class RootedTree:
 
     def prefix(self, m: int) -> "RootedTree":
         """The subtree induced on the admissible prefix {0,..,m-1}."""
-        if not (1 <= m <= self.n):
-            raise TreeError(f"prefix size {m} out of range 1..{self.n}")
+        check_int("prefix size", m, 1, self.n)
         return RootedTree([[c for c in self.children[u] if c < m]
                            for u in range(m)])
 
@@ -200,8 +202,7 @@ class TreeView:
         return TreeView(self.base, self.lo + u, self.size(u))
 
     def prefix(self, m: int) -> "TreeView":
-        if not (1 <= m <= self.n):
-            raise TreeError(f"prefix size {m} out of range 1..{self.n}")
+        check_int("prefix size", m, 1, self.n)
         return TreeView(self.base, self.lo, m, self.root)
 
     def tail(self, c: int) -> "TreeView":
@@ -228,9 +229,7 @@ def build_tree(children_lists: Sequence[Sequence[int]]) -> RootedTree:
     seen: set[int] = set()
     for u, lst in enumerate(children_lists):
         for c in lst:
-            check_int("child id", c)
-            if not (0 <= c < n):
-                raise TreeError(f"child id {c} out of range")
+            check_int("child id", c, 0, n - 1)
             if c in seen:
                 raise TreeError(f"duplicate child {c}")
             seen.add(c)
@@ -265,9 +264,7 @@ def nearest_left_cousin(tree: RootedTree, u: int) -> Optional[int]:
 def ith_ancestor(tree: RootedTree, u: int, i: int) -> int:
     """The i-fold parent of u, clamped at the root."""
     tree.check_vertex(u)
-    check_int("ancestor index", i)
-    if i < 0:
-        raise TreeError("ancestor index must be non-negative")
+    check_int("ancestor index", i, 0)
     while i > 0 and tree.parent[u] is not None:
         u = tree.parent[u]
         i -= 1

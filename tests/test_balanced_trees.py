@@ -15,10 +15,10 @@ def test_perfect_binary_sizes():
     assert perfect_binary(0).n == 1
     assert perfect_binary(2).n == 7
     assert perfect_binary(10).n == 2047
-    with pytest.raises(ValueError, match="^k must be non-negative$"):
+    with pytest.raises(ValueError, match=r"^k -1 out of range 0\.\.$"):
         perfect_binary(-1)
     for bad, text in ((1.5, "1.5"), (True, "True"), ("2", "'2'")):
-        with pytest.raises(ValueError, match=f"^k must be an int, got {text}$"):
+        with pytest.raises(ValueError, match=f"^k {text} is not an int$"):
             perfect_binary(bad)
     b = perfect_binary(3)
     for u in range(b.n):
@@ -39,10 +39,10 @@ def test_typed_ternary_shape():
 
     assert typed_ternary(3).tree.n == 27
     assert typed_ternary(0).tree.n == 1
-    with pytest.raises(ValueError, match="^k must be non-negative$"):
+    with pytest.raises(ValueError, match=r"^k -1 out of range 0\.\.$"):
         typed_ternary(-1)
     for bad, text in ((1.5, "1.5"), (True, "True"), ("2", "'2'")):
-        with pytest.raises(ValueError, match=f"^k must be an int, got {text}$"):
+        with pytest.raises(ValueError, match=f"^k {text} is not an int$"):
             typed_ternary(bad)
 
 
@@ -57,9 +57,10 @@ def test_descendant_count_closed_form():
     assert descendant_count(2, 2, 2) == 0
     assert descendant_count(1, 2, 2) == 4
     assert descendant_count(0, 1, 3) == 26
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^level 4 out of range 0\.\.3$"):
         descendant_count(4, 1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^vertex type 3 out of range 1\.\.2$"):
         descendant_count(0, 3, 3)
     # floats gave 4.196... and 14.59, and True passed as type 1
     for args, text in (((1.5, 1, 3), "level 1.5"), ((0, 1, 2.5), "k 2.5"),

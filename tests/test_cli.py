@@ -155,7 +155,7 @@ def test_verify_refuses_jobs_below_one(capsys):
                      jobs])
         assert code == 2
         assert capsys.readouterr().err == \
-            f"error: jobs must be at least 1, got {jobs}\n"
+            f"error: jobs {jobs} out of range 1..\n"
 
 
 def test_verify_interval_small(capsys):

@@ -95,10 +95,12 @@ def test_finders_refuse_bad_arguments():
                            match=r"^forest needs at least 4 vertices$"):
             find(t, 0, 3, *args[1:], within={0, 1, 2})
     for x in (0, -2):
-        with pytest.raises(ValueError, match="^x must be positive$"):
+        with pytest.raises(TreeError, match=rf"^x {x} out of range 1\.\.$"):
             find_bounded_components(t, 0, x, within={0, 1, 2})
-    for x, y in ((1, 3), (3, 1), (1, 1), (0, 2)):
-        with pytest.raises(ValueError, match="^requires x >= 2 and y >= 2$"):
+    # x is checked before y
+    for x, y, text in ((1, 3, "x 1"), (3, 1, "y 1"), (1, 1, "x 1"),
+                       (0, 2, "x 0")):
+        with pytest.raises(TreeError, match=rf"^{text} out of range 2\.\.$"):
             find_feasible_or_critical(t, 0, x, y, within={0, 1, 2, 3})
     # a vertex or a size only equal to an int is refused by name: 2.5 ended
     # the search in a bare StopIteration, 1.0 in Python's own TypeError, and

@@ -5,6 +5,17 @@ from pathlib import Path
 import pytest
 
 import treeverse
+from treeverse import (TreeError, UndirectedGraph, bound_table_binary,
+                       bound_table_ternary, build_tree, descendant_count,
+                       edge_gap_summary, embed, enumerate_free_trees,
+                       find_bounded_components, find_feasible_or_critical,
+                       from_parens, generate, is_interval_universal,
+                       is_universal, ith_ancestor, nearest_left_cousin,
+                       perfect_binary, phi2_window, prefix_counts,
+                       typed_ternary)
+from treeverse.analytics import BINARY_K_GUARD, GAP_K_GUARD, TERNARY_K_GUARD
+from treeverse.oracle import ENUM_GUARD
+from treeverse.tree_core import TreeView
 
 
 def test_package_has_no_assert_statements():
@@ -26,7 +37,7 @@ ALLOWED_IMPORTS = {
     "decomposition": {"tree_core"},
     "oracle": {"tree_core", "graph_gen"},
     "embedder": {"tree_core", "graph_gen", "balanced_trees", "decomposition"},
-    "analytics": {"balanced_trees", "graph_gen"},
+    "analytics": {"tree_core", "balanced_trees", "graph_gen"},
     "cli": {"tree_core", "graph_gen", "balanced_trees", "decomposition",
             "oracle", "embedder", "analytics"},
     "__init__": {"tree_core", "graph_gen", "balanced_trees", "decomposition",
@@ -162,3 +173,163 @@ def test_modules_read_no_private_name_of_another_module():
                   and node.attr not in own):
                 found.append(f"{path.name}:{node.lineno} reads {node.attr}")
     assert found == []
+
+
+def int_type_tests():
+    """(module, function) of each package function whose code compares
+    `type(...)` with `int`, maps `type` over values or asks
+    `isinstance(..., int)`; a nested function or a method is named by its
+    dotted path."""
+    def calls(node, name):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name)
+
+    def is_int(node):
+        return isinstance(node, ast.Name) and node.id == "int"
+
+    def is_type_test(node):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            return (any(map(is_int, sides))
+                    and any(calls(side, "type") for side in sides))
+        return ((calls(node, "map") and ast.unparse(node.args[0]) == "type")
+                or (calls(node, "isinstance")
+                    and any(map(is_int, ast.walk(node.args[1])))))
+
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif is_type_test(child):
+                found.add((module, ".".join(scope)))
+            visit(child, module, inner)
+
+    for path in sorted(Path(treeverse.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem, ())
+    return found
+
+
+def test_int_type_tests_live_in_check_int_and_the_per_element_loops():
+    """An int argument is refused by `tree_core.check_int`; only the loops
+    that test one element at a time on hot paths, and `has_edge`, which
+    `verify_embedding` calls once per guest edge, test the type inline."""
+    assert int_type_tests() == {
+        ("tree_core", "check_int"),
+        ("tree_core", "RootedTree.__init__"),
+        ("graph_gen", "UndirectedGraph.has_edge"),
+        ("graph_gen", "merged_tree"),
+        ("decomposition", "_inside"),
+    }
+
+
+TREE = perfect_binary(2)   # 7 vertices
+VIEW = TreeView(TREE)
+GRAPH = UndirectedGraph(3, [(0, 1), (1, 2)])
+HOST = typed_ternary(2).tree
+GUEST = from_parens("(()())")
+
+def free_trees_once_one_is_cached(n):
+    """`enumerate_free_trees(n)` once the size-1 trees are cached, so a
+    cache that read True or 1.0 as 1 would answer for them: the cache keys
+    an exact int by itself and any other value by a 1-tuple, and the check
+    inside it refuses them."""
+    enumerate_free_trees(1)
+    return enumerate_free_trees(n)
+
+
+# one row per public callable and int parameter: the call, the name its
+# refusal gives, the allowed range (None for an open end; a row with no
+# range is checked for its type only) and the error class.  The markers of
+# `embed` are typed as markers and ranged as guest vertices.
+INT_ARGUMENTS = {
+    "RootedTree.check_vertex": (TREE.check_vertex, "vertex", 0, 6, TreeError),
+    "RootedTree.subtree": (TREE.subtree, "vertex", 0, 6, TreeError),
+    "RootedTree.prefix": (TREE.prefix, "prefix size", 1, 7, TreeError),
+    "TreeView.check_vertex": (VIEW.check_vertex, "vertex", 0, 6, TreeError),
+    "TreeView.subtree": (VIEW.subtree, "vertex", 0, 6, TreeError),
+    "TreeView.prefix": (VIEW.prefix, "prefix size", 1, 7, TreeError),
+    "TreeView.tail": (VIEW.tail, "vertex", 0, 6, TreeError),
+    "build_tree child": (lambda c: build_tree([[c], []]), "child id", 0, 1,
+                         TreeError),
+    "nearest_left_cousin": (lambda u: nearest_left_cousin(TREE, u), "vertex",
+                            0, 6, TreeError),
+    "ith_ancestor u": (lambda u: ith_ancestor(TREE, u, 1), "vertex", 0, 6,
+                       TreeError),
+    "ith_ancestor i": (lambda i: ith_ancestor(TREE, 3, i), "ancestor index",
+                       0, None, TreeError),
+    "UndirectedGraph n": (lambda n: UndirectedGraph(n, []), "vertex count",
+                          0, None, ValueError),
+    "UndirectedGraph.induced_prefix": (GRAPH.induced_prefix, "prefix size",
+                                       0, 3, ValueError),
+    "UndirectedGraph.has_edge u": (lambda u: GRAPH.has_edge(u, 0),
+                                   "edge endpoint", 0, 2, ValueError),
+    "UndirectedGraph.has_edge w": (lambda w: GRAPH.has_edge(0, w),
+                                   "edge endpoint", 0, 2, ValueError),
+    "generate": (lambda r: generate(TREE, r), "radius", 0, None, ValueError),
+    "prefix_counts": (lambda r: prefix_counts(TREE, r), "radius", 0, None,
+                      ValueError),
+    "perfect_binary": (perfect_binary, "k", 0, None, ValueError),
+    "typed_ternary": (typed_ternary, "k", 0, None, ValueError),
+    "descendant_count level": (lambda v: descendant_count(v, 1, 3), "level",
+                               0, 3, ValueError),
+    "descendant_count type": (lambda t: descendant_count(0, t, 3),
+                              "vertex type", 1, 2, ValueError),
+    "descendant_count k": (lambda k: descendant_count(0, 1, k), "k", None,
+                           None, ValueError),
+    "find_bounded_components u": (
+        lambda u: find_bounded_components(TREE, u, 2), "vertex", None, None,
+        TreeError),
+    "find_bounded_components x": (
+        lambda x: find_bounded_components(TREE, 0, x), "x", 1, None,
+        TreeError),
+    "find_feasible_or_critical u": (
+        lambda u: find_feasible_or_critical(TREE, u, 3, 2), "vertex", None,
+        None, TreeError),
+    "find_feasible_or_critical x": (
+        lambda x: find_feasible_or_critical(TREE, 0, x, 2), "x", 2, None,
+        TreeError),
+    "find_feasible_or_critical y": (
+        lambda y: find_feasible_or_critical(TREE, 0, 3, y), "y", 2, None,
+        TreeError),
+    "embed x1": (lambda v: embed(HOST, GUEST, v), ("marker", "vertex"), 0, 2,
+                 (ValueError, TreeError)),
+    "embed x2": (lambda v: embed(HOST, GUEST, 0, v), ("marker", "vertex"),
+                 0, 2, (ValueError, TreeError)),
+    "phi2_window": (lambda m: phi2_window(HOST, m), "guest size", 1, None,
+                    ValueError),
+    "enumerate_free_trees": (free_trees_once_one_is_cached, "n", 1,
+                             ENUM_GUARD, ValueError),
+    "is_universal jobs": (lambda j: is_universal(GRAPH, jobs=j), "jobs", 1,
+                          None, ValueError),
+    "is_interval_universal jobs": (
+        lambda j: is_interval_universal(GRAPH, jobs=j), "jobs", 1, None,
+        ValueError),
+    "bound_table_ternary": (bound_table_ternary, "k_max", 1, TERNARY_K_GUARD,
+                            ValueError),
+    "bound_table_binary": (bound_table_binary, "k_max", 0, BINARY_K_GUARD,
+                           ValueError),
+    "edge_gap_summary": (edge_gap_summary, "k", 1, GAP_K_GUARD, ValueError),
+}
+
+
+@pytest.mark.parametrize("row", INT_ARGUMENTS, ids=str)
+def test_int_arguments_are_refused_by_name(row):
+    """A value that is not exactly an int, or that lies outside the range,
+    raises the row's class with one of `check_int`'s two texts."""
+    call, name, lo, hi, error = INT_ARGUMENTS[row]
+    type_name, range_name = (name, name) if isinstance(name, str) else name
+    type_error, range_error = ((error, error) if isinstance(error, type)
+                               else error)
+    cases = [(v, type_error, f"{type_name} {v!r} is not an int")
+             for v in (1.5, True, "1")]
+    span = f"{'' if lo is None else lo}..{'' if hi is None else hi}"
+    cases += [(v, range_error, f"{range_name} {v} out of range {span}")
+              for v in ((lo - 1,) if lo is not None else ())
+              + ((hi + 1,) if hi is not None else ())]
+    for value, cls, text in cases:
+        with pytest.raises(Exception) as info:
+            call(value)
+        assert (type(info.value), str(info.value)) == (cls, text), value

@@ -53,7 +53,7 @@ def test_build_rejects_duplicate_child():
     # build_tree refuses first; the tree's own check is reached directly
     with pytest.raises(TreeError, match="^a tree has at least one vertex$"):
         RootedTree([])
-    with pytest.raises(TreeError, match="^child id 5 out of range$"):
+    with pytest.raises(TreeError, match=r"^child id 5 out of range 0\.\.1$"):
         build_tree([[5], []])
     # a child id only equal to an int is refused by name: True made a path
     for bad, text in ((True, "True"), (1.0, "1.0"), ("1", "'1'")):
@@ -220,7 +220,7 @@ def test_ith_ancestor_clamps():
     t = path_tree(5)
     assert ith_ancestor(t, 3, 2) == 1
     with pytest.raises(TreeError,
-                       match="^ancestor index must be non-negative$"):
+                       match=r"^ancestor index -1 out of range 0\.\.$"):
         ith_ancestor(t, 0, -1)
     for bad, text in ((1.5, "1.5"), (True, "True"), ("1", "'1'")):
         with pytest.raises(TreeError,
