@@ -59,10 +59,7 @@ class ComponentCollection:
 
     @property
     def union(self) -> frozenset:
-        out: set[int] = set()
-        for c in self.components:
-            out |= c
-        return frozenset(out)
+        return frozenset().union(*self.components)
 
 
 def classify(coll: ComponentCollection, x: int, y: int) -> str:
@@ -87,8 +84,6 @@ class _RootedPass:
     rooting."""
 
     def __init__(self, tree: RootedTree, u: int, inside: frozenset, x: int):
-        if u not in inside:
-            raise ValueError(f"vertex {u} not in forest")
         parent = tree.parent
         # children follow their parents in id order, so a reverse sweep
         # finishes every subtree before it reaches the subtree's top
@@ -205,19 +200,26 @@ def _checked(rooted: _RootedPass, w: int, roots, x: int, y: int,
     return coll, kind
 
 
-def _inside(tree: RootedTree, within, u, *sizes) -> frozenset:
-    """The vertex set a finder works on: the whole tree, or `within`,
-    refused, before any other check, when it holds anything but int ids in
-    0..n-1, such as a float equal to an id.  Then the protected vertex u and
-    the sizes x and y are refused unless each is exactly an int; each
-    finder checks the range of x and y after that."""
+def _inside(tree: RootedTree, within, u, x, *y) -> frozenset:
+    """The vertex set a finder works on, the whole tree or `within`, and
+    the finder's one refusal of its input, in this order: `within` unless
+    it holds only int ids in 0..n-1 (a float equal to an id is refused
+    too); u, x and y, when given, unless each is exactly an int; u outside
+    the set; x below 1, or x and y below 2 when y is given; and a set of at
+    most x vertices."""
     ks = frozenset(range(tree.n) if within is None else within)
     # whole passes in C: the types, then the range by its two ends
     if not ({*map(type, ks)} <= {int} and 0 <= min(ks, default=0)
             and max(ks, default=0) < tree.n):
         raise TreeError("induced set is not a subset of the forest")
-    for name, v in zip(("vertex", "x", "y"), (u, *sizes)):
+    for name, v in zip(("vertex", "x", "y"), (u, x, *y)):
         check_int(name, v)
+    if u not in ks:
+        raise TreeError(f"vertex {u} not in forest")
+    for name, v in zip(("x", "y"), (x, *y)):
+        check_int(name, v, 2 if y else 1)
+    if len(ks) < x + 1:
+        raise TreeError(f"forest needs at least {x + 1} vertices")
     return ks
 
 
@@ -231,12 +233,6 @@ def find_bounded_components(tree: RootedTree, u: int, x: int,
     the forest induced on that vertex set without building it.
     """
     inside = _inside(tree, within, u, x)
-    if u not in inside:
-        raise ValueError(f"vertex {u} not in forest")
-    check_int("x", x, 1)
-    if len(inside) < x + 1:
-        raise ValueError(f"forest needs at least {x + 1} vertices")
-
     rooted = _RootedPass(tree, u, inside, x)
     return rooted.collection(*_bounded_walk(rooted))
 
@@ -256,11 +252,6 @@ def find_feasible_or_critical(tree: RootedTree, u: int, x: int, y: int,
     than x+y-2 vertices.  `within` is as in `find_bounded_components`.
     """
     inside = _inside(tree, within, u, x, y)
-    check_int("x", x, 2)
-    check_int("y", y, 2)
-    if len(inside) < x + 1:
-        raise ValueError(f"forest needs at least {x + 1} vertices")
-
     rooted = _RootedPass(tree, u, inside, x - 1)
     if len(inside) <= x + y - 2:
         # every component of forest - u, in order of smallest id

@@ -355,8 +355,7 @@ def embed(host: RootedTree, guest: RootedTree, x1: int, x2: Optional[int] = None
     if x2 is None:
         x2 = x1
     for x in (x1, x2):
-        check_int("marker", x, error=ValueError)
-        guest.check_vertex(x)
+        check_int("marker", x, 0, guest.n - 1, error=ValueError)
 
     mapping = _solve(host, frozenset(range(guest.n)), guest, x1, x2)
 
@@ -389,27 +388,37 @@ def verify_embedding(embedding: Embedding, guest: RootedTree, x1: int,
     """Re-check an embedding's map: injectivity, edge preservation,
     admissible complement, and both placement guarantees.
 
-    Guest edges are checked against `embedding.host_graph`, which is
+    Returns `(ok, problems)` and raises nothing for a malformed map: a host
+    graph whose size is not the host's, a map that is not total on the
+    guest, or an image id that is not exactly an int in 0..n-1 ends the
+    check with a problem that names it, before any edge is read.  Guest
+    edges are then read from `embedding.host_graph`'s neighbour sets, which are
     trusted, not rebuilt: a caller's graph of the host's size is taken as
     the host's radius-2 graph.  An edge predicate read from the rules
     (ROADMAP item 3) would remove that trust."""
     host = embedding.host_tree
     graph = embedding.host_graph
     mapping = embedding.mapping
-    problems: list[str] = []
 
+    if graph.n != host.n:
+        return False, [f"host graph has {graph.n} vertices, host {host.n}"]
     if set(mapping.keys()) != set(range(guest.n)):
-        problems.append("mapping is not total on the guest")
-        return False, problems
+        return False, ["mapping is not total on the guest"]
+    # the types before any hash or comparison: a bool would hash as an id
+    if not {*map(type, mapping.values())} <= {int}:
+        bad = next(h for h in mapping.values() if type(h) is not int)
+        return False, [f"image vertex {bad!r} is not an int"]
     image = set(mapping.values())
+    problems: list[str] = []
     if len(image) != guest.n:
         problems.append("mapping is not injective")
     if any(not (0 <= h < host.n) for h in image):
         problems.append("image vertex out of range")
         return False, problems
+    adj = graph.adj
     for u in range(1, guest.n):
         p = guest.parent[u]
-        if not graph.has_edge(mapping[u], mapping[p]):
+        if mapping[p] not in adj[mapping[u]]:
             problems.append(f"guest edge {p}-{u} maps to non-edge "
                             f"{mapping[p]}-{mapping[u]}")
     # the image's ids all lie in 0..n-1, so the unused ids are 0..n-|image|-1

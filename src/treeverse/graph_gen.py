@@ -13,13 +13,14 @@ its children, `range`s of ids and slices of level rows.  Rule 3's target
 (`_cousin_target`) and rule 4's row spans, which depend only on the
 vertex's anchor (`_radius_spans`), are helpers that the edge counter shares;
 both read the tree's stored `left_cousin`, as the merge check does.
-`generate` only checks the radius; the digraph expands the runs into its
-tagged arcs when `arcs` is first read, which only the JSON export and tests
-do.  The undirected view (`underlying`) is read from the runs without
-building any arcs.  The edge counts of every preorder prefix, undirected and
-per rule tag (`prefix_counts`), read no run at all, at any radius: they are
-counted from block sizes and from each anchor's spans, with a few bisects
-and at most one cousin-target check per span.
+A digraph checks its radius when it is made, by `generate` or directly,
+and expands the runs into its tagged arcs when `arcs` is first read, which
+only the JSON export and tests do.  The undirected view (`underlying`) is
+read from the runs without building any arcs.  The edge counts of every
+preorder prefix, undirected and per rule tag (`prefix_counts`), read no run
+at all, at any radius: they are counted from block sizes and from each
+anchor's spans, with a few bisects and at most one cousin-target check per
+span.
 
 An undirected view (`UndirectedGraph`) keeps one neighbour set per vertex and
 nothing else; its pair set `edges` is built only when read, for output and
@@ -64,13 +65,21 @@ class UndirectedGraph:
         check_int("vertex count", n, 0, error=ValueError)
         self.n = n
         adj: list[set[int]] = [set() for _ in range(n)]
-        for u, w in edges:
-            if u == w:
-                raise ValueError("self-loop")
-            if not (0 <= u < n and 0 <= w < n):
-                raise ValueError("edge endpoint out of range")
-            adj[u].add(w)
-            adj[w].add(u)
+        u = w = 0
+        try:
+            for u, w in edges:
+                if u == w:
+                    raise ValueError("self-loop")
+                if not (0 <= u < n and 0 <= w < n):
+                    raise ValueError("edge endpoint out of range")
+                adj[u].add(w)
+                adj[w].add(u)
+        except TypeError:
+            # a float or a str endpoint fails a comparison or an index; a
+            # bool passes both and is read as 0 or 1
+            for v in (u, w):
+                check_int("edge endpoint", v, error=ValueError)
+            raise
         # freeze in place, so at most one set is held twice
         for u, nbrs in enumerate(adj):
             adj[u] = frozenset(nbrs)
@@ -87,12 +96,8 @@ class UndirectedGraph:
         return sum(map(len, self.adj)) // 2
 
     def has_edge(self, u: int, w: int) -> bool:
-        # tested inline, since `verify_embedding` asks once per guest edge;
-        # only a refusal goes through `check_int`
-        if not (type(u) is int and type(w) is int
-                and 0 <= u < self.n and 0 <= w < self.n):
-            for v in (u, w):
-                check_int("edge endpoint", v, 0, self.n - 1, error=ValueError)
+        for v in (u, w):
+            check_int("edge endpoint", v, 0, self.n - 1, error=ValueError)
         return w in self.adj[u]
 
     def induced_prefix(self, m: int) -> "UndirectedGraph":
@@ -132,13 +137,16 @@ class UndirectedGraph:
 
 @dataclass
 class GeneratedDigraph:
-    """The digraph generated from a rooted tree at a radius.  Its arcs, each
-    tagged by the rules producing it, are built on first read and then kept;
-    `underlying` never reads them."""
+    """The digraph generated from a rooted tree at a radius, which must be
+    an int of at least 0.  Its arcs, each tagged by the rules producing it,
+    are built on first read and then kept; `underlying` never reads them."""
 
     source: RootedTree
     radius: int
     legacy: bool = False
+
+    def __post_init__(self) -> None:
+        check_int("radius", self.radius, 0, error=ValueError)
 
     @property
     def n(self) -> int:
@@ -230,7 +238,6 @@ def generate(tree: RootedTree, radius: int,
     a leftmost child get nothing from it.  A left sibling, when there is one,
     is always the nearest-left cousin.
     """
-    check_int("radius", radius, 0, error=ValueError)
     return GeneratedDigraph(tree, radius, legacy=legacy)
 
 
@@ -394,12 +401,12 @@ def prefix_counts(tree: RootedTree, radius: int,
     })
 
 
-def merged_tree(tree: RootedTree | TreeView,
+def merged_tree(view: TreeView,
                 run: Sequence[int]) -> tuple[RootedTree, tuple[int, ...]]:
     """Hang a consecutive same-level run of subtrees under a fresh root.
 
-    `tree` may be a `TreeView`; the run and `iso` are then in the view's
-    ids, and each run subtree is cut at the view's end.
+    The run and `iso` are in the view's ids, and each run subtree is cut at
+    the view's end; `TreeView(tree)` merges within a whole tree.
 
     `run` must be consecutive in the left-to-right order of one level, and the
     first and last vertices must either share a parent or have preorder-adjacent
@@ -416,7 +423,6 @@ def merged_tree(tree: RootedTree | TreeView,
     child has a left cousin with a child); unbalanced runs that break it are
     rejected.
     """
-    view = tree if isinstance(tree, TreeView) else TreeView(tree)
     run = list(run)
     if not run:
         raise ValueError("empty run")

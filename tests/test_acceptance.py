@@ -18,7 +18,8 @@ from treeverse.embedder import (embed, host_graph_for, phi2_window,
 from treeverse.graph_gen import generate, merged_tree, underlying
 from treeverse.oracle import (enumerate_free_trees, is_interval_universal,
                               is_universal)
-from treeverse.tree_core import Forest, build_tree, nearest_left_cousin
+from treeverse.tree_core import (Forest, TreeView, build_tree,
+                                 nearest_left_cousin)
 
 from trees import _walk, rand_tree, random_subset, vertex_orbit_reps
 
@@ -161,7 +162,7 @@ def test_criterion_7_generator_identities():
                 if fp != lp and nearest_left_cousin(tree, lp) != fp:
                     continue
                 try:
-                    tstar, iso = merged_tree(tree, run)
+                    tstar, iso = merged_tree(TreeView(tree), run)
                 except ValueError:
                     continue  # the run parent cannot dominate both subtrees
                 keep = set(iso)

@@ -1,5 +1,4 @@
 import argparse
-import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +14,8 @@ from treeverse.balanced_trees import perfect_binary, typed_ternary
 from treeverse.cli import main
 from treeverse.graph_gen import generate, to_dot, to_json
 from treeverse.tree_core import from_parens, parse_tree
+
+from golden import ARGVS, CORPUS, golden_mismatch
 
 
 def run(capsys, *argv):
@@ -376,21 +377,15 @@ def test_verify_checks_size_before_generating(capsys, monkeypatch):
         assert "guard: n=15" in capsys.readouterr().err
 
 
-# sha256 of stdout, recorded while prefix counts were read from the arcs of
-# `generate`; the JSON carries `edges_by_type`, which the CSV does not
-PINNED_COUNT_OUTPUTS_SHA256 = {
-    ("bounds", "--family", "ternary-typed", "--k-max", "6", "--prefix-sweep",
-     "--format", "json"):
-        "dd7d322ffc3698f9a38d5ad282751d186c58ff28d04325ca093e2706a3a2b106",
-    ("bounds", "--family", "binary", "--k-max", "8", "--format", "json"):
-        "235aa6b9bc3614e2c83e2670b695d3e454375eb9e61489d20f79f645dfc42a12",
-    ("gap", "--k", "6"):
-        "99c4b8c6a43d0daa7dc288492ef9d12bb5df700005a356f397df648ae88eebd2",
-}
-
-
-def test_count_outputs_match_the_pinned_hashes(capsys):
-    for argv, want in PINNED_COUNT_OUTPUTS_SHA256.items():
-        code, out = run(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+def test_every_golden_argv_matches_its_record():
+    """Every argv of `tests/golden.json` exits with its recorded code and
+    prints its recorded stdout and stderr; a mismatch names the argv and
+    the first differing line.  The corpus holds the three count outputs
+    once pinned here, recorded while prefix counts were read from the arcs
+    of `generate`."""
+    corpus = json.loads(CORPUS.read_text())
+    assert [entry["argv"] for entry in corpus] == ARGVS
+    mismatches = [f"{' '.join(entry['argv'])}: {found}"
+                  for entry in corpus
+                  if (found := golden_mismatch(entry)) is not None]
+    assert mismatches == []

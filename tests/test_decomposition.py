@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -68,7 +69,7 @@ def test_bounded_minimum_size_forest():
     t = path_tree(4)
     coll = find_bounded_components(t, 3, 3)
     check_bounded(Forest.from_tree(t), coll, 3, 3)
-    with pytest.raises(ValueError, match="^forest needs at least 5 vertices$"):
+    with pytest.raises(TreeError, match="^forest needs at least 5 vertices$"):
         find_bounded_components(t, 0, 4)
 
 
@@ -89,19 +90,21 @@ def test_finders_refuse_bad_arguments():
             find(t, 0, *args, within={0, 1.0, 2, 3})
         with pytest.raises(TreeError, match="^induced set is not a subset"):
             find(t, 20, *bad_args, within={-1})
-        with pytest.raises(ValueError, match="^vertex 5 not in forest$"):
+        with pytest.raises(TreeError, match="^vertex 5 not in forest$"):
             find(t, 5, *args, within={0, 1, 2, 3, 6, 7})
-        with pytest.raises(ValueError,
+        with pytest.raises(TreeError,
                            match=r"^forest needs at least 4 vertices$"):
             find(t, 0, 3, *args[1:], within={0, 1, 2})
     for x in (0, -2):
         with pytest.raises(TreeError, match=rf"^x {x} out of range 1\.\.$"):
             find_bounded_components(t, 0, x, within={0, 1, 2})
-    # x is checked before y
+    # x is checked before y, and u's membership before either range
     for x, y, text in ((1, 3, "x 1"), (3, 1, "y 1"), (1, 1, "x 1"),
                        (0, 2, "x 0")):
         with pytest.raises(TreeError, match=rf"^{text} out of range 2\.\.$"):
             find_feasible_or_critical(t, 0, x, y, within={0, 1, 2, 3})
+        with pytest.raises(TreeError, match="^vertex 5 not in forest$"):
+            find_feasible_or_critical(t, 5, x, y, within={0, 1, 2, 3})
     # a vertex or a size only equal to an int is refused by name: 2.5 ended
     # the search in a bare StopIteration, 1.0 in Python's own TypeError, and
     # True was read as vertex 1 or as 1
@@ -116,6 +119,29 @@ def test_finders_refuse_bad_arguments():
             (find_bounded_components, (t, "0", 2), "vertex '0'")):
         with pytest.raises(TreeError, match=f"^{text} is not an int$"):
             find(*args)
+
+
+def test_finder_input_is_refused_only_in_inside():
+    """`_inside` is the one place a finder refuses its input, with
+    `TreeError`; the rest of the module raises only
+    `DecompositionBugError`."""
+    path = Path(treeverse.__file__).parent / "decomposition.py"
+    raised = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise):
+                raised.add((scope, child.exc.func.id))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), None)
+    assert {name for _, name in raised} == {"TreeError",
+                                            "DecompositionBugError"}
+    assert {scope for scope, name in raised if name == "TreeError"} == \
+        {"_inside"}
 
 
 def test_classify_examples():

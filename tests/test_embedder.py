@@ -148,6 +148,31 @@ def test_verifier_problems_on_corrupted_images(ternary_hosts):
                                                         expected), mapping
 
 
+def test_verifier_reports_malformed_maps_and_graphs(ternary_hosts):
+    """An image id that is not exactly an int, or a host graph of another
+    size, is reported as the one problem, never raised: a str image raised
+    Python's own TypeError, a float or bool image or a smaller graph a
+    ValueError from `has_edge`, and a larger graph passed unreported."""
+    host, graph = ternary_hosts[2]
+    guest = path_tree(2)
+
+    def verdict(mapping, graph=graph):
+        emb = Embedding(mapping, host, graph, True, True, False, True)
+        return verify_embedding(emb, guest, 0, 1)
+
+    assert verdict({0: 7, 1: 8}) == (True, [])
+    for bad in (8.0, "8", True, None):
+        assert verdict({0: 7, 1: bad}) == \
+            (False, [f"image vertex {bad!r} is not an int"])
+    # a bool is refused before it could be hashed as an id
+    assert verdict({0: 1, 1: True}) == \
+        (False, ["image vertex True is not an int"])
+    for other in (ternary_hosts[1][1], ternary_hosts[3][1],
+                  graph.induced_prefix(8)):
+        assert verdict({0: 7, 1: 8}, other) == \
+            (False, [f"host graph has {other.n} vertices, host 9"])
+
+
 def test_verifier_names_each_broken_guarantee(ternary_hosts):
     """A real embedding, corrupted four ways, fails with the message for
     each: `embed` raises EmbeddingBugError on these problems."""
@@ -533,9 +558,9 @@ def view_runs(tree):
     return runs
 
 
-def merge_or_error(tree, run):
+def merge_or_error(view, run):
     try:
-        return merged_tree(tree, run)
+        return merged_tree(view, run)
     except ValueError as exc:
         return str(exc)
 
@@ -569,7 +594,7 @@ def test_views_match_materialised_subtrees_and_merges(monkeypatch):
     def same_merges(view, tree, run):
         before = checks[0]
         merged = merge_or_error(view, run)
-        assert merged == merge_or_error(tree, run)
+        assert merged == merge_or_error(TreeView(tree), run)
         assert checks[0] == before
         digest.update(repr(merged if isinstance(merged, str)
                            else (merged[0].children, merged[1])).encode())
@@ -592,7 +617,7 @@ def test_views_match_materialised_subtrees_and_merges(monkeypatch):
                 # from that tree (the tail at the first child is the view)
                 kids = tree.children[0]
                 for i, c in enumerate(kids):
-                    tstar, iso = merged_tree(tree, kids[i:])
+                    tstar, iso = merged_tree(TreeView(tree), kids[i:])
                     tail = view.tail(c)
                     # the tail's root is its vertex 0, whatever base vertex
                     # precedes its vertex 1

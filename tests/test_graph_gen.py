@@ -12,8 +12,8 @@ from treeverse.graph_gen import (TAG_COUSIN_SUBTREE, TAG_NAMES, PrefixCounts,
                                  UndirectedGraph, generate, merged_tree,
                                  prefix_counts, to_dot, to_json, underlying)
 from treeverse.oracle import enumerate_free_trees
-from treeverse.tree_core import (RootedTree, build_tree, from_parens,
-                                 nearest_left_cousin)
+from treeverse.tree_core import (RootedTree, TreeView, build_tree,
+                                 from_parens, nearest_left_cousin)
 
 from trees import (balanced_hosts, count_vertex_checks, ordered_trees,
                    path_tree, rand_tree, spider_tree, star_tree)
@@ -114,6 +114,14 @@ def test_graph_refuses_self_loops_and_outside_endpoints():
     for bad in ((0, 3), (3, 0), (-1, 1), (1, -1)):
         with pytest.raises(ValueError, match="edge endpoint out of range"):
             UndirectedGraph(3, [bad])
+    # a float or str endpoint raised Python's own TypeError; a bool is read
+    # as 0 or 1
+    for edge, bad in (((0, 1.5), "1.5"), ((0, "1"), "'1'"),
+                      ((1.0, 2), "1.0"), (("0", 1), "'0'")):
+        with pytest.raises(ValueError,
+                           match=f"^edge endpoint {bad} is not an int$"):
+            UndirectedGraph(3, [(0, 2), edge])
+    assert UndirectedGraph(3, [(0, True)]).edges == {(0, True)}
     # a negative count made a graph that both deciders called universal
     with pytest.raises(ValueError,
                        match=r"^vertex count -1 out of range 0\.\.$"):
@@ -390,20 +398,20 @@ def test_admissible_induced():
 
 def test_merged_tree_full_root_run_is_identity():
     t = typed_ternary(2).tree
-    tstar, iso = merged_tree(t, t.children[0])
+    tstar, iso = merged_tree(TreeView(t), t.children[0])
     assert tstar == t
     assert iso == tuple(range(t.n))
 
 
 def test_merged_tree_b2_children_of_last():
     b2 = perfect_binary(2)
-    tstar, iso = merged_tree(b2, (5, 6))
+    tstar, iso = merged_tree(TreeView(b2), (5, 6))
     assert tstar.n == 3 and iso == (4, 5, 6)
     assert underlying(generate(tstar, 0)).is_complete()
 
 
 def _merged_iso_holds(tree, run, r):
-    tstar, iso = merged_tree(tree, run)
+    tstar, iso = merged_tree(TreeView(tree), run)
     image = {frozenset((iso[a], iso[b]))
              for a, b in underlying(generate(tstar, r)).edges}
     keep = set(iso)
@@ -424,7 +432,7 @@ def all_valid_runs(tree):
             for j in range(i, len(row)):
                 run = row[i:j + 1]
                 try:
-                    merged_tree(tree, run)
+                    merged_tree(TreeView(tree), run)
                 except ValueError:
                     continue
                 yield run
@@ -443,17 +451,17 @@ def test_merged_tree_iso_exhaustive_small():
 def test_merged_tree_rejects_bad_runs():
     b3 = perfect_binary(3)
     with pytest.raises(ValueError):
-        merged_tree(b3, ())
+        merged_tree(TreeView(b3), ())
     with pytest.raises(ValueError):
-        merged_tree(b3, (0,))  # the root has no parent
+        merged_tree(TreeView(b3), (0,))  # the root has no parent
     with pytest.raises(ValueError, match="consecutive"):
-        merged_tree(b3, (2, 1))  # different levels
+        merged_tree(TreeView(b3), (2, 1))  # different levels
     with pytest.raises(ValueError):
-        merged_tree(b3, (2, 9))  # not consecutive on the level
+        merged_tree(TreeView(b3), (2, 9))  # not consecutive on the level
     # b3's levels 1 and 2 are 1, 8 and 2, 5, 9, 12; a run vertex is an int
     for run in ((3.0, 4), (1, 8.0), (True, 8), ("1", 8), (2, 5, True)):
         with pytest.raises(ValueError, match="^run vertex out of range$"):
-            merged_tree(b3, run)
+            merged_tree(TreeView(b3), run)
 
 
 def test_merged_tree_rejects_undominated_run():
@@ -462,7 +470,7 @@ def test_merged_tree_rejects_undominated_run():
     t = build_tree([[1, 4, 5], [2], [3], [], [], [6], [7], [8], []])
     assert nearest_left_cousin(t, t.parent[7]) == t.parent[3]
     with pytest.raises(ValueError):
-        merged_tree(t, (3, 7))
+        merged_tree(TreeView(t), (3, 7))
 
 
 # -- structural invariants -------------------------------------------------

@@ -5,14 +5,14 @@ from pathlib import Path
 import pytest
 
 import treeverse
-from treeverse import (TreeError, UndirectedGraph, bound_table_binary,
-                       bound_table_ternary, build_tree, descendant_count,
-                       edge_gap_summary, embed, enumerate_free_trees,
-                       find_bounded_components, find_feasible_or_critical,
-                       from_parens, generate, is_interval_universal,
-                       is_universal, ith_ancestor, nearest_left_cousin,
-                       perfect_binary, phi2_window, prefix_counts,
-                       typed_ternary)
+from treeverse import (GeneratedDigraph, TreeError, UndirectedGraph,
+                       bound_table_binary, bound_table_ternary, build_tree,
+                       descendant_count, edge_gap_summary, embed,
+                       enumerate_free_trees, find_bounded_components,
+                       find_feasible_or_critical, from_parens, generate,
+                       is_interval_universal, is_universal, ith_ancestor,
+                       nearest_left_cousin, perfect_binary, phi2_window,
+                       prefix_counts, typed_ternary)
 from treeverse.analytics import BINARY_K_GUARD, GAP_K_GUARD, TERNARY_K_GUARD
 from treeverse.oracle import ENUM_GUARD
 from treeverse.tree_core import TreeView
@@ -214,14 +214,15 @@ def int_type_tests():
 
 def test_int_type_tests_live_in_check_int_and_the_per_element_loops():
     """An int argument is refused by `tree_core.check_int`; only the loops
-    that test one element at a time on hot paths, and `has_edge`, which
-    `verify_embedding` calls once per guest edge, test the type inline."""
+    that test one element at a time on hot paths, and `verify_embedding`,
+    which reports a map's non-int image ids instead of raising, test the
+    type inline."""
     assert int_type_tests() == {
         ("tree_core", "check_int"),
         ("tree_core", "RootedTree.__init__"),
-        ("graph_gen", "UndirectedGraph.has_edge"),
         ("graph_gen", "merged_tree"),
         ("decomposition", "_inside"),
+        ("embedder", "verify_embedding"),
     }
 
 
@@ -242,8 +243,7 @@ def free_trees_once_one_is_cached(n):
 
 # one row per public callable and int parameter: the call, the name its
 # refusal gives, the allowed range (None for an open end; a row with no
-# range is checked for its type only) and the error class.  The markers of
-# `embed` are typed as markers and ranged as guest vertices.
+# range is checked for its type only) and the error class
 INT_ARGUMENTS = {
     "RootedTree.check_vertex": (TREE.check_vertex, "vertex", 0, 6, TreeError),
     "RootedTree.subtree": (TREE.subtree, "vertex", 0, 6, TreeError),
@@ -269,6 +269,8 @@ INT_ARGUMENTS = {
     "UndirectedGraph.has_edge w": (lambda w: GRAPH.has_edge(0, w),
                                    "edge endpoint", 0, 2, ValueError),
     "generate": (lambda r: generate(TREE, r), "radius", 0, None, ValueError),
+    "GeneratedDigraph": (lambda r: GeneratedDigraph(TREE, r), "radius", 0,
+                         None, ValueError),
     "prefix_counts": (lambda r: prefix_counts(TREE, r), "radius", 0, None,
                       ValueError),
     "perfect_binary": (perfect_binary, "k", 0, None, ValueError),
@@ -294,10 +296,10 @@ INT_ARGUMENTS = {
     "find_feasible_or_critical y": (
         lambda y: find_feasible_or_critical(TREE, 0, 3, y), "y", 2, None,
         TreeError),
-    "embed x1": (lambda v: embed(HOST, GUEST, v), ("marker", "vertex"), 0, 2,
-                 (ValueError, TreeError)),
-    "embed x2": (lambda v: embed(HOST, GUEST, 0, v), ("marker", "vertex"),
-                 0, 2, (ValueError, TreeError)),
+    "embed x1": (lambda v: embed(HOST, GUEST, v), "marker", 0, 2,
+                 ValueError),
+    "embed x2": (lambda v: embed(HOST, GUEST, 0, v), "marker", 0, 2,
+                 ValueError),
     "phi2_window": (lambda m: phi2_window(HOST, m), "guest size", 1, None,
                     ValueError),
     "enumerate_free_trees": (free_trees_once_one_is_cached, "n", 1,
@@ -320,13 +322,10 @@ def test_int_arguments_are_refused_by_name(row):
     """A value that is not exactly an int, or that lies outside the range,
     raises the row's class with one of `check_int`'s two texts."""
     call, name, lo, hi, error = INT_ARGUMENTS[row]
-    type_name, range_name = (name, name) if isinstance(name, str) else name
-    type_error, range_error = ((error, error) if isinstance(error, type)
-                               else error)
-    cases = [(v, type_error, f"{type_name} {v!r} is not an int")
+    cases = [(v, error, f"{name} {v!r} is not an int")
              for v in (1.5, True, "1")]
     span = f"{'' if lo is None else lo}..{'' if hi is None else hi}"
-    cases += [(v, range_error, f"{range_name} {v} out of range {span}")
+    cases += [(v, error, f"{name} {v} out of range {span}")
               for v in ((lo - 1,) if lo is not None else ())
               + ((hi + 1,) if hi is not None else ())]
     for value, cls, text in cases:

@@ -249,9 +249,29 @@ def free_tree_automorphisms(tree: RootedTree) -> int:
 
 
 def vertex_orbit_reps(tree: RootedTree) -> list[int]:
-    """One vertex per orbit of the free-tree automorphism group (smallest id)."""
-    reps: dict[bytes, int] = {}
+    """One vertex per orbit of the free-tree automorphism group (smallest
+    id), in linear time.  Every automorphism fixes the center, or the pair
+    of centers, so the tree is read rooted there, each center's half without
+    the other.  A vertex's shape is the sorted shapes of its children; two
+    vertices share an orbit when their parents do and their shapes are
+    equal, and two centers when their halves' shapes are.  Shapes and
+    orbits are numbered as they are met, so no key grows with the tree."""
+    shapes: dict = {}
+    orbits: dict = {}
+    shape = [0] * tree.n
+    orbit = [0] * tree.n
+    centers = _centers(tree)
+    # for one center, `_walk(tree, c, c)` walks the whole tree from c
+    for root, other in zip(centers, reversed(centers)):
+        order, up = _walk(tree, root, other)
+        for u in reversed(order):
+            kids = sorted(shape[v] for v in (*tree.children[u], tree.parent[u])
+                          if v is not None and v != up[u])
+            shape[u] = shapes.setdefault(tuple(kids), len(shapes))
+        orbit[root] = orbits.setdefault((-1, shape[root]), len(orbits))
+        for u in order[1:]:
+            orbit[u] = orbits.setdefault((orbit[up[u]], shape[u]), len(orbits))
+    reps: dict[int, int] = {}
     for v in range(tree.n):
-        reps.setdefault(_tree_to_enc(tree, v)[0], v)
+        reps.setdefault(orbit[v], v)
     return sorted(reps.values())
-
