@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -108,23 +109,21 @@ def cmd_verify(args) -> int:
     oracle.check_size(tree.n, args.interval, args.unsafe_large)
     graph = underlying(generate(tree, 2 if args.family == "ternary-typed" else 0,
                                 legacy=legacy))
-    if args.interval:
-        ok, witness = oracle.is_interval_universal(
-            graph, unsafe_large=args.unsafe_large, jobs=args.jobs)
-        if not ok:
-            i, m, tree = witness
-            print(f"FAIL interval offset={i} size={m} "
-                  f"tree={tree_core.to_parens(tree)}")
-            return 1
-        print(f"OK interval-universal n={graph.n}")
-        return 0
-    ok, tree = oracle.is_universal(graph, unsafe_large=args.unsafe_large,
-                                   jobs=args.jobs)
-    if not ok:
-        print(f"FAIL tree={tree_core.to_parens(tree)}")
-        return 1
-    print(f"OK universal n={graph.n}")
-    return 0
+    decide = (oracle.is_interval_universal if args.interval
+              else oracle.is_universal)
+    # the oracle starts a pool only for a graph past its guard
+    ok, witness = decide(graph, unsafe_large=args.unsafe_large,
+                         jobs=os.cpu_count() or 1)
+    if ok:
+        print(f"OK {'interval-' if args.interval else ''}universal "
+              f"n={graph.n}")
+    elif args.interval:
+        i, m, tree = witness
+        print(f"FAIL interval offset={i} size={m} "
+              f"tree={tree_core.to_parens(tree)}")
+    else:
+        print(f"FAIL tree={tree_core.to_parens(witness)}")
+    return 0 if ok else 1
 
 
 def cmd_bounds(args) -> int:
@@ -218,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--interval", action="store_true")
-    sp.add_argument("--jobs", type=int, default=1, help="slower than --jobs 1 "
-                    "unless --unsafe-large admits a graph past about 15 vertices")
     sp.add_argument("--unsafe-large", action="store_true",
                     help="override the exhaustive-search size guards")
     sp.set_defaults(func=cmd_verify)

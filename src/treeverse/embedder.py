@@ -388,10 +388,11 @@ def verify_embedding(embedding: Embedding, guest: RootedTree, x1: int,
     """Re-check an embedding's map: injectivity, edge preservation,
     admissible complement, and both placement guarantees.
 
-    Returns `(ok, problems)` and raises nothing for a malformed map: a host
-    graph whose size is not the host's, a map that is not total on the
-    guest, or an image id that is not exactly an int in 0..n-1 ends the
-    check with a problem that names it, before any edge is read.  Guest
+    Returns `(ok, problems)` and raises nothing for a malformed input: a
+    marker that is not exactly an int in 0..guest.n-1, a host graph whose
+    size is not the host's, a map that is not total on the guest, or an
+    image id that is not exactly an int in 0..n-1 ends the check with a
+    problem that names it, before any edge is read.  Guest
     edges are then read from `embedding.host_graph`'s neighbour sets, which are
     trusted, not rebuilt: a caller's graph of the host's size is taken as
     the host's radius-2 graph.  An edge predicate read from the rules
@@ -400,6 +401,11 @@ def verify_embedding(embedding: Embedding, guest: RootedTree, x1: int,
     graph = embedding.host_graph
     mapping = embedding.mapping
 
+    for x in (x1, x2):
+        try:
+            check_int("marker", x, 0, guest.n - 1, error=ValueError)
+        except ValueError as exc:
+            return False, [str(exc)]
     if graph.n != host.n:
         return False, [f"host graph has {graph.n} vertices, host {host.n}"]
     if set(mapping.keys()) != set(range(guest.n)):

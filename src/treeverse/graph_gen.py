@@ -103,17 +103,15 @@ class UndirectedGraph:
     def induced_prefix(self, m: int) -> "UndirectedGraph":
         """Undirected subgraph induced on the preorder prefix {0,..,m-1}."""
         check_int("prefix size", m, 0, self.n, error=ValueError)
-        return UndirectedGraph(
-            m, [(a, b) for a, nbrs in enumerate(self.adj[:m])
-                for b in nbrs if a < b < m])
+        return self.induced(range(m))
 
     def induced(self, vertices: Sequence[int]) -> "UndirectedGraph":
-        """Induced subgraph relabeled along the given vertex order.  Only
-        tests call it; it stays because the benchmark tracer wraps it by
-        name."""
+        """Induced subgraph relabeled along the given vertex order, each
+        vertex exactly an int in 0..n-1 and none repeated.  The one builder
+        of a subgraph: `induced_prefix` calls it."""
+        for v in vertices:
+            check_int("induced vertex", v, 0, self.n - 1, error=ValueError)
         idx = {v: i for i, v in enumerate(vertices)}
-        if any(not (0 <= v < self.n) for v in idx):
-            raise ValueError("induced vertex out of range")
         if len(idx) != len(vertices):
             raise ValueError("induced vertex repeated")
         adj = self.adj

@@ -4,8 +4,10 @@ embedding, with universality deciders built on top.
 Everything here is deliberately simple and separate from the constructive
 embedder so the two can check each other.  Both deciders scan one lazy
 stream of blocks, each as its sorted neighbour tuples with the free trees
-of its size as preorder parent tuples; with jobs > 1 one process pool per
-call checks it, and the first failure cancels the work still pending.
+of its size as preorder parent tuples.  On a graph past its size guard,
+which only `unsafe_large` admits, and with jobs > 1, one process pool per
+call checks it, and the first failure cancels the work still pending;
+every admitted graph is checked serially.
 Trees are built only at the edge: `enumerate_free_trees`, and the witness
 a decider returns.
 
@@ -334,20 +336,23 @@ def _blocks(graph: UndirectedGraph, sizes):
             yield i, m, _sorted_neighbours(adj, i, m), parents
 
 
-def _first_failure(blocks, jobs: int):
-    """(offset, m, tree) for the first tree in stream order that does not
-    embed in its block, or None.  Blocks are read one at a time, none past
-    the first failure.  With jobs > 1 one pool, of at most one worker per
-    CPU, checks every block; the first failure shuts it down and cancels the
-    work still pending.  A jobs value below 1 is refused."""
+def _first_failure(graph: UndirectedGraph, sizes, jobs: int, large: bool):
+    """(offset, m, tree) for the first tree in `_blocks(graph, sizes)` that
+    does not embed in its block, or None.  Blocks are read one at a time,
+    none past the first failure.  On a `large` graph, one past its size
+    guard, and with jobs > 1, one pool of at most one worker per CPU checks
+    every block; the first failure shuts it down and cancels the work still
+    pending.  Any other graph is checked serially, since starting the pool
+    costs more than its whole search.  A jobs value below 1 is refused on
+    every call."""
     check_int("jobs", jobs, 1, error=ValueError)
     pool = None
-    if jobs > 1:
+    if large and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
     run = partial(pool.map, chunksize=8) if pool else map
     try:
-        for i, m, nbrs, parents in blocks:
+        for i, m, nbrs, parents in _blocks(graph, sizes):
             found = run(_search, parents, repeat(nbrs))
             for parent, image in zip(parents, found):
                 if image is None:
@@ -359,20 +364,24 @@ def _first_failure(blocks, jobs: int):
 
 
 def check_size(n: int, interval: bool = False,
-               unsafe_large: bool = False) -> None:
-    """Refuse an n-vertex graph above the universality (or, with `interval`,
-    the interval-universality) guard unless `unsafe_large` is set."""
+               unsafe_large: bool = False) -> bool:
+    """Whether an n-vertex graph is past the universality (or, with
+    `interval`, the interval-universality) guard; such a graph is refused
+    unless `unsafe_large` is set."""
     guard = INTERVAL_GUARD if interval else UNIVERSAL_GUARD
     if n > guard and not unsafe_large:
         raise ValueError(f"guard: n={n} exceeds {guard} "
                          "(pass unsafe_large to override)")
+    return n > guard
 
 
 def is_universal(graph: UndirectedGraph, unsafe_large: bool = False,
                  jobs: int = 1) -> tuple[bool, Optional[RootedTree]]:
-    """Whether every free tree on |graph| vertices embeds; first failure if not."""
-    check_size(graph.n, unsafe_large=unsafe_large)
-    failure = _first_failure(_blocks(graph, [graph.n]), jobs)
+    """Whether every free tree on |graph| vertices embeds; first failure if
+    not.  `jobs` workers check a graph past the guard; any other is checked
+    serially."""
+    large = check_size(graph.n, unsafe_large=unsafe_large)
+    failure = _first_failure(graph, [graph.n], jobs, large)
     if failure is None:
         return True, None
     return False, failure[2]
@@ -382,8 +391,9 @@ def is_interval_universal(graph: UndirectedGraph, unsafe_large: bool = False,
                           jobs: int = 1) -> tuple[bool, Optional[tuple]]:
     """Whether every block {i,..,i+m-1} of consecutive vertex ids induces a
     universal graph for trees on m vertices.  Returns the first failing
-    (offset, size, tree) witness otherwise."""
-    check_size(graph.n, interval=True, unsafe_large=unsafe_large)
-    failure = _first_failure(_blocks(graph, range(1, graph.n + 1)), jobs)
+    (offset, size, tree) witness otherwise.  `jobs` workers check a graph
+    past the guard; any other is checked serially."""
+    large = check_size(graph.n, interval=True, unsafe_large=unsafe_large)
+    failure = _first_failure(graph, range(1, graph.n + 1), jobs, large)
     return failure is None, failure
 

@@ -76,7 +76,6 @@ ARGVS = [
     ["verify", "--family", "legacy", "--k", "2", "--interval"],
     ["verify", "--family", "binary", "--k", "3"],
     ["verify", "--family", "ternary-typed", "--k", "3", "--interval"],
-    ["verify", "--family", "binary", "--k", "1", "--jobs", "0"],
     # bounds
     ["bounds", "--family", "ternary-typed", "--k-max", "6", "--prefix-sweep",
      "--format", "json"],

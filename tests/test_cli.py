@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -150,13 +151,44 @@ def test_verify_prints_the_oracle_witness(capsys, monkeypatch):
     assert (code, out) == (1, "FAIL interval offset=2 size=4 tree=(()(()))\n")
 
 
-def test_verify_refuses_jobs_below_one(capsys):
-    for jobs in ("0", "-2"):
-        code = main(["verify", "--family", "binary", "--k", "1", "--jobs",
-                     jobs])
-        assert code == 2
-        assert capsys.readouterr().err == \
-            f"error: jobs {jobs} out of range 1..\n"
+def test_verify_has_no_jobs_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--family", "binary", "--k", "1", "--jobs", "1"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: unrecognized arguments: --jobs 1\n")
+
+
+def test_verify_passes_the_cpu_count_as_jobs(capsys, monkeypatch):
+    from treeverse import oracle
+
+    seen = []
+    monkeypatch.setattr(oracle, "is_universal",
+                        lambda graph, **kw: seen.append(kw) or (True, None))
+    monkeypatch.setattr(oracle, "is_interval_universal",
+                        lambda graph, **kw: seen.append(kw) or (True, None))
+    for cpus, jobs in ((7, 7), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for extra in ([], ["--interval"]):
+            seen.clear()
+            code, _ = run(capsys, "verify", "--family", "binary", "--k", "1",
+                          *extra)
+            assert (code, seen) == (0, [{"unsafe_large": False,
+                                         "jobs": jobs}])
+
+
+def test_verify_starts_no_pool_on_an_admitted_graph(capsys, monkeypatch):
+    """Two CPUs, so the deciders get jobs=2, and a pool that fails if
+    started: a graph the guards admit is checked serially."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for extra, line in (([], "OK universal n=7\n"),
+                        (["--interval"], "OK interval-universal n=7\n")):
+        assert run(capsys, "verify", "--family", "binary", "--k", "2",
+                   *extra) == (0, line)
 
 
 def test_verify_interval_small(capsys):

@@ -173,6 +173,20 @@ def test_verifier_reports_malformed_maps_and_graphs(ternary_hosts):
             (False, [f"host graph has {other.n} vertices, host 9"])
 
 
+def test_verifier_reports_a_bad_marker():
+    """A marker that is not exactly an int in 0..guest.n-1 is the one
+    problem: 9 raised Python's own KeyError, and an x2 of 1.5, '1' or True
+    passed, since the phi2 window is false here."""
+    guest = from_parens("(()())")
+    emb = embed(typed_ternary(2).tree, guest, 0)
+    assert not phi2_window(emb.host_tree, guest.n)
+    assert verify_embedding(emb, guest, 9, 9) == \
+        (False, ["marker 9 out of range 0..2"])
+    for bad in (1.5, "1", True):
+        assert verify_embedding(emb, guest, 0, bad) == \
+            (False, [f"marker {bad!r} is not an int"])
+
+
 def test_verifier_names_each_broken_guarantee(ternary_hosts):
     """A real embedding, corrupted four ways, fails with the message for
     each: `embed` raises EmbeddingBugError on these problems."""

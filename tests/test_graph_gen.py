@@ -145,8 +145,15 @@ def test_graph_refuses_self_loops_and_outside_endpoints():
         with pytest.raises(ValueError,
                            match=f"^edge endpoint {bad} is not an int$"):
             g.has_edge(u, w)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^induced vertex -1 out of range 0\.\.2$"):
         UndirectedGraph(3, [(0, 1)]).induced([2, -1])
+    # 1.5 and '1' raised Python's own TypeError, and True was read as 1
+    for vertices, bad in (([1.5], "1.5"), (["1"], "'1'"),
+                          ([True, 0], "True")):
+        with pytest.raises(ValueError,
+                           match=f"^induced vertex {bad} is not an int$"):
+            UndirectedGraph(3, [(0, 1)]).induced(vertices)
     # a repeated vertex would take two labels, the first left isolated
     with pytest.raises(ValueError, match="induced vertex repeated"):
         UndirectedGraph(3, [(0, 1), (1, 2), (0, 2)]).induced([0, 1, 0])

@@ -1,8 +1,10 @@
 import ast
+import random
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import treeverse
 from treeverse import (GeneratedDigraph, TreeError, UndirectedGraph,
@@ -14,8 +16,11 @@ from treeverse import (GeneratedDigraph, TreeError, UndirectedGraph,
                        nearest_left_cousin, perfect_binary, phi2_window,
                        prefix_counts, typed_ternary)
 from treeverse.analytics import BINARY_K_GUARD, GAP_K_GUARD, TERNARY_K_GUARD
+from treeverse.embedder import host_graph_for, verify_embedding
 from treeverse.oracle import ENUM_GUARD
-from treeverse.tree_core import TreeView
+from treeverse.tree_core import TreeView, check_int
+
+from trees import rand_tree
 
 
 def test_package_has_no_assert_statements():
@@ -264,6 +269,8 @@ INT_ARGUMENTS = {
                           0, None, ValueError),
     "UndirectedGraph.induced_prefix": (GRAPH.induced_prefix, "prefix size",
                                        0, 3, ValueError),
+    "UndirectedGraph.induced": (lambda v: GRAPH.induced([v]),
+                                "induced vertex", 0, 2, ValueError),
     "UndirectedGraph.has_edge u": (lambda u: GRAPH.has_edge(u, 0),
                                    "edge endpoint", 0, 2, ValueError),
     "UndirectedGraph.has_edge w": (lambda w: GRAPH.has_edge(0, w),
@@ -332,3 +339,46 @@ def test_int_arguments_are_refused_by_name(row):
         with pytest.raises(Exception) as info:
             call(value)
         assert (type(info.value), str(info.value)) == (cls, text), value
+
+
+# typed_ternary(1..3) with their radius-2 graphs, built once
+HOSTS = [(typed_ternary(k).tree, host_graph_for(typed_ternary(k).tree))
+         for k in (1, 2, 3)]
+
+
+def entries(n):
+    """A marker or vertex as a caller might pass one: an int just inside or
+    outside 0..n-1, a float, a bool or a short string."""
+    return st.one_of(st.integers(-2, n + 2), st.floats(), st.booleans(),
+                     st.text("-019a", max_size=2))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_markers_and_induced_vertices_are_refused_by_name(data):
+    """`verify_embedding` returns (ok, problems) for any markers, a bad one
+    as `check_int`'s text, and `induced` returns the induced graph or raises
+    ValueError with its own text, never Python's."""
+    host, graph = data.draw(st.sampled_from(HOSTS))
+    guest = rand_tree(random.Random(data.draw(st.integers(0, 99))),
+                      data.draw(st.integers(1, host.n)))
+    x1, x2 = data.draw(entries(guest.n)), data.draw(entries(guest.n))
+    bad = [x for x in (x1, x2) if type(x) is not int or not 0 <= x < guest.n]
+    emb = embed(host, guest, *(0, 0) if bad else (x1, x2), host_graph=graph)
+    if not bad:
+        assert verify_embedding(emb, guest, x1, x2) == (True, [])
+    else:
+        with pytest.raises(ValueError) as info:
+            check_int("marker", bad[0], 0, guest.n - 1, error=ValueError)
+        assert verify_embedding(emb, guest, x1, x2) == \
+            (False, [str(info.value)])
+
+    vertices = data.draw(st.lists(entries(graph.n), max_size=6))
+    try:
+        sub = graph.induced(vertices)
+    except ValueError as exc:
+        assert str(exc).startswith("induced vertex "), exc
+    else:
+        assert sub.edges == {
+            (i, j) for j, b in enumerate(vertices) for i, a in
+            enumerate(vertices[:j]) if b in graph.adj[a]}
